@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, sqrt
 
-from .graph_model import ThresholdGraph, degree_sequence, to_bzp
+from .graph_model import ThresholdGraph, to_bzp
 from .spectral import DEFAULT_TOL, Polynomial, greatest_real_root, spectral_radius
 
 __all__ = [
@@ -68,11 +68,29 @@ class BoundReport:
     applicable: bool
 
 
-def _bound_inputs(g: ThresholdGraph) -> tuple[int, tuple[int, ...], int, int]:
-    """(c, b, sum b, F_1) after checking the standing assumptions."""
+@dataclass(frozen=True)
+class _Inputs:
+    """What every bound reads: c, z, n, sum b, F_1 and the degree tail.
+
+    The tail is the degree sequence from canonical position c - 1 on,
+    which is c - 1 followed by the bzp values b.
+    """
+
+    c: int
+    z: int
+    n: int
+    sb: int
+    f1: int
+    tail: tuple[int, ...]
+
+
+def _bound_inputs(g: ThresholdGraph) -> _Inputs:
+    """The bound inputs, after checking the standing assumptions."""
     require_applicable(g)
     b = to_bzp(g).b
-    return g.c, b, sum(b), sum(bi * bi for bi in b)
+    return _Inputs(
+        c=g.c, z=g.z, n=g.n, sb=sum(b), f1=sum(bi * bi for bi in b), tail=(g.c - 1,) + b
+    )
 
 
 def require_applicable(g: ThresholdGraph) -> None:
@@ -91,13 +109,11 @@ def require_applicable(g: ThresholdGraph) -> None:
 
 
 def lower_cubic_polynomial(g: ThresholdGraph) -> Polynomial:
-    c, _, _, f1 = _bound_inputs(g)
-    return Polynomial((1.0, -(c + 1.0), float(c), -float(f1)))
+    return _lower_cubic_polynomial(_bound_inputs(g))
 
 
 def upper_cubic_polynomial(g: ThresholdGraph) -> Polynomial:
-    c, _, sb, f1 = _bound_inputs(g)
-    return Polynomial((1.0, -(c + 1.0), float(c - sb), float(c * sb - f1)))
+    return _upper_cubic_polynomial(_bound_inputs(g))
 
 
 def lower_cubic(g: ThresholdGraph) -> float:
@@ -106,26 +122,22 @@ def lower_cubic(g: ThresholdGraph) -> float:
     The cubic is negative at x = c (its value there is -F_1), so the
     largest root exceeds c and the bound exceeds c - 1.
     """
-    poly = lower_cubic_polynomial(g)
-    return greatest_real_root(poly, float(g.c)).value - 1.0
+    return _lower_cubic(_bound_inputs(g))
 
 
 def upper_cubic(g: ThresholdGraph) -> float:
     """Shifted largest root of the upper-bracket characteristic cubic."""
-    poly = upper_cubic_polynomial(g)
-    return greatest_real_root(poly, float(g.c)).value - 1.0
+    return _upper_cubic(_bound_inputs(g))
 
 
 def lower_corollary(g: ThresholdGraph) -> float:
     """Explicit relaxation of the cubic lower bound: c - 1 + F_1 / n^2."""
-    c, _, _, f1 = _bound_inputs(g)
-    return c - 1.0 + f1 / float(g.n * g.n)
+    return _lower_corollary(_bound_inputs(g))
 
 
 def lower_quadratic(g: ThresholdGraph) -> float:
     """Closed-form quadratic lower bound from a two-block weighting."""
-    c, _, _, f1 = _bound_inputs(g)
-    return (c - 2.0 + sqrt(c * c + 4.0 * f1 / (c - 1.0))) / 2.0
+    return _lower_quadratic(_bound_inputs(g))
 
 
 def inequality_polynomial(g: ThresholdGraph) -> Polynomial:
@@ -141,22 +153,7 @@ def inequality_polynomial(g: ThresholdGraph) -> Polynomial:
     h(rho) = 0 exactly when every b_i is 1 or c - 1; otherwise
     h(rho) > 0 and the largest real root of h sits strictly below rho.
     """
-    c, _, sb, _ = _bound_inputs(g)
-    z = g.z
-    tail = degree_sequence(g)[c - 1 :]
-    s = c - 1 + sb
-    t1 = sum((d - 1) ** 2 for d in tail)
-    t2 = sum(d - 1 for d in tail)
-    t3 = sum((d - 1) * (s - d * (z + 1)) for d in tail)
-    return Polynomial(
-        (
-            float(c - 2),
-            float((c - 2) * (3 - c)),
-            -float((c - 2) * (z + c - 1) + t1),
-            float((c - 2) * ((c - 2) * (z + 1) - s - t2)),
-            -float(t3),
-        )
-    )
+    return _inequality_polynomial(_bound_inputs(g))
 
 
 def inequality_check(g: ThresholdGraph, rho: float) -> tuple[bool, float]:
@@ -169,10 +166,9 @@ def inequality_check(g: ThresholdGraph, rho: float) -> tuple[bool, float]:
     true spectral radius, with equality exactly when every b_i is 1 or
     c - 1.  Values below the largest root of the quartic fail the check.
     """
-    c, _, sb, _ = _bound_inputs(g)
-    z = g.z
-    tail = degree_sequence(g)[c - 1 :]
-    s = c - 1 + sb
+    inputs = _bound_inputs(g)
+    c, z, tail = inputs.c, inputs.z, inputs.tail
+    s = c - 1 + inputs.sb
     left = rho * ((rho - c + 2.0) * (rho * rho + rho - (z + 1.0)) - s) * (c - 2.0)
     right = sum(
         (d * (rho * rho - (z + 1.0)) - rho * (rho - c + 2.0) + s) * (d - 1.0) for d in tail
@@ -192,9 +188,63 @@ def inequality_root(
     the bracket is scanned over [0, rho + 1] to avoid locking onto an
     inner root.
     """
-    poly = inequality_polynomial(g)
+    inputs = _bound_inputs(g)
     if rho is None:
         rho = spectral_radius(g, tol)
+    return _inequality_root(inputs, rho)
+
+
+# ---------------------------------------------------------------------------
+# the bounds from precomputed inputs
+# ---------------------------------------------------------------------------
+
+
+def _lower_cubic_polynomial(inputs: _Inputs) -> Polynomial:
+    c = inputs.c
+    return Polynomial((1.0, -(c + 1.0), float(c), -float(inputs.f1)))
+
+
+def _upper_cubic_polynomial(inputs: _Inputs) -> Polynomial:
+    c, sb = inputs.c, inputs.sb
+    return Polynomial((1.0, -(c + 1.0), float(c - sb), float(c * sb - inputs.f1)))
+
+
+def _lower_cubic(inputs: _Inputs) -> float:
+    return greatest_real_root(_lower_cubic_polynomial(inputs), float(inputs.c)).value - 1.0
+
+
+def _upper_cubic(inputs: _Inputs) -> float:
+    return greatest_real_root(_upper_cubic_polynomial(inputs), float(inputs.c)).value - 1.0
+
+
+def _lower_corollary(inputs: _Inputs) -> float:
+    return inputs.c - 1.0 + inputs.f1 / float(inputs.n * inputs.n)
+
+
+def _lower_quadratic(inputs: _Inputs) -> float:
+    c = inputs.c
+    return (c - 2.0 + sqrt(c * c + 4.0 * inputs.f1 / (c - 1.0))) / 2.0
+
+
+def _inequality_polynomial(inputs: _Inputs) -> Polynomial:
+    c, z, tail = inputs.c, inputs.z, inputs.tail
+    s = c - 1 + inputs.sb
+    t1 = sum((d - 1) ** 2 for d in tail)
+    t2 = sum(d - 1 for d in tail)
+    t3 = sum((d - 1) * (s - d * (z + 1)) for d in tail)
+    return Polynomial(
+        (
+            float(c - 2),
+            float((c - 2) * (3 - c)),
+            -float((c - 2) * (z + c - 1) + t1),
+            float((c - 2) * ((c - 2) * (z + 1) - s - t2)),
+            -float(t3),
+        )
+    )
+
+
+def _inequality_root(inputs: _Inputs, rho: float) -> float:
+    poly = _inequality_polynomial(inputs)
     return greatest_real_root(poly, 0.0, bracket_high=rho + 1.0).value
 
 
@@ -214,7 +264,7 @@ def bound_report(
     """
     rho = spectral_radius(g, tol)
     try:
-        require_applicable(g)
+        inputs = _bound_inputs(g)
     except PreconditionError:
         if allow_inapplicable:
             return BoundReport(
@@ -229,11 +279,11 @@ def bound_report(
                 applicable=False,
             )
         raise
-    lo_cubic = lower_cubic(g)
-    lo_corollary = lower_corollary(g)
-    lo_quadratic = lower_quadratic(g)
-    up_cubic = upper_cubic(g)
-    ineq_root = inequality_root(g, rho=rho)
+    lo_cubic = _lower_cubic(inputs)
+    lo_corollary = _lower_corollary(inputs)
+    lo_quadratic = _lower_quadratic(inputs)
+    up_cubic = _upper_cubic(inputs)
+    ineq_root = _inequality_root(inputs, rho)
     lowers = (lo_cubic, lo_corollary, lo_quadratic, ineq_root)
     sandwich_ok = max(lowers) <= rho + SANDWICH_TOL and rho <= up_cubic + SANDWICH_TOL
     gaps = {

@@ -337,6 +337,29 @@ def _cmd_verify(args) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _add_format_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--json", action="store_true", help="emit JSON")
@@ -353,28 +376,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="bound report for one graph")
     p_analyze.add_argument("graph", help="gen:<bits> | comp:G{p1,...} | bzp:<c>:<b1,...>")
-    p_analyze.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p_analyze.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL)
     _add_format_flags(p_analyze)
     p_analyze.set_defaults(handler=_cmd_analyze)
 
     p_walks = sub.add_parser("walks", help="exact walk-count tables for one graph")
     p_walks.add_argument("graph", help="gen:<bits> | comp:G{p1,...} | bzp:<c>:<b1,...>")
-    p_walks.add_argument("--kmax", type=int, default=50)
-    p_walks.add_argument("--pmax", type=int, default=10)
+    p_walks.add_argument("--kmax", type=_int_at_least(0), default=50)
+    p_walks.add_argument("--pmax", type=_int_at_least(0), default=10)
     _add_format_flags(p_walks)
     p_walks.set_defaults(handler=_cmd_walks)
 
     p_enum = sub.add_parser("enumerate", help="census with bounds at fixed n, m")
     p_enum.add_argument("--n", type=int, required=True)
     p_enum.add_argument("--m", type=int, required=True)
-    p_enum.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p_enum.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL)
     p_enum.add_argument("--tie-tol", type=float, default=1e-9, dest="tie_tol")
     _add_format_flags(p_enum)
     p_enum.set_defaults(handler=_cmd_enumerate)
 
     p_verify = sub.add_parser("verify", help="reconcile predictions with enumeration")
-    p_verify.add_argument("--n-max", type=int, required=True, dest="n_max")
-    p_verify.add_argument("--n-min", type=int, default=4, dest="n_min")
+    p_verify.add_argument("--n-max", type=_int_at_least(1), required=True, dest="n_max")
+    p_verify.add_argument("--n-min", type=_int_at_least(1), default=4, dest="n_min")
     _add_format_flags(p_verify)
     p_verify.set_defaults(handler=_cmd_verify)
 

@@ -1,13 +1,13 @@
-"""Numerical kernels: dominant eigenpairs, dense eigensolves, real roots.
+"""Numerical kernels: graph spectra, dense eigensolves, real roots.
 
-Everything here operates on small dense symmetric matrices (at most a
-few dozen rows), so plain power iteration and cyclic Jacobi sweeps are
-both simple and more than accurate enough.
-
-The spectral radius of a graph is found by power iteration on A + I.
-The shift makes the dominant eigenvalue strictly dominant in magnitude
-for every connected graph (bipartite ones included), and the all-ones
-start vector has positive overlap with the Perron vector.
+The composition blocks (runs of the generating sequence) are twin
+classes and so an equitable partition.  Two blocks are joined when the
+later one is type 1, and type-1 blocks are cliques.  The spectral
+radius is the top eigenvalue of the k x k symmetrized quotient S, with
+S_ij = sqrt(|i| |j|) for joined blocks and S_ii = |i| - 1 or 0, from
+``numpy.linalg.eigh``; its eigenvector x lifts to x_b / sqrt(|b|) on
+each vertex of block b (Brouwer & Haemers, *Spectra of Graphs* 2.3).
+Cost depends on k, not n; the dense adjacency is only a test oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from math import sqrt
 
 import numpy as np
 
-from .graph_model import BzpSequence, FopSequence, ThresholdGraph, adjacency_matrix
+from .graph_model import BzpSequence, FopSequence, ThresholdGraph, to_composition
 from .walks import one_overlap_matrix, zero_overlap_matrix
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-10
-_MAX_POWER_ITERATIONS = 1_000_000
 _MAX_JACOBI_SWEEPS = 100
 _BISECTION_WIDTH = 1e-12
 _RESIDUAL_REL = 1e-9
@@ -110,50 +109,50 @@ class EigenDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# power iteration
+# twin-class quotient
 # ---------------------------------------------------------------------------
 
 
-def _dominant_eigenpair(matrix: np.ndarray, tol: float) -> tuple[float, np.ndarray]:
-    """Rayleigh-quotient power iteration from the all-ones vector.
-
-    Converged when the quotient moves by at most tol between iterations
-    and the residual ||M w - theta w||_inf is at most tol * theta.
-    """
-    n = matrix.shape[0]
-    w = np.full(n, 1.0 / sqrt(n))
-    theta_prev = None
-    theta = 0.0
-    residual = float("inf")
-    for _ in range(_MAX_POWER_ITERATIONS):
-        y = matrix @ w
-        theta = float(w @ y)
-        residual = float(np.max(np.abs(y - theta * w)))
-        if theta_prev is not None and abs(theta - theta_prev) <= tol and residual <= tol * theta:
-            return theta, w
-        w = y / float(np.linalg.norm(y))
-        theta_prev = theta
-    raise ConvergenceError("power iteration did not converge", theta, residual)
+def _quotient_eigenpair(g: ThresholdGraph, tol: float, routine: str):
+    """Top eigenpair (theta, x >= 0) of S, plus block sizes and types."""
+    if not 0.0 < tol < float("inf"):
+        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
+    _require_connected(g)
+    spec = to_composition(g)
+    sizes = np.array(spec.blocks)
+    index = np.arange(sizes.size)
+    ones = (index[-1] - index) % 2 == 0
+    s = np.sqrt(np.outer(sizes, sizes)) * ones[np.maximum.outer(index, index)]
+    s[index, index] = np.where(ones, sizes - 1, 0)
+    values, vectors = np.linalg.eigh(s)
+    theta, x = float(values[-1]), np.abs(vectors[:, -1])
+    residual = float(np.max(np.abs(s @ x - theta * x)))
+    if not residual <= tol * max(1.0, theta):
+        message = f"{routine}: quotient residual above tol = {tol!r} for comp:{spec.format()}"
+        raise ConvergenceError(message, theta, residual)
+    return theta, x, sizes, ones
 
 
 def spectral_radius(g: ThresholdGraph, tol: float = DEFAULT_TOL) -> float:
     """Largest adjacency eigenvalue of a connected threshold graph."""
-    _require_connected(g)
-    shifted = adjacency_matrix(g).astype(float) + np.eye(g.n)
-    theta, _ = _dominant_eigenpair(shifted, tol)
-    return theta - 1.0
+    theta, *_ = _quotient_eigenpair(g, tol, "spectral_radius")
+    return theta
 
 
 def perron_vector(g: ThresholdGraph, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Unit-norm positive eigenvector for the spectral radius.
 
     Entries follow the canonical vertex order and are nonincreasing
-    along it (higher degree never gets smaller weight).
+    along it (higher degree never gets smaller weight).  Blocks are
+    contiguous in that order: type-1 blocks last to first, then type-0
+    blocks first to last, as type-1 degrees grow along the sequence from
+    c - 1 and type-0 degrees shrink from at most c - 1.
     """
-    _require_connected(g)
-    shifted = adjacency_matrix(g).astype(float) + np.eye(g.n)
-    _, w = _dominant_eigenpair(shifted, tol)
-    return w
+    _, x, sizes, ones = _quotient_eigenpair(g, tol, "perron_vector")
+    index = np.arange(sizes.size)
+    order = np.concatenate((index[ones][::-1], index[~ones]))
+    v = np.repeat(x[order] / np.sqrt(sizes[order]), sizes[order])
+    return v / float(np.linalg.norm(v))
 
 
 # ---------------------------------------------------------------------------

@@ -319,9 +319,10 @@ def lw_double_prime(g: ThresholdGraph, kmax: int) -> list[int]:
     """Upper-bracket sequence: F_{q+1} is replaced by F_1 * (sum b)^q.
 
     Same convolution shape as the exact recurrence, with each F value
-    overestimated geometrically; it solves the order-3 recurrence with
-    characteristic polynomial ``x^3 - (c+1) x^2 + (c - sum b) x +
-    (c * sum b - F_1)``.
+    overestimated geometrically.  Summing that geometric closing series
+    gives the order-3 recurrence with characteristic polynomial
+    ``x^3 - (c+1) x^2 + (c - sum b) x + (c * sum b - F_1)``, evaluated
+    here from ``LW''_k = c^k`` for k <= 2.
     """
     _check_kmax(kmax)
     _require_connected(g)
@@ -329,21 +330,11 @@ def lw_double_prime(g: ThresholdGraph, kmax: int) -> list[int]:
     c = g.c
     f1 = sum(bi * bi for bi in bzp.b)
     sb = sum(bzp.b)
-    sb_powers = [1]
-    values = [1]
-    for k in range(1, kmax + 1):
-        while len(sb_powers) <= k:
-            sb_powers.append(sb_powers[-1] * sb)
-        total = c * values[k - 1]
-        for r in range(0, k - 2):
-            slack = k - 3 - r
-            inner = 0
-            q = 0
-            while slack - q >= q:
-                inner += comb(slack - q, q) * f1 * sb_powers[q]
-                q += 1
-            total += values[r] * inner
-        values.append(total)
+    values = [c**k for k in range(min(kmax, 2) + 1)]
+    for k in range(3, kmax + 1):
+        values.append(
+            (c + 1) * values[k - 1] - (c - sb) * values[k - 2] - (c * sb - f1) * values[k - 3]
+        )
     return values
 
 

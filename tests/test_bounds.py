@@ -212,3 +212,18 @@ def test_lenient_report_for_inapplicable_graph():
     assert report.inequality_root is None
     assert report.sandwich_ok is None
     assert report.gaps is None
+
+
+def test_bound_report_encodes_the_graph_once(monkeypatch):
+    import threshold_spectra.bounds as bounds_module
+
+    calls = []
+
+    def counting_to_bzp(g):
+        calls.append(g)
+        return to_bzp(g)
+
+    monkeypatch.setattr(bounds_module, "to_bzp", counting_to_bzp)
+    report = bound_report(graph("1101011"))
+    assert report.applicable and report.sandwich_ok
+    assert len(calls) == 1

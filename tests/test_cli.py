@@ -71,6 +71,37 @@ def test_exit_codes(argv, code, capsys):
         assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["analyze", "gen:10101", "--tol", "0"], "--tol"),
+        (["analyze", "gen:10101", "--tol", "-1"], "--tol"),
+        (["analyze", "gen:10101", "--tol", "nan"], "--tol"),
+        (["analyze", "gen:10101", "--tol", "inf"], "--tol"),
+        (["analyze", "gen:10101", "--tol", "tiny"], "--tol"),
+        (["enumerate", "--n", "7", "--m", "9", "--tol", "0"], "--tol"),
+        (["enumerate", "--n", "7", "--m", "9", "--tol", "-1"], "--tol"),
+        (["enumerate", "--n", "7", "--m", "9", "--tol", "nan"], "--tol"),
+        (["enumerate", "--n", "7", "--m", "9", "--tol", "inf"], "--tol"),
+        (["walks", "gen:10101", "--pmax", "-1"], "--pmax"),
+        (["walks", "gen:10101", "--kmax", "-1"], "--kmax"),
+        (["verify", "--n-min", "-5", "--n-max", "5"], "--n-min"),
+        (["verify", "--n-max", "0"], "--n-max"),
+    ],
+)
+def test_bad_arguments_exit_2_naming_the_flag(argv, flag, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}:" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_unreachable_tol_is_a_domain_error(capsys):
+    assert run(["analyze", "comp:G{3,5,5,2,4}", "--tol", "1e-300"]) == 1
+    assert "spectral_radius" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------

@@ -1,18 +1,22 @@
-"""Eigenvalue machinery: power iteration, Jacobi, root isolation."""
+"""Eigenvalue machinery: the block quotient, Jacobi, root isolation."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threshold_spectra import (
     ConvergenceError,
     Polynomial,
     adjacency_matrix,
+    bound_report,
     fp_spectral_bzp,
     fp_spectral_fop,
     fp_via_min_products,
     fp_via_one_overlap,
+    from_generating_sequence,
     greatest_real_root,
     perron_vector,
     spectral_radius,
@@ -62,6 +66,73 @@ def test_radius_matches_dense_solver():
 def test_radius_requires_connected():
     with pytest.raises(ValueError):
         spectral_radius(graph("1100"))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("routine", [spectral_radius, perron_vector, bound_report])
+def test_tol_must_be_finite_and_positive(routine, tol):
+    with pytest.raises(ValueError, match="tol"):
+        routine(graph("10101"), tol=tol)
+
+
+def test_unreachable_tol_names_routine_and_graph():
+    g = graph("1110000011111001111")
+    with pytest.raises(ConvergenceError, match=r"spectral_radius: .*comp:G\{3,5,5,2,4\}"):
+        spectral_radius(g, tol=1e-300)
+
+
+# random connected generating sequences with 2 <= n <= 60
+sequences = st.lists(st.integers(0, 1), max_size=58).map(
+    lambda middle: from_generating_sequence([1, *middle, 1])
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sequences)
+def test_quotient_radius_matches_dense_eigvalsh(g):
+    dense = float(np.linalg.eigvalsh(adjacency_matrix(g).astype(float))[-1])
+    assert spectral_radius(g) == pytest.approx(dense, rel=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sequences)
+def test_quotient_perron_vector_is_an_eigenvector(g):
+    v = perron_vector(g)
+    rho = spectral_radius(g)
+    a = adjacency_matrix(g).astype(float)
+    assert v.shape == (g.n,)
+    assert np.all(v > 0.0)
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+    assert np.all(np.diff(v) <= 1e-12)
+    assert np.max(np.abs(a @ v - rho * v)) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# closed forms at n = 10^5, where a dense n x n matrix would need 80 GB
+# ---------------------------------------------------------------------------
+
+BIG_N = 100_000
+
+
+def test_star_radius_at_scale():
+    g = graph("1" + "0" * (BIG_N - 2) + "1")
+    assert spectral_radius(g) == pytest.approx(math.sqrt(BIG_N - 1), rel=1e-12)
+    v = perron_vector(g)
+    assert v.shape == (BIG_N,)
+    assert v[0] == pytest.approx(1 / math.sqrt(2), rel=1e-12)
+    assert np.allclose(v[1:], 1 / math.sqrt(2 * (BIG_N - 1)), rtol=1e-12, atol=0.0)
+
+
+def test_complete_graph_radius_at_scale():
+    assert spectral_radius(graph("1" * BIG_N)) == pytest.approx(BIG_N - 1, rel=1e-12)
+
+
+@pytest.mark.parametrize("c", [2, 37, BIG_N // 2, BIG_N - 1])
+def test_complete_split_graph_radius_at_scale(c):
+    # K_c joined to an independent set of n - c vertices
+    g = graph("1" + "0" * (BIG_N - c - 1) + "1" * c)
+    rho = ((c - 1) + math.sqrt((c - 1) ** 2 + 4 * c * (BIG_N - c))) / 2
+    assert spectral_radius(g) == pytest.approx(rho, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Exact walk counts: the F_p family and the three LW sequences."""
 
+from math import comb
+
 import pytest
 from conftest import connected_graphs, graph
 
@@ -198,3 +200,21 @@ def test_walks_require_connected():
     for fn in (lambda g: lw_recurrence(g, 3), lambda g: lw_bruteforce(g, 3)):
         with pytest.raises(ValueError):
             fn(graph("1010"))
+
+
+def test_lw_double_prime_matches_its_convolution_definition():
+    # LW''_k = c LW''_{k-1} + sum_r LW''_r sum_q C(k-3-r-q, q) F_1 (sum b)^q
+    for n in range(1, 10):
+        for g in connected_graphs(n):
+            b = to_bzp(g).b if g.z else ()
+            f1, sb = sum(bi * bi for bi in b), sum(b)
+            expected = [1]
+            for k in range(1, 21):
+                total = g.c * expected[k - 1]
+                for r in range(k - 2):
+                    slack = k - 3 - r
+                    total += expected[r] * sum(
+                        comb(slack - q, q) * f1 * sb**q for q in range(slack // 2 + 1)
+                    )
+                expected.append(total)
+            assert lw_double_prime(g, 20) == expected
