@@ -166,8 +166,6 @@ def _cmd_analyze(args) -> str:
 
 def _cmd_walks(args) -> str:
     g = parse_graph_spec(args.graph)
-    if not g.is_connected:
-        raise ValueError("walk tables require a connected graph")
     table = lw_recurrence(g, args.kmax, pmax=args.pmax)
     fp = table.fp[: args.pmax + 1]
     if args.json:
@@ -337,14 +335,26 @@ def _cmd_verify(args) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not 0.0 < value < float("inf"):
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
-    return value
+def _finite_float(low: float, *, inclusive: bool):
+    relation = ">=" if inclusive else ">"
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+        in_range = value >= low if inclusive else value > low
+        if not (in_range and value < float("inf")):
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number {relation} {low:g}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
+_positive_float = _finite_float(0.0, inclusive=False)
+_nonnegative_float = _finite_float(0.0, inclusive=True)
 
 
 def _int_at_least(low: int):
@@ -382,7 +392,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_walks = sub.add_parser("walks", help="exact walk-count tables for one graph")
     p_walks.add_argument("graph", help="gen:<bits> | comp:G{p1,...} | bzp:<c>:<b1,...>")
-    p_walks.add_argument("--kmax", type=_int_at_least(0), default=50)
+    p_walks.add_argument(
+        "--kmax",
+        type=_int_at_least(0),
+        default=50,
+        help="longest walk length (default 50); cost is O(kmax^2) big-integer products "
+        "and LW_k has about k*log2(1+rho) bits, 973 at k = 200 on the 45-vertex "
+        "alternating graph",
+    )
     p_walks.add_argument("--pmax", type=_int_at_least(0), default=10)
     _add_format_flags(p_walks)
     p_walks.set_defaults(handler=_cmd_walks)
@@ -391,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--n", type=int, required=True)
     p_enum.add_argument("--m", type=int, required=True)
     p_enum.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL)
-    p_enum.add_argument("--tie-tol", type=float, default=1e-9, dest="tie_tol")
+    p_enum.add_argument("--tie-tol", type=_nonnegative_float, default=1e-9, dest="tie_tol")
     _add_format_flags(p_enum)
     p_enum.set_defaults(handler=_cmd_enumerate)
 

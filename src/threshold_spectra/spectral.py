@@ -17,7 +17,13 @@ from math import sqrt
 
 import numpy as np
 
-from .graph_model import BzpSequence, FopSequence, ThresholdGraph, to_composition
+from .graph_model import (
+    BzpSequence,
+    FopSequence,
+    ThresholdGraph,
+    _require_connected,
+    to_composition,
+)
 from .walks import one_overlap_matrix, zero_overlap_matrix
 
 __all__ = [
@@ -117,7 +123,7 @@ def _quotient_eigenpair(g: ThresholdGraph, tol: float, routine: str):
     """Top eigenpair (theta, x >= 0) of S, plus block sizes and types."""
     if not 0.0 < tol < float("inf"):
         raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
-    _require_connected(g)
+    _require_connected(g, routine)
     spec = to_composition(g)
     sizes = np.array(spec.blocks)
     index = np.arange(sizes.size)
@@ -353,8 +359,3 @@ def fp_spectral_fop(fop: FopSequence, p: int) -> float:
     decomposition = symmetric_eigen(np.array(one_overlap_matrix(fop), dtype=float))
     weights = decomposition.eigenvectors.T @ np.ones(fop.c)
     return float(np.sum(weights**2 * decomposition.eigenvalues**p))
-
-
-def _require_connected(g: ThresholdGraph) -> None:
-    if not g.is_connected:
-        raise ValueError("spectral radius is computed for connected graphs only")

@@ -87,6 +87,9 @@ def test_exit_codes(argv, code, capsys):
         (["walks", "gen:10101", "--kmax", "-1"], "--kmax"),
         (["verify", "--n-min", "-5", "--n-max", "5"], "--n-min"),
         (["verify", "--n-max", "0"], "--n-max"),
+        (["enumerate", "--n", "7", "--m", "9", "--tie-tol", "nan"], "--tie-tol"),
+        (["enumerate", "--n", "7", "--m", "9", "--tie-tol", "inf"], "--tie-tol"),
+        (["enumerate", "--n", "7", "--m", "9", "--tie-tol", "-1"], "--tie-tol"),
     ],
 )
 def test_bad_arguments_exit_2_naming_the_flag(argv, flag, capsys):

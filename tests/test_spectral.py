@@ -68,6 +68,12 @@ def test_radius_requires_connected():
         spectral_radius(graph("1100"))
 
 
+def test_connectivity_error_names_the_routine():
+    for routine in (spectral_radius, perron_vector):
+        with pytest.raises(ValueError, match=f"^{routine.__name__} requires a connected graph"):
+            routine(graph("1100"))
+
+
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
 @pytest.mark.parametrize("routine", [spectral_radius, perron_vector, bound_report])
 def test_tol_must_be_finite_and_positive(routine, tol):

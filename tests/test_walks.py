@@ -4,6 +4,8 @@ from math import comb
 
 import pytest
 from conftest import connected_graphs, graph
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from threshold_spectra import (
     BzpSequence,
@@ -14,6 +16,7 @@ from threshold_spectra import (
     fp_via_min_products,
     fp_via_one_overlap,
     fp_via_zero_overlap,
+    from_generating_sequence,
     growth_estimate,
     lw_bruteforce,
     lw_double_prime,
@@ -202,6 +205,21 @@ def test_walks_require_connected():
             fn(graph("1010"))
 
 
+@pytest.mark.parametrize(
+    "routine, call",
+    [
+        ("lw_recurrence", lambda g: lw_recurrence(g, 3)),
+        ("lw_bruteforce", lambda g: lw_bruteforce(g, 3)),
+        ("lw_prime", lambda g: lw_prime(g, 3)),
+        ("lw_double_prime", lambda g: lw_double_prime(g, 3)),
+        ("count_walks_with_signature", lambda g: count_walks_with_signature(g, (1, 0, 1))),
+    ],
+)
+def test_connectivity_error_names_the_routine(routine, call):
+    with pytest.raises(ValueError, match=f"^{routine} requires a connected graph"):
+        call(graph("1010"))
+
+
 def test_lw_double_prime_matches_its_convolution_definition():
     # LW''_k = c LW''_{k-1} + sum_r LW''_r sum_q C(k-3-r-q, q) F_1 (sum b)^q
     for n in range(1, 10):
@@ -218,3 +236,94 @@ def test_lw_double_prime_matches_its_convolution_definition():
                     )
                 expected.append(total)
             assert lw_double_prime(g, 20) == expected
+
+
+# ---------------------------------------------------------------------------
+# the hoisted recurrence and the O(z) F sequence against their oracles
+# ---------------------------------------------------------------------------
+
+
+def lw_seed_convolution(g, kmax):
+    """LW by the convolution with the closing sum recomputed for every (k, r).
+
+    F comes from the zero-overlap matrix identity, so neither
+    ``fp_sequence`` nor the hoisted closing series is on this path.
+    """
+    if g.z:
+        bzp = to_bzp(g)
+        fp = [g.c] + [fp_via_zero_overlap(bzp, p) for p in range(1, kmax // 2 + 2)]
+    else:
+        fp = [g.c] + [0] * (kmax // 2 + 1)
+    lw = [1]
+    for k in range(1, kmax + 1):
+        total = g.c * lw[k - 1]
+        for r in range(0, k - 2):
+            slack = k - 3 - r
+            inner = 0
+            q = 0
+            while slack - q >= q:
+                inner += comb(slack - q, q) * fp[q + 1]
+                q += 1
+            total += lw[r] * inner
+        lw.append(total)
+    return lw
+
+
+def connected_sequences(max_n):
+    return st.lists(st.integers(0, 1), max_size=max_n - 2).map(
+        lambda middle: from_generating_sequence([1, *middle, 1])
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(connected_sequences(30), st.integers(0, 40))
+def test_recurrence_matches_seed_convolution(g, kmax):
+    assert list(lw_recurrence(g, kmax).lw) == lw_seed_convolution(g, kmax)
+
+
+@settings(max_examples=100, deadline=None)
+@given(connected_sequences(14), st.integers(0, 16))
+def test_recurrence_matches_bruteforce_property(g, kmax):
+    assert list(lw_recurrence(g, kmax).lw) == lw_bruteforce(g, kmax)
+
+
+@pytest.mark.parametrize(
+    "bits, expected",
+    [
+        ("111", (1, 3, 9, 27)),  # z = 0: every F_p with p >= 1 vanishes
+        ("1101", (1, 3, 9, 28)),  # c^3 + F_1 with F_1 = 1
+        ("10101", (1, 3, 9, 32)),  # F_1 = 5
+    ],
+)
+@pytest.mark.parametrize("kmax", [0, 1, 2, 3])
+def test_short_tables(bits, expected, kmax):
+    # kmax <= 2 needs no closing term; kmax = 3 uses the single one, F_1
+    g = graph(bits)
+    assert lw_recurrence(g, kmax).lw == expected[: kmax + 1]
+    assert lw_bruteforce(g, kmax) == list(expected[: kmax + 1])
+
+
+nonincreasing_bzp = st.integers(2, 12).flatmap(
+    lambda c: st.lists(st.integers(1, c - 1), min_size=1, max_size=12).map(
+        lambda b: BzpSequence(c, tuple(sorted(b, reverse=True)))
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(nonincreasing_bzp, st.integers(0, 12))
+@example(BzpSequence(5, (4, 4, 4, 1)), 12)
+def test_fp_sequence_matches_zero_overlap_identity(bzp, pmax):
+    expected = [bzp.c] + [fp_via_zero_overlap(bzp, p) for p in range(1, pmax + 1)]
+    assert fp_sequence(bzp, pmax) == expected
+
+
+def test_fp_sequence_without_type_zero_vertices():
+    assert fp_sequence(BzpSequence(5, ()), 12) == [5] + [0] * 12
+
+
+def test_long_walk_growth_ratio_is_one_plus_rho():
+    g = from_generating_sequence([1 - i % 2 for i in range(45)])  # 1010...1
+    lw = lw_recurrence(g, 600).lw
+    assert lw[200].bit_length() == 973
+    assert abs(lw[600] / lw[599] - (1.0 + spectral_radius(g))) < 1e-9
