@@ -29,7 +29,12 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
-from .graph_model import ThresholdGraph, from_bzp, from_generating_sequence
+from .graph_model import (
+    ThresholdGraph,
+    _composition_bits,
+    from_bzp,
+    from_generating_sequence,
+)
 from .spectral import DEFAULT_TOL, spectral_radius
 
 __all__ = [
@@ -229,11 +234,7 @@ def _family(n: int, m: int, blocks: tuple[int, ...]) -> ThresholdGraph | None:
     """
     if any(p < 0 for p in blocks):
         return None
-    k = len(blocks)
-    bits: list[int] = []
-    for j, p in enumerate(blocks, start=1):
-        symbol = 1 if (k - j) % 2 == 0 else 0
-        bits.extend([symbol] * p)
+    bits = _composition_bits(blocks)
     if not bits or sum(bits) == 0:
         return None
     g = from_generating_sequence(bits)

@@ -49,7 +49,6 @@ __all__ = [
     "from_composition",
     "from_fop",
     "from_generating_sequence",
-    "format_composition",
     "parse_composition",
     "to_bzp",
     "to_composition",
@@ -204,13 +203,18 @@ def from_composition(spec) -> ThresholdGraph:
     """
     if not isinstance(spec, CompositionSpec):
         spec = CompositionSpec(tuple(int(p) for p in spec))
-    k = len(spec.blocks)
+    return from_generating_sequence(_composition_bits(spec.blocks))
+
+
+def _composition_bits(blocks) -> list[int]:
+    """Expand block lengths into bits; a zero-length block expands to nothing."""
+    k = len(blocks)
     bits: list[int] = []
-    for j, p in enumerate(spec.blocks, start=1):
+    for j, p in enumerate(blocks, start=1):
         # The last block is ones, and blocks alternate backwards from it.
         symbol = 1 if (k - j) % 2 == 0 else 0
         bits.extend([symbol] * p)
-    return from_generating_sequence(bits)
+    return bits
 
 
 def parse_composition(text: str) -> CompositionSpec:
@@ -233,10 +237,6 @@ def parse_composition(text: str) -> CompositionSpec:
         blocks.append(value)
         pos += len(piece) + 1
     return CompositionSpec(tuple(blocks))
-
-
-def format_composition(spec: CompositionSpec) -> str:
-    return spec.format()
 
 
 def to_composition(g: ThresholdGraph) -> CompositionSpec:

@@ -1,4 +1,4 @@
-"""Numerical kernels: graph spectra, dense eigensolves, real roots.
+"""Numerical kernels: graph spectra, overlap spectra, real roots.
 
 The composition blocks (runs of the generating sequence) are twin
 classes and so an equitable partition.  Two blocks are joined when the
@@ -8,12 +8,17 @@ S_ij = sqrt(|i| |j|) for joined blocks and S_ii = |i| - 1 or 0, from
 ``numpy.linalg.eigh``; its eigenvector x lifts to x_b / sqrt(|b|) on
 each vertex of block b (Brouwer & Haemers, *Spectra of Graphs* 2.3).
 Cost depends on k, not n; the dense adjacency is only a test oracle.
+
+The spectral F_p routes diagonalize the zero- and one-overlap matrices
+with ``numpy.linalg.eigh``; the exact integer F_p values are their
+oracle.  The bound polynomials have their greatest real root bracketed
+by doubling and a grid scan, then bisected, with a sign-change
+certificate and a residual check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
 
 import numpy as np
 
@@ -28,7 +33,6 @@ from .walks import one_overlap_matrix, zero_overlap_matrix
 
 __all__ = [
     "ConvergenceError",
-    "EigenDecomposition",
     "Polynomial",
     "RootResult",
     "fp_spectral_bzp",
@@ -36,11 +40,9 @@ __all__ = [
     "greatest_real_root",
     "perron_vector",
     "spectral_radius",
-    "symmetric_eigen",
 ]
 
 DEFAULT_TOL = 1e-10
-_MAX_JACOBI_SWEEPS = 100
 _BISECTION_WIDTH = 1e-12
 _RESIDUAL_REL = 1e-9
 
@@ -78,14 +80,6 @@ class Polynomial:
             value = value * x + coefficient
         return value
 
-    def derivative(self) -> "Polynomial":
-        n = self.degree
-        if n == 0:
-            raise ValueError("constant polynomial has no useful derivative here")
-        return Polynomial(
-            tuple(coefficient * (n - i) for i, coefficient in enumerate(self.coefficients[:-1]))
-        )
-
     def magnitude_scale(self, x: float) -> float:
         """Sum of absolute term magnitudes at x; reference for residuals."""
         scale = 0.0
@@ -104,14 +98,6 @@ class RootResult:
     bracket_low: float
     bracket_high: float
     residual: float
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues sorted nonincreasing; eigenvector i in column i."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -162,74 +148,6 @@ def perron_vector(g: ThresholdGraph, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# cyclic Jacobi eigensolver
-# ---------------------------------------------------------------------------
-
-
-def symmetric_eigen(matrix, tol: float = DEFAULT_TOL) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix by Jacobi rotations.
-
-    Cyclic sweeps zero each off-diagonal pair in turn; the off-diagonal
-    mass converges quadratically, so a handful of sweeps suffices at the
-    sizes used here.
-    """
-    a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
-    if a.size and float(np.max(np.abs(a - a.T))) > 1e-12 * scale:
-        raise ValueError("matrix is not symmetric within 1e-12")
-    d = a.shape[0]
-    vectors = np.eye(d)
-    if d <= 1:
-        return EigenDecomposition(eigenvalues=np.diag(a).copy(), eigenvectors=vectors)
-    frobenius = float(np.linalg.norm(a))
-    threshold = tol * max(frobenius, 1.0)
-    for _ in range(_MAX_JACOBI_SWEEPS):
-        off = float(np.sqrt(np.sum(np.square(a - np.diag(np.diag(a))))))
-        if off <= threshold:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                _jacobi_rotate(a, vectors, p, q)
-    else:
-        off = float(np.sqrt(np.sum(np.square(a - np.diag(np.diag(a))))))
-        raise ConvergenceError("jacobi sweeps did not converge", float(np.max(np.diag(a))), off)
-    values = np.diag(a).copy()
-    order = np.argsort(-values, kind="stable")
-    return EigenDecomposition(eigenvalues=values[order], eigenvectors=vectors[:, order])
-
-
-def _jacobi_rotate(a: np.ndarray, vectors: np.ndarray, p: int, q: int) -> None:
-    apq = a[p, q]
-    if apq == 0.0:
-        return
-    app, aqq = a[p, p], a[q, q]
-    tau = (aqq - app) / (2.0 * apq)
-    if tau >= 0.0:
-        t = 1.0 / (tau + sqrt(1.0 + tau * tau))
-    else:
-        t = -1.0 / (-tau + sqrt(1.0 + tau * tau))
-    c = 1.0 / sqrt(1.0 + t * t)
-    s = t * c
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p - s * row_q
-    a[q, :] = s * row_p + c * row_q
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p - s * col_q
-    a[:, q] = s * col_p + c * col_q
-    a[p, p] = app - t * apq
-    a[q, q] = aqq + t * apq
-    a[p, q] = a[q, p] = 0.0
-    vec_p = vectors[:, p].copy()
-    vec_q = vectors[:, q].copy()
-    vectors[:, p] = c * vec_p - s * vec_q
-    vectors[:, q] = s * vec_p + c * vec_q
-
-
-# ---------------------------------------------------------------------------
 # largest real root by bracket expansion and bisection
 # ---------------------------------------------------------------------------
 
@@ -240,48 +158,50 @@ def greatest_real_root(
     """Largest real root at or above ``bracket_hint``.
 
     The leading coefficient is positive, so the polynomial is eventually
-    positive; the upper bracket end is found by doubling steps.  If the
-    polynomial is already positive at the hint, the interval up to the
-    expansion point is grid-scanned for the rightmost sign change.  The
-    returned bracket certifies the sign change and the residual is
-    checked against 1e-9 times the term-magnitude scale.
+    positive.  The upper bracket end is ``bracket_high`` when the
+    polynomial is positive there (the caller asserts the largest root
+    lies below it); otherwise it is found by doubling steps from
+    ``bracket_high`` or, without one, from the hint.
 
-    When ``bracket_high`` is given the caller asserts the largest root
-    lies below it; the rightmost sign change on [hint, bracket_high] is
-    then located by grid scan regardless of the sign at the hint, which
-    avoids bisecting into an inner root when several roots sit in the
-    interval.
+    The lower end is the hint itself only when no ``bracket_high`` is
+    given, p(hint) < 0, and the Taylor-shifted coefficients of
+    p(t + hint) change sign exactly once: by Descartes' rule of signs
+    exactly one root then lies above the hint.  Otherwise the interval
+    up to the upper end is grid-scanned for its rightmost negative
+    sample, which avoids bisecting into an inner root when several
+    roots lie above the hint.  The returned bracket certifies the sign
+    change and the residual is checked against 1e-9 times the
+    term-magnitude scale.
     """
-    if bracket_high is not None:
-        if poly(bracket_high) > 0.0:
-            high = bracket_high
-        else:
-            high = _expand_positive(poly, bracket_high)
-        low = _scan_for_negative(poly, bracket_hint, high)
-        value = _bisect(poly, low, high)
-        residual = abs(poly(value))
-        limit = _RESIDUAL_REL * poly.magnitude_scale(value)
-        if residual > limit:
-            raise ConvergenceError("root residual above tolerance", value, residual)
-        return RootResult(value=value, bracket_low=low, bracket_high=high, residual=residual)
-    f_hint = poly(bracket_hint)
-    high = _expand_positive(poly, bracket_hint)
-    if f_hint < 0.0:
+    if bracket_high is not None and poly(bracket_high) > 0.0:
+        high = bracket_high
+    else:
+        high = _expand_positive(poly, bracket_hint if bracket_high is None else bracket_high)
+    if bracket_high is None and _single_root_above(poly, bracket_hint):
         low = bracket_hint
-    elif f_hint == 0.0:
-        near = _local_sign_change(poly, bracket_hint)
-        if near is not None:
-            low, high = near
-        else:
-            low = _scan_for_negative(poly, bracket_hint, high)
     else:
         low = _scan_for_negative(poly, bracket_hint, high)
     value = _bisect(poly, low, high)
     residual = abs(poly(value))
-    limit = _RESIDUAL_REL * poly.magnitude_scale(value)
-    if residual > limit:
+    if residual > _RESIDUAL_REL * poly.magnitude_scale(value):
         raise ConvergenceError("root residual above tolerance", value, residual)
     return RootResult(value=value, bracket_low=low, bracket_high=high, residual=residual)
+
+
+def _single_root_above(poly: Polynomial, x: float) -> bool:
+    """p(x) < 0 and p(t + x) has one coefficient sign change (Descartes).
+
+    The shift is repeated synthetic division; its last coefficient is
+    p(x), evaluated by the same Horner steps as ``poly(x)``.
+    """
+    shifted = list(poly.coefficients)
+    degree = len(shifted) - 1
+    for i in range(degree):
+        for j in range(1, degree + 1 - i):
+            shifted[j] += x * shifted[j - 1]
+    signs = [a > 0.0 for a in shifted if a != 0.0]
+    changes = sum(left != right for left, right in zip(signs, signs[1:]))
+    return shifted[-1] < 0.0 and changes == 1
 
 
 def _expand_positive(poly: Polynomial, start: float) -> float:
@@ -294,21 +214,12 @@ def _expand_positive(poly: Polynomial, start: float) -> float:
     raise ConvergenceError("no positive value found while expanding upward", start, float("nan"))
 
 
-def _local_sign_change(poly: Polynomial, x: float) -> tuple[float, float] | None:
-    delta = 1e-10 * max(1.0, abs(x))
-    for _ in range(40):
-        if poly(x - delta) < 0.0 < poly(x + delta):
-            return x - delta, x + delta
-        delta *= 2.0
-    return None
-
-
 def _scan_for_negative(poly: Polynomial, low: float, high: float) -> float:
     """Rightmost sample in [low - margin, high] with a negative value."""
     margin = 1e-6 * max(1.0, abs(low))
     for samples in (64, 256, 1024, 4096):
         xs = np.linspace(low - margin, high, samples)
-        values = np.array([poly(float(x)) for x in xs])
+        values = np.polyval(poly.coefficients, xs)
         negative = np.nonzero(values < 0.0)[0]
         if negative.size:
             return float(xs[negative[-1]])
@@ -347,15 +258,15 @@ def fp_spectral_bzp(bzp: BzpSequence, p: int) -> float:
         raise ValueError(f"the zero-overlap identity needs p >= 1, got {p}")
     if bzp.z == 0:
         return 0.0
-    decomposition = symmetric_eigen(np.array(zero_overlap_matrix(bzp), dtype=float))
-    weights = decomposition.eigenvectors.T @ np.array(bzp.b, dtype=float)
-    return float(np.sum(weights**2 * decomposition.eigenvalues ** (p - 1)))
+    values, vectors = np.linalg.eigh(np.array(zero_overlap_matrix(bzp), dtype=float))
+    weights = vectors.T @ np.array(bzp.b, dtype=float)
+    return float(np.sum(weights**2 * values ** (p - 1)))
 
 
 def fp_spectral_fop(fop: FopSequence, p: int) -> float:
     """F_p as sum_i (1 . x_i)^2 * lambda_i^p over the one-overlap spectrum."""
     if p < 0:
         raise ValueError(f"p must be >= 0, got {p}")
-    decomposition = symmetric_eigen(np.array(one_overlap_matrix(fop), dtype=float))
-    weights = decomposition.eigenvectors.T @ np.ones(fop.c)
-    return float(np.sum(weights**2 * decomposition.eigenvalues**p))
+    values, vectors = np.linalg.eigh(np.array(one_overlap_matrix(fop), dtype=float))
+    weights = vectors.T @ np.ones(fop.c)
+    return float(np.sum(weights**2 * values**p))

@@ -119,6 +119,9 @@ def test_small_size_rules():
         (7, 7): ("m=n", ["G{2,4,1}"]),
         (7, 8): ("m=n+1", ["G{1,1,1,3,1}"]),
         (7, 9): ("m=n+2", ["G{3,3,1}"]),
+        # an empty block collapses and merges two runs of ones
+        (4, 5): ("m=n+1", ["G{1,1,2}"]),
+        (4, 6): ("m=n+2", ["G{4}"]),
     }
     for (n, m), (rule, asserted) in cases.items():
         prediction = predict_maximizers(n, m)

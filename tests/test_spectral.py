@@ -1,4 +1,4 @@
-"""Eigenvalue machinery: the block quotient, Jacobi, root isolation."""
+"""Eigenvalue machinery: the block quotient, overlap spectra, root isolation."""
 
 import math
 
@@ -20,7 +20,6 @@ from threshold_spectra import (
     greatest_real_root,
     perron_vector,
     spectral_radius,
-    symmetric_eigen,
     to_bzp,
     to_fop,
 )
@@ -166,48 +165,6 @@ def test_perron_vector_complete_graph_is_uniform():
 
 
 # ---------------------------------------------------------------------------
-# symmetric_eigen
-# ---------------------------------------------------------------------------
-
-
-def test_jacobi_two_by_two_closed_form():
-    dec = symmetric_eigen([[2.0, 1.0], [1.0, 1.0]])
-    golden = [(3 + math.sqrt(5)) / 2, (3 - math.sqrt(5)) / 2]
-    assert np.allclose(dec.eigenvalues, golden, atol=1e-12)
-    assert np.allclose(dec.eigenvectors.T @ dec.eigenvectors, np.eye(2), atol=1e-12)
-
-
-def test_jacobi_random_symmetric_roundtrip():
-    rng = np.random.default_rng(20260814)
-    for d in range(1, 9):
-        for _ in range(4):
-            raw = rng.normal(size=(d, d))
-            m = (raw + raw.T) / 2.0
-            dec = symmetric_eigen(m)
-            v, lam = dec.eigenvectors, dec.eigenvalues
-            assert np.allclose(v @ np.diag(lam) @ v.T, m, atol=1e-8)
-            assert np.allclose(v.T @ v, np.eye(d), atol=1e-9)
-            assert np.all(np.diff(lam) <= 1e-12)
-            assert np.allclose(lam, np.linalg.eigvalsh(m)[::-1], atol=1e-9)
-
-
-def test_jacobi_trivial_matrices():
-    one = symmetric_eigen([[5.0]])
-    assert np.allclose(one.eigenvalues, [5.0])
-    assert np.allclose(one.eigenvectors, [[1.0]])
-    zero = symmetric_eigen(np.zeros((3, 3)))
-    assert np.allclose(zero.eigenvalues, np.zeros(3))
-    assert np.allclose(zero.eigenvectors.T @ zero.eigenvectors, np.eye(3), atol=1e-12)
-
-
-def test_jacobi_rejects_bad_input():
-    with pytest.raises(ValueError):
-        symmetric_eigen([[1.0, 2.0], [0.0, 1.0]])
-    with pytest.raises(ValueError):
-        symmetric_eigen(np.ones((2, 3)))
-
-
-# ---------------------------------------------------------------------------
 # Polynomial
 # ---------------------------------------------------------------------------
 
@@ -223,11 +180,6 @@ def test_polynomial_evaluates_like_polyval():
             assert poly(float(x)) == pytest.approx(
                 float(np.polyval(coeffs, x)), rel=1e-12, abs=1e-12
             )
-
-
-def test_polynomial_derivative():
-    poly = Polynomial((1.0, -2.0, 1.0, -2.0))
-    assert poly.derivative().coefficients == (3.0, -4.0, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -251,10 +203,12 @@ def test_magnitude_scale_dominates_value():
 
 
 def test_root_of_cubic_with_complex_pair():
-    # (x - 2)(x^2 + 1)
-    res = greatest_real_root(Polynomial((1.0, -2.0, 1.0, -2.0)))
-    assert res.value == pytest.approx(2.0, abs=1e-9)
-    _assert_certificate(Polynomial((1.0, -2.0, 1.0, -2.0)), res)
+    # (x - 2)(x^2 + 1); the second hint is the root itself
+    poly = Polynomial((1.0, -2.0, 1.0, -2.0))
+    for hint in (0.0, 2.0):
+        res = greatest_real_root(poly, hint)
+        assert res.value == pytest.approx(2.0, abs=1e-9)
+        _assert_certificate(poly, res)
 
 
 def test_root_of_linear():
@@ -282,10 +236,20 @@ def test_hint_above_all_roots_fails_loudly():
 
 
 def test_hint_below_picks_root_above_hint():
-    # roots 1 and 3; a hint between them lands on 3
-    poly = Polynomial((1.0, -4.0, 4.0, -4.0, 3.0))
-    res = greatest_real_root(poly, bracket_hint=2.0)
-    assert res.value == pytest.approx(3.0, abs=1e-9)
+    cases = [
+        # roots 1 and 3; a hint between them lands on 3
+        ((1.0, -4.0, 4.0, -4.0, 3.0), 2.0, 3.0),
+        # roots 1, 2, 3, 4; p(1.5) < 0 with three roots above the hint
+        ((1.0, -10.0, 35.0, -50.0, 24.0), 0.0, 4.0),
+        ((1.0, -10.0, 35.0, -50.0, 24.0), 1.5, 4.0),
+        ((1.0, -10.0, 35.0, -50.0, 24.0), 2.5, 4.0),
+        ((1.0, -10.0, 35.0, -50.0, 24.0), 3.5, 4.0),
+    ]
+    for coeffs, hint, root in cases:
+        poly = Polynomial(coeffs)
+        res = greatest_real_root(poly, bracket_hint=hint)
+        assert res.value == pytest.approx(root, abs=1e-9)
+        _assert_certificate(poly, res)
 
 
 def _assert_certificate(poly, res):
