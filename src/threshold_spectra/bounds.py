@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from math import comb, sqrt
 
 from .graph_model import ThresholdGraph, to_bzp
-from .spectral import DEFAULT_TOL, Polynomial, greatest_real_root, spectral_radius
+from .spectral import Polynomial, greatest_real_root, spectral_radius
 
 __all__ = [
     "BoundReport",
@@ -178,9 +178,7 @@ def inequality_check(g: ThresholdGraph, rho: float) -> tuple[bool, float]:
     return slack >= -_INEQUALITY_REL * scale, slack
 
 
-def inequality_root(
-    g: ThresholdGraph, rho: float | None = None, tol: float = DEFAULT_TOL
-) -> float:
+def inequality_root(g: ThresholdGraph, rho: float | None = None) -> float:
     """Largest real root of the inequality quartic; sits at or below rho.
 
     The quartic is nonnegative at rho and has positive leading
@@ -190,7 +188,7 @@ def inequality_root(
     """
     inputs = _bound_inputs(g)
     if rho is None:
-        rho = spectral_radius(g, tol)
+        rho = spectral_radius(g)
     return _inequality_root(inputs, rho)
 
 
@@ -248,9 +246,7 @@ def _inequality_root(inputs: _Inputs, rho: float) -> float:
     return greatest_real_root(poly, 0.0, bracket_high=rho + 1.0).value
 
 
-def bound_report(
-    g: ThresholdGraph, tol: float = DEFAULT_TOL, allow_inapplicable: bool = False
-) -> BoundReport:
+def bound_report(g: ThresholdGraph, allow_inapplicable: bool = False) -> BoundReport:
     """Compute rho, the four bounds, and the inequality root, with gaps.
 
     ``sandwich_ok`` asserts that every lower-side value (the three lower
@@ -262,7 +258,7 @@ def bound_report(
     c < 3): rho is still reported and every bound is None.  Otherwise
     such graphs raise :class:`PreconditionError`.
     """
-    rho = spectral_radius(g, tol)
+    rho = spectral_radius(g)
     try:
         inputs = _bound_inputs(g)
     except PreconditionError:

@@ -6,7 +6,8 @@ tables), ``enumerate`` (census with per-graph bounds at fixed n, m),
 
 Graphs are given as ``gen:<bits>``, ``comp:G{p1,...,pk}``, or
 ``bzp:<c>:<b1>,...,<bz>``.  Output is a human table by default, or
-``--json`` / ``--csv``; identical invocations produce identical bytes.
+``--json`` / ``--csv`` (``verify`` has no CSV form); identical
+invocations produce identical bytes.
 Exit codes: 0 success, 1 domain errors, 2 usage errors.
 """
 
@@ -28,7 +29,7 @@ from .graph_model import (
     to_composition,
     to_json_dict,
 )
-from .spectral import DEFAULT_TOL, ConvergenceError
+from .spectral import ConvergenceError
 from .walks import lw_recurrence
 
 __all__ = ["main", "parse_graph_spec", "run"]
@@ -111,7 +112,7 @@ def _report_dict(report) -> dict:
 
 def _cmd_analyze(args) -> str:
     g = parse_graph_spec(args.graph)
-    report = bound_report(g, tol=args.tol)
+    report = bound_report(g)
     if args.json:
         return _json_text({"graph": to_json_dict(g)} | _report_dict(report))
     if args.csv:
@@ -211,7 +212,7 @@ def _cmd_enumerate(args) -> str:
     census = enumerate_threshold_graphs(args.n, args.m, connected_only=True)
     if not census:
         raise ValueError(f"no connected threshold graph has n = {args.n}, m = {args.m}")
-    reports = [bound_report(g, tol=args.tol, allow_inapplicable=True) for g in census]
+    reports = [bound_report(g, allow_inapplicable=True) for g in census]
     rho_max = max(report.rho for report in reports)
     flags = [rho_max - report.rho <= args.tie_tol for report in reports]
     if args.json:
@@ -335,26 +336,14 @@ def _cmd_verify(args) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _finite_float(low: float, *, inclusive: bool):
-    relation = ">=" if inclusive else ">"
-
-    def parse(text: str) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-        in_range = value >= low if inclusive else value > low
-        if not (in_range and value < float("inf")):
-            raise argparse.ArgumentTypeError(
-                f"must be a finite number {relation} {low:g}, got {text!r}"
-            )
-        return value
-
-    return parse
-
-
-_positive_float = _finite_float(0.0, inclusive=False)
-_nonnegative_float = _finite_float(0.0, inclusive=True)
+def _nonnegative_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0.0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
 
 
 def _int_at_least(low: int):
@@ -370,10 +359,11 @@ def _int_at_least(low: int):
     return parse
 
 
-def _add_format_flags(parser: argparse.ArgumentParser) -> None:
+def _add_format_flags(parser: argparse.ArgumentParser, csv: bool = True) -> None:
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--json", action="store_true", help="emit JSON")
-    group.add_argument("--csv", action="store_true", help="emit CSV")
+    if csv:
+        group.add_argument("--csv", action="store_true", help="emit CSV")
     parser.add_argument("--output", metavar="PATH", help="write to PATH instead of stdout")
 
 
@@ -386,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="bound report for one graph")
     p_analyze.add_argument("graph", help="gen:<bits> | comp:G{p1,...} | bzp:<c>:<b1,...>")
-    p_analyze.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL)
     _add_format_flags(p_analyze)
     p_analyze.set_defaults(handler=_cmd_analyze)
 
@@ -407,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum = sub.add_parser("enumerate", help="census with bounds at fixed n, m")
     p_enum.add_argument("--n", type=int, required=True)
     p_enum.add_argument("--m", type=int, required=True)
-    p_enum.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL)
     p_enum.add_argument("--tie-tol", type=_nonnegative_float, default=1e-9, dest="tie_tol")
     _add_format_flags(p_enum)
     p_enum.set_defaults(handler=_cmd_enumerate)
@@ -415,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="reconcile predictions with enumeration")
     p_verify.add_argument("--n-max", type=_int_at_least(1), required=True, dest="n_max")
     p_verify.add_argument("--n-min", type=_int_at_least(1), default=4, dest="n_min")
-    _add_format_flags(p_verify)
+    _add_format_flags(p_verify, csv=False)
     p_verify.set_defaults(handler=_cmd_verify)
 
     return parser

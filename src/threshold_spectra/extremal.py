@@ -35,7 +35,7 @@ from .graph_model import (
     from_bzp,
     from_generating_sequence,
 )
-from .spectral import DEFAULT_TOL, spectral_radius
+from .spectral import spectral_radius
 
 __all__ = [
     "ConjecturePair",
@@ -186,11 +186,7 @@ def enumerate_threshold_graphs(
 
 
 def find_extremal(
-    n: int,
-    m: int,
-    tol: float = DEFAULT_TOL,
-    tie_tol: float = TIE_TOL,
-    near_tie_tol: float = NEAR_TIE_TOL,
+    n: int, m: int, tie_tol: float = TIE_TOL, near_tie_tol: float = NEAR_TIE_TOL
 ) -> ExtremalResult:
     """Rank the connected census at (n, m) by spectral radius.
 
@@ -201,7 +197,7 @@ def find_extremal(
     census = enumerate_threshold_graphs(n, m, connected_only=True)
     if not census:
         raise ValueError(f"no connected threshold graph has n = {n}, m = {m}")
-    radii = [spectral_radius(g, tol) for g in census]
+    radii = [spectral_radius(g) for g in census]
     rho_max = max(radii)
     maximizers = tuple(g for g, rho in zip(census, radii) if rho_max - rho <= tie_tol)
     near_ties = tuple(
@@ -330,9 +326,7 @@ def _conjecture_indices(surplus: int) -> tuple[int, int] | None:
     return None
 
 
-def verify_predictions(
-    n_values, tol: float = DEFAULT_TOL, tie_tol: float = TIE_TOL
-) -> VerificationReport:
+def verify_predictions(n_values) -> VerificationReport:
     """Reconcile every applicable prediction against the enumeration.
 
     Asserted rows fail (ok is False) when the empirical maximizers are
@@ -345,7 +339,7 @@ def verify_predictions(
             prediction = predict_maximizers(n, m)
             if not prediction.has_content:
                 continue
-            result = find_extremal(n, m, tol=tol, tie_tol=tie_tol)
+            result = find_extremal(n, m)
             maximizers = set(result.maximizers)
             if prediction.asserted:
                 ok = bool(maximizers) and maximizers <= set(prediction.asserted)

@@ -347,10 +347,15 @@ def canonical_vertex_order(g: ThresholdGraph) -> tuple[int, ...]:
 
 
 def degree_sequence(g: ThresholdGraph) -> tuple[int, ...]:
-    """Degrees in canonical vertex order (nonincreasing)."""
+    """Degrees in canonical vertex order (nonincreasing).
+
+    The i-th type-1 vertex has degree c - 1 + f_i and the i-th type-0
+    vertex has degree b_i, so no sort is needed: f is nondecreasing, b
+    is nonincreasing, and every b_i <= c - 1.
+    """
     _require_connected(g, "degree sequence")
-    degrees = _insertion_degrees(g)
-    return tuple(degrees[v] for v in canonical_vertex_order(g))
+    ones = [g.c - 1 + f for f in reversed(to_fop(g).f)]
+    return tuple(ones + (list(to_bzp(g).b) if g.z else []))
 
 
 def adjacency_matrix(g: ThresholdGraph) -> np.ndarray:

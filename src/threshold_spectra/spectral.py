@@ -8,6 +8,8 @@ S_ij = sqrt(|i| |j|) for joined blocks and S_ii = |i| - 1 or 0, from
 ``numpy.linalg.eigh``; its eigenvector x lifts to x_b / sqrt(|b|) on
 each vertex of block b (Brouwer & Haemers, *Spectra of Graphs* 2.3).
 Cost depends on k, not n; the dense adjacency is only a test oracle.
+There is no tolerance to choose: ``eigh`` is direct, and the quotient
+residual is checked against a fixed bound only to detect a fault.
 
 The spectral F_p routes diagonalize the zero- and one-overlap matrices
 with ``numpy.linalg.eigh``; the exact integer F_p values are their
@@ -42,13 +44,13 @@ __all__ = [
     "spectral_radius",
 ]
 
-DEFAULT_TOL = 1e-10
+_QUOTIENT_RESIDUAL_REL = 1e-10  # relative to max(1, theta); eigh reaches ~1e-15
 _BISECTION_WIDTH = 1e-12
 _RESIDUAL_REL = 1e-9
 
 
 class ConvergenceError(RuntimeError):
-    """An iteration hit its cap; carries the best estimate seen."""
+    """A residual or bracket check failed; carries the estimate and its residual."""
 
     def __init__(self, message: str, estimate: float, residual: float):
         super().__init__(f"{message} (estimate {estimate!r}, residual {residual!r})")
@@ -105,10 +107,8 @@ class RootResult:
 # ---------------------------------------------------------------------------
 
 
-def _quotient_eigenpair(g: ThresholdGraph, tol: float, routine: str):
+def _quotient_eigenpair(g: ThresholdGraph, routine: str):
     """Top eigenpair (theta, x >= 0) of S, plus block sizes and types."""
-    if not 0.0 < tol < float("inf"):
-        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
     _require_connected(g, routine)
     spec = to_composition(g)
     sizes = np.array(spec.blocks)
@@ -119,19 +119,20 @@ def _quotient_eigenpair(g: ThresholdGraph, tol: float, routine: str):
     values, vectors = np.linalg.eigh(s)
     theta, x = float(values[-1]), np.abs(vectors[:, -1])
     residual = float(np.max(np.abs(s @ x - theta * x)))
-    if not residual <= tol * max(1.0, theta):
-        message = f"{routine}: quotient residual above tol = {tol!r} for comp:{spec.format()}"
+    bound = _QUOTIENT_RESIDUAL_REL * max(1.0, theta)
+    if not residual <= bound:
+        message = f"{routine}: quotient residual above {bound!r} for comp:{spec.format()}"
         raise ConvergenceError(message, theta, residual)
     return theta, x, sizes, ones
 
 
-def spectral_radius(g: ThresholdGraph, tol: float = DEFAULT_TOL) -> float:
+def spectral_radius(g: ThresholdGraph) -> float:
     """Largest adjacency eigenvalue of a connected threshold graph."""
-    theta, *_ = _quotient_eigenpair(g, tol, "spectral_radius")
+    theta, *_ = _quotient_eigenpair(g, "spectral_radius")
     return theta
 
 
-def perron_vector(g: ThresholdGraph, tol: float = DEFAULT_TOL) -> np.ndarray:
+def perron_vector(g: ThresholdGraph) -> np.ndarray:
     """Unit-norm positive eigenvector for the spectral radius.
 
     Entries follow the canonical vertex order and are nonincreasing
@@ -140,7 +141,7 @@ def perron_vector(g: ThresholdGraph, tol: float = DEFAULT_TOL) -> np.ndarray:
     blocks first to last, as type-1 degrees grow along the sequence from
     c - 1 and type-0 degrees shrink from at most c - 1.
     """
-    _, x, sizes, ones = _quotient_eigenpair(g, tol, "perron_vector")
+    _, x, sizes, ones = _quotient_eigenpair(g, "perron_vector")
     index = np.arange(sizes.size)
     order = np.concatenate((index[ones][::-1], index[~ones]))
     v = np.repeat(x[order] / np.sqrt(sizes[order]), sizes[order])

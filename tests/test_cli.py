@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from threshold_spectra import ParseError
+from threshold_spectra import ParseError, spectral
 from threshold_spectra.cli import parse_graph_spec, run
 
 
@@ -62,6 +62,8 @@ def test_parse_graph_spec_positions():
         (["enumerate", "--n", "4", "--m", "99"], 1),  # m out of range
         (["frobnicate"], 2),
         ([], 2),
+        (["analyze", "gen:10101", "--tol", "1e-10"], 2),  # no such option
+        (["verify", "--n-max", "5", "--csv"], 2),          # verify has no CSV form
     ],
 )
 def test_exit_codes(argv, code, capsys):
@@ -71,25 +73,36 @@ def test_exit_codes(argv, code, capsys):
         assert err.startswith("error:")
 
 
+# Case ids are fixed, so a case keeps its name when other rows come or go.
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (["analyze", "gen:10101", "--tol", "0"], "--tol"),
-        (["analyze", "gen:10101", "--tol", "-1"], "--tol"),
-        (["analyze", "gen:10101", "--tol", "nan"], "--tol"),
-        (["analyze", "gen:10101", "--tol", "inf"], "--tol"),
-        (["analyze", "gen:10101", "--tol", "tiny"], "--tol"),
-        (["enumerate", "--n", "7", "--m", "9", "--tol", "0"], "--tol"),
-        (["enumerate", "--n", "7", "--m", "9", "--tol", "-1"], "--tol"),
-        (["enumerate", "--n", "7", "--m", "9", "--tol", "nan"], "--tol"),
-        (["enumerate", "--n", "7", "--m", "9", "--tol", "inf"], "--tol"),
-        (["walks", "gen:10101", "--pmax", "-1"], "--pmax"),
-        (["walks", "gen:10101", "--kmax", "-1"], "--kmax"),
-        (["verify", "--n-min", "-5", "--n-max", "5"], "--n-min"),
-        (["verify", "--n-max", "0"], "--n-max"),
-        (["enumerate", "--n", "7", "--m", "9", "--tie-tol", "nan"], "--tie-tol"),
-        (["enumerate", "--n", "7", "--m", "9", "--tie-tol", "inf"], "--tie-tol"),
-        (["enumerate", "--n", "7", "--m", "9", "--tie-tol", "-1"], "--tie-tol"),
+        pytest.param(["walks", "gen:10101", "--pmax", "-1"], "--pmax", id="argv9---pmax"),
+        pytest.param(["walks", "gen:10101", "--kmax", "-1"], "--kmax", id="argv10---kmax"),
+        pytest.param(
+            ["verify", "--n-min", "-5", "--n-max", "5"], "--n-min", id="argv11---n-min"
+        ),
+        pytest.param(["verify", "--n-max", "0"], "--n-max", id="argv12---n-max"),
+        pytest.param(
+            ["enumerate", "--n", "7", "--m", "9", "--tie-tol", "nan"],
+            "--tie-tol",
+            id="argv13---tie-tol",
+        ),
+        pytest.param(
+            ["enumerate", "--n", "7", "--m", "9", "--tie-tol", "inf"],
+            "--tie-tol",
+            id="argv14---tie-tol",
+        ),
+        pytest.param(
+            ["enumerate", "--n", "7", "--m", "9", "--tie-tol", "-1"],
+            "--tie-tol",
+            id="argv15---tie-tol",
+        ),
+        pytest.param(
+            ["enumerate", "--n", "7", "--m", "9", "--tie-tol", "tiny"],
+            "--tie-tol",
+            id="argv16---tie-tol",
+        ),
     ],
 )
 def test_bad_arguments_exit_2_naming_the_flag(argv, flag, capsys):
@@ -100,8 +113,9 @@ def test_bad_arguments_exit_2_naming_the_flag(argv, flag, capsys):
     assert "Traceback" not in captured.err
 
 
-def test_unreachable_tol_is_a_domain_error(capsys):
-    assert run(["analyze", "comp:G{3,5,5,2,4}", "--tol", "1e-300"]) == 1
+def test_unreachable_tol_is_a_domain_error(monkeypatch, capsys):
+    monkeypatch.setattr(spectral, "_QUOTIENT_RESIDUAL_REL", 1e-300)
+    assert run(["analyze", "comp:G{3,5,5,2,4}"]) == 1
     assert "spectral_radius" in capsys.readouterr().err
 
 

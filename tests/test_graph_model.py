@@ -205,6 +205,7 @@ def test_degree_sequence_structure():
     for n in range(2, 9):
         for g in connected_graphs(n):
             degs = degree_sequence(g)
+            assert degs == tuple(int(d) for d in adjacency_matrix(g).sum(axis=1))
             assert sum(degs) == 2 * g.m
             assert all(a >= b for a, b in zip(degs, degs[1:]))
             assert degs[g.c - 1] == g.c - 1
