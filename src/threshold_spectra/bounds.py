@@ -16,6 +16,9 @@ counts of the type-0 vertices, and F_1 = sum(b_i^2):
   coincides with rho exactly when every b_i is 1 or c - 1, and is a
   sharp lower estimate otherwise.
 
+The cubics and the quartic are integer polynomials, and
+``greatest_real_root`` proves a bracket a few ulps wide around each root.
+
 The bounds assume n >= 4, c >= 3, z >= 1, and n - 1 < m < C(n, 2);
 outside that range they raise :class:`PreconditionError`, or are marked
 not applicable when a report is built leniently.
@@ -178,18 +181,15 @@ def inequality_check(g: ThresholdGraph, rho: float) -> tuple[bool, float]:
     return slack >= -_INEQUALITY_REL * scale, slack
 
 
-def inequality_root(g: ThresholdGraph, rho: float | None = None) -> float:
+def inequality_root(g: ThresholdGraph) -> float:
     """Largest real root of the inequality quartic; sits at or below rho.
 
     The quartic is nonnegative at rho and has positive leading
-    coefficient, so its rightmost sign change happens at or below rho;
-    the bracket is scanned over [0, rho + 1] to avoid locking onto an
-    inner root.
+    coefficient, so its rightmost sign change happens at or below rho.
+    The root is found without rho: Newton starts above every root, and
+    the bracket around the result is certified exactly.
     """
-    inputs = _bound_inputs(g)
-    if rho is None:
-        rho = spectral_radius(g)
-    return _inequality_root(inputs, rho)
+    return _inequality_root(_bound_inputs(g))
 
 
 # ---------------------------------------------------------------------------
@@ -199,20 +199,20 @@ def inequality_root(g: ThresholdGraph, rho: float | None = None) -> float:
 
 def _lower_cubic_polynomial(inputs: _Inputs) -> Polynomial:
     c = inputs.c
-    return Polynomial((1.0, -(c + 1.0), float(c), -float(inputs.f1)))
+    return Polynomial((1, -(c + 1), c, -inputs.f1))
 
 
 def _upper_cubic_polynomial(inputs: _Inputs) -> Polynomial:
     c, sb = inputs.c, inputs.sb
-    return Polynomial((1.0, -(c + 1.0), float(c - sb), float(c * sb - inputs.f1)))
+    return Polynomial((1, -(c + 1), c - sb, c * sb - inputs.f1))
 
 
 def _lower_cubic(inputs: _Inputs) -> float:
-    return greatest_real_root(_lower_cubic_polynomial(inputs), float(inputs.c)).value - 1.0
+    return greatest_real_root(_lower_cubic_polynomial(inputs)).value - 1.0
 
 
 def _upper_cubic(inputs: _Inputs) -> float:
-    return greatest_real_root(_upper_cubic_polynomial(inputs), float(inputs.c)).value - 1.0
+    return greatest_real_root(_upper_cubic_polynomial(inputs)).value - 1.0
 
 
 def _lower_corollary(inputs: _Inputs) -> float:
@@ -232,18 +232,17 @@ def _inequality_polynomial(inputs: _Inputs) -> Polynomial:
     t3 = sum((d - 1) * (s - d * (z + 1)) for d in tail)
     return Polynomial(
         (
-            float(c - 2),
-            float((c - 2) * (3 - c)),
-            -float((c - 2) * (z + c - 1) + t1),
-            float((c - 2) * ((c - 2) * (z + 1) - s - t2)),
-            -float(t3),
+            c - 2,
+            (c - 2) * (3 - c),
+            -((c - 2) * (z + c - 1) + t1),
+            (c - 2) * ((c - 2) * (z + 1) - s - t2),
+            -t3,
         )
     )
 
 
-def _inequality_root(inputs: _Inputs, rho: float) -> float:
-    poly = _inequality_polynomial(inputs)
-    return greatest_real_root(poly, 0.0, bracket_high=rho + 1.0).value
+def _inequality_root(inputs: _Inputs) -> float:
+    return greatest_real_root(_inequality_polynomial(inputs)).value
 
 
 def bound_report(g: ThresholdGraph, allow_inapplicable: bool = False) -> BoundReport:
@@ -279,7 +278,7 @@ def bound_report(g: ThresholdGraph, allow_inapplicable: bool = False) -> BoundRe
     lo_corollary = _lower_corollary(inputs)
     lo_quadratic = _lower_quadratic(inputs)
     up_cubic = _upper_cubic(inputs)
-    ineq_root = _inequality_root(inputs, rho)
+    ineq_root = _inequality_root(inputs)
     lowers = (lo_cubic, lo_corollary, lo_quadratic, ineq_root)
     sandwich_ok = max(lowers) <= rho + SANDWICH_TOL and rho <= up_cubic + SANDWICH_TOL
     gaps = {

@@ -192,8 +192,12 @@ def find_extremal(
 
     Graphs within ``tie_tol`` of the best value are maximizers; graphs
     within ``near_tie_tol`` but not maximizers are reported separately
-    so silent photo-finishes stay visible.
+    so silent photo-finishes stay visible.  Both tolerances must be
+    finite and >= 0.
     """
+    for name, tol in (("tie_tol", tie_tol), ("near_tie_tol", near_tie_tol)):
+        if not 0.0 <= tol < float("inf"):
+            raise ValueError(f"{name} must be a finite number >= 0, got {tol!r}")
     census = enumerate_threshold_graphs(n, m, connected_only=True)
     if not census:
         raise ValueError(f"no connected threshold graph has n = {n}, m = {m}")

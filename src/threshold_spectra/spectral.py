@@ -13,13 +13,15 @@ residual is checked against a fixed bound only to detect a fault.
 
 The spectral F_p routes diagonalize the zero- and one-overlap matrices
 with ``numpy.linalg.eigh``; the exact integer F_p values are their
-oracle.  The bound polynomials have their greatest real root bracketed
-by doubling and a grid scan, then bisected, with a sign-change
-certificate and a residual check.
+oracle.  The bound polynomials have integer coefficients, so the
+greatest real root from float Newton is proven in exact integer
+arithmetic: p is negative just below it and p(t + high) has only
+positive Taylor coefficients just above it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +47,8 @@ __all__ = [
 ]
 
 _QUOTIENT_RESIDUAL_REL = 1e-10  # relative to max(1, theta); eigh reaches ~1e-15
-_BISECTION_WIDTH = 1e-12
-_RESIDUAL_REL = 1e-9
+_MAX_NEWTON_STEPS = 100
+_CERTIFICATE_DOUBLINGS = 16  # the widest bracket tried is 2^16 ulps each side
 
 
 class ConvergenceError(RuntimeError):
@@ -60,15 +62,17 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Real polynomial, coefficients in descending powers, leading > 0."""
+    """Integer polynomial, coefficients in descending powers, leading > 0."""
 
-    coefficients: tuple[float, ...]
+    coefficients: tuple[int, ...]
 
     def __post_init__(self):
         if not self.coefficients:
             raise ValueError("polynomial needs at least one coefficient")
         if len(self.coefficients) > 5:
             raise ValueError("only degrees up to 4 are supported")
+        if not all(isinstance(a, int) for a in self.coefficients):
+            raise ValueError(f"coefficients must be integers, got {self.coefficients}")
         if self.coefficients[0] <= 0:
             raise ValueError(f"leading coefficient must be positive, got {self.coefficients[0]}")
 
@@ -82,24 +86,15 @@ class Polynomial:
             value = value * x + coefficient
         return value
 
-    def magnitude_scale(self, x: float) -> float:
-        """Sum of absolute term magnitudes at x; reference for residuals."""
-        scale = 0.0
-        power = 1.0
-        for coefficient in reversed(self.coefficients):
-            scale += abs(coefficient) * power
-            power *= abs(x) if abs(x) > 1.0 else 1.0
-        return max(scale, 1.0)
-
 
 @dataclass(frozen=True)
 class RootResult:
-    """A bracketed root with its sign-change certificate."""
+    """A root inside its certified bracket, and the Newton steps taken."""
 
     value: float
     bracket_low: float
     bracket_high: float
-    residual: float
+    steps: int
 
 
 # ---------------------------------------------------------------------------
@@ -149,103 +144,97 @@ def perron_vector(g: ThresholdGraph) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# largest real root by bracket expansion and bisection
+# greatest real root: Newton from above, then an exact certificate
 # ---------------------------------------------------------------------------
 
 
-def greatest_real_root(
-    poly: Polynomial, bracket_hint: float = 0.0, bracket_high: float | None = None
-) -> RootResult:
-    """Largest real root at or above ``bracket_hint``.
+def greatest_real_root(poly: Polynomial) -> RootResult:
+    """Greatest real root, inside a bracket proven in integer arithmetic.
 
-    The leading coefficient is positive, so the polynomial is eventually
-    positive.  The upper bracket end is ``bracket_high`` when the
-    polynomial is positive there (the caller asserts the largest root
-    lies below it); otherwise it is found by doubling steps from
-    ``bracket_high`` or, without one, from the hint.
-
-    The lower end is the hint itself only when no ``bracket_high`` is
-    given, p(hint) < 0, and the Taylor-shifted coefficients of
-    p(t + hint) change sign exactly once: by Descartes' rule of signs
-    exactly one root then lies above the hint.  Otherwise the interval
-    up to the upper end is grid-scanned for its rightmost negative
-    sample, which avoids bisecting into an inner root when several
-    roots lie above the hint.  The returned bracket certifies the sign
-    change and the residual is checked against 1e-9 times the
-    term-magnitude scale.
+    Float Newton starts at the Fujiwara bound
+    ``2 max(|a_1/a_0|, ..., |a_{d-1}/a_0|^(1/(d-1)), |a_d/(2 a_0)|^(1/d))``,
+    above every root, and steps down while p and p' stay positive; for
+    a polynomial convex above its greatest root (both bound cubics, for
+    which p'' vanishes at (c+1)/3 < c) that converges to the root from
+    above.  The bracket is then certified exactly, starting one ulp
+    either side of the Newton value x and doubling the width at most
+    :data:`_CERTIFICATE_DOUBLINGS` times: p(low) < 0, and every Taylor
+    coefficient of p(t + high) is positive, so by Descartes' rule of
+    signs no root is >= high.  Without such a bracket (no real root, a
+    root of even multiplicity, or Newton stopped elsewhere) it raises
+    :class:`ConvergenceError` naming the coefficients.
     """
-    if bracket_high is not None and poly(bracket_high) > 0.0:
-        high = bracket_high
-    else:
-        high = _expand_positive(poly, bracket_hint if bracket_high is None else bracket_high)
-    if bracket_high is None and _single_root_above(poly, bracket_hint):
-        low = bracket_hint
-    else:
-        low = _scan_for_negative(poly, bracket_hint, high)
-    value = _bisect(poly, low, high)
-    residual = abs(poly(value))
-    if residual > _RESIDUAL_REL * poly.magnitude_scale(value):
-        raise ConvergenceError("root residual above tolerance", value, residual)
-    return RootResult(value=value, bracket_low=low, bracket_high=high, residual=residual)
+    coefficients = poly.coefficients
+    x = _fujiwara_bound(coefficients)
+    steps = 0
+    value, slope = _value_and_slope(coefficients, x)
+    while value > 0.0 and slope > 0.0 and steps < _MAX_NEWTON_STEPS:
+        below = x - value / slope
+        if not below < x:
+            break
+        x = below
+        steps += 1
+        value, slope = _value_and_slope(coefficients, x)
+    width = math.ulp(x)
+    for _ in range(_CERTIFICATE_DOUBLINGS + 1):
+        low, high = x - width, x + width
+        if _certified(coefficients, low, high):
+            return RootResult(value=x, bracket_low=low, bracket_high=high, steps=steps)
+        width *= 2.0
+    message = (
+        f"greatest_real_root: no certified bracket within 2^{_CERTIFICATE_DOUBLINGS} "
+        f"ulps of the Newton value for coefficients {coefficients}"
+    )
+    raise ConvergenceError(message, x, value)
 
 
-def _single_root_above(poly: Polynomial, x: float) -> bool:
-    """p(x) < 0 and p(t + x) has one coefficient sign change (Descartes).
+def _fujiwara_bound(coefficients: tuple[int, ...]) -> float:
+    """Fujiwara's bound on the moduli of all roots."""
+    lead, degree = coefficients[0], len(coefficients) - 1
+    terms = [abs(a / lead) ** (1.0 / k) for k, a in enumerate(coefficients[1:], 1)]
+    if terms:
+        terms[-1] = abs(coefficients[-1] / (2 * lead)) ** (1.0 / degree)
+    return 2.0 * max(terms, default=0.0)
 
-    The shift is repeated synthetic division; its last coefficient is
-    p(x), evaluated by the same Horner steps as ``poly(x)``.
+
+def _value_and_slope(coefficients: tuple[int, ...], x: float) -> tuple[float, float]:
+    """p(x) and p'(x) by one Horner pass."""
+    value = slope = 0.0
+    for a in coefficients:
+        slope = slope * x + value
+        value = value * x + a
+    return value, slope
+
+
+def _scaled(coefficients: tuple[int, ...], x: float) -> tuple[int, list[int]]:
+    """N and the coefficients of the integer polynomial D^d p(y / D), x = N / D."""
+    numerator, denominator = x.as_integer_ratio()
+    scaled, power = [], 1
+    for a in coefficients:
+        scaled.append(a * power)
+        power *= denominator
+    return numerator, scaled
+
+
+def _certified(coefficients: tuple[int, ...], low: float, high: float) -> bool:
+    """p(low) < 0 and every Taylor coefficient of p(t + high) is > 0, exactly.
+
+    With x = N / D, the integer polynomial D^d p(y / D) has the sign of
+    p(x) at y = N, and shifting it by N (repeated synthetic division)
+    gives coefficients with the signs of those of p(t + x): y = D t + N.
     """
-    shifted = list(poly.coefficients)
+    numerator, scaled = _scaled(coefficients, low)
+    value = 0
+    for a in scaled:
+        value = value * numerator + a
+    if value >= 0:
+        return False
+    numerator, shifted = _scaled(coefficients, high)
     degree = len(shifted) - 1
     for i in range(degree):
         for j in range(1, degree + 1 - i):
-            shifted[j] += x * shifted[j - 1]
-    signs = [a > 0.0 for a in shifted if a != 0.0]
-    changes = sum(left != right for left, right in zip(signs, signs[1:]))
-    return shifted[-1] < 0.0 and changes == 1
-
-
-def _expand_positive(poly: Polynomial, start: float) -> float:
-    step = max(1.0, abs(start))
-    for _ in range(200):
-        candidate = start + step
-        if poly(candidate) > 0.0:
-            return candidate
-        step *= 2.0
-    raise ConvergenceError("no positive value found while expanding upward", start, float("nan"))
-
-
-def _scan_for_negative(poly: Polynomial, low: float, high: float) -> float:
-    """Rightmost sample in [low - margin, high] with a negative value."""
-    margin = 1e-6 * max(1.0, abs(low))
-    for samples in (64, 256, 1024, 4096):
-        xs = np.linspace(low - margin, high, samples)
-        values = np.polyval(poly.coefficients, xs)
-        negative = np.nonzero(values < 0.0)[0]
-        if negative.size:
-            return float(xs[negative[-1]])
-    raise ConvergenceError(
-        "no sign change found at or above the bracket hint", low, poly(low)
-    )
-
-
-def _bisect(poly: Polynomial, low: float, high: float) -> float:
-    f_low = poly(low)
-    f_high = poly(high)
-    if not (f_low < 0.0 < f_high):
-        raise ConvergenceError("bisection bracket lost its sign change", low, f_low)
-    for _ in range(200):
-        if high - low <= _BISECTION_WIDTH:
-            break
-        mid = 0.5 * (low + high)
-        f_mid = poly(mid)
-        if f_mid == 0.0:
-            return mid
-        if f_mid < 0.0:
-            low = mid
-        else:
-            high = mid
-    return 0.5 * (low + high)
+            shifted[j] += numerator * shifted[j - 1]
+    return all(a > 0 for a in shifted)
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import comb, exp, log
-from operator import mul
+from math import exp, log
+from operator import add, mul
 
 from .graph_model import (
     BzpSequence,
@@ -280,10 +280,11 @@ def lw_recurrence(g: ThresholdGraph, kmax: int, pmax: int | None = None) -> Walk
     closing[k-3-r]``.  The closing series ``closing[s] = sum_q C(s-q, q)
     * F_{q+1}`` counts the closing signatures with s units of slack
     spread over their q+1 zero runs; it depends on s alone, so it is
-    computed once.  Cost: O(kmax^2) big-integer products for LW plus
-    O(pmax * z) for the F values.  ``LW_k`` has about ``k * log2(1 +
-    rho)`` bits (973 bits at k = 200 on the 45-vertex alternating graph),
-    so the cost of each product grows with k as well.
+    computed once, its binomials row by row by Pascal's rule.  Cost:
+    O(kmax^2) big-integer products for LW plus O(pmax * z) for the F
+    values.  ``LW_k`` has about ``k * log2(1 + rho)`` bits (973 bits at
+    k = 200 on the 45-vertex alternating graph), so the cost of each
+    product grows with k as well.
     """
     _check_kmax(kmax)
     _require_connected(g, "lw_recurrence")
@@ -292,9 +293,13 @@ def lw_recurrence(g: ThresholdGraph, kmax: int, pmax: int | None = None) -> Walk
     needed = (kmax - 3) // 2 + 1 if kmax >= 3 else 1
     top = max(needed, pmax if pmax is not None else 0, 1)
     fp = fp_sequence(bzp, top)
-    closing = [
-        sum(comb(s - q, q) * fp[q + 1] for q in range(s // 2 + 1)) for s in range(kmax - 2)
-    ]
+    tail = fp[1:]
+    closing = []
+    # row holds C(s-q, q); Pascal's rule puts row[q] + previous[q-1] in row s + 1
+    previous, row = [], [1]
+    for _ in range(kmax - 2):
+        closing.append(sum(map(mul, row, tail)))
+        previous, row = row, [1, *map(add, row[1:] + [0], previous)]
     lw = [1]
     for k in range(1, kmax + 1):
         head = max(k - 2, 0)

@@ -41,7 +41,13 @@ from threshold_spectra import (
     upper_cubic_polynomial,
     zero_overlap_matrix,
 )
-from conftest import connected_graphs, graph
+from conftest import (
+    bisection_root,
+    connected_graphs,
+    graph,
+    magnitude_scale,
+    proves_greatest_root,
+)
 
 
 def _verdict(number: int, description: str, failures: list) -> None:
@@ -116,7 +122,7 @@ def test_criterion_3_bound_sandwich():
                 and rho <= report.upper_cubic + 1e-9
                 and report.inequality_root <= rho + 1e-9
                 and inequality_polynomial(g)(rho)
-                >= -1e-9 * inequality_polynomial(g).magnitude_scale(rho)
+                >= -1e-9 * magnitude_scale(inequality_polynomial(g), rho)
                 and report.sandwich_ok
             )
             if not ok:
@@ -164,8 +170,8 @@ def test_criterion_5_growth_limits():
     ratio = table.lw[200] / table.lw[199]
     ratio_lo = table.lw_prime[200] / table.lw_prime[199]
     ratio_hi = table.lw_double_prime[200] / table.lw_double_prime[199]
-    root_lo = greatest_real_root(lower_cubic_polynomial(g), float(g.c)).value
-    root_hi = greatest_real_root(upper_cubic_polynomial(g), float(g.c)).value
+    root_lo = greatest_real_root(lower_cubic_polynomial(g)).value
+    root_hi = greatest_real_root(upper_cubic_polynomial(g)).value
     failures = []
     if abs(ratio - (1 + rho)) > 1e-6:
         failures.append(("LW ratio", ratio, 1 + rho))
@@ -247,17 +253,16 @@ def test_criterion_8_psd_and_root_certificates():
                 (inequality_polynomial(g), 0.0, rho + 1.0),
             )
             for poly, hint, cap in polys_and_hints:
-                result = greatest_real_root(poly, hint, bracket_high=cap)
+                result = greatest_real_root(poly)
                 certified += 1
-                sign_change = (
-                    result.bracket_low <= result.value <= result.bracket_high
-                    and poly(result.bracket_low) <= 0.0 <= poly(result.bracket_high)
+                proven = result.bracket_low < result.value < result.bracket_high and (
+                    proves_greatest_root(poly.coefficients, result.bracket_low, result.bracket_high)
                 )
-                if not sign_change:
+                if not proven:
                     failures.append(("bracket", g.generating_string))
-                if result.residual > 1e-9 * poly.magnitude_scale(result.value):
-                    failures.append(("residual", g.generating_string))
-            if greatest_real_root(lower_cubic_polynomial(g), float(g.c)).value <= g.c:
+                if abs(result.value - bisection_root(poly.coefficients, hint, cap)) > 1e-12:
+                    failures.append(("bisection oracle", g.generating_string))
+            if greatest_real_root(lower_cubic_polynomial(g)).value <= g.c:
                 failures.append(("root <= c", g.generating_string))
     _verdict(
         8,

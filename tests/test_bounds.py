@@ -3,10 +3,14 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from threshold_spectra import (
     PreconditionError,
     bound_report,
+    from_composition,
+    from_generating_sequence,
     greatest_real_root,
     inequality_check,
     inequality_polynomial,
@@ -15,13 +19,20 @@ from threshold_spectra import (
     lower_cubic,
     lower_cubic_polynomial,
     lower_quadratic,
+    parse_composition,
     spectral_radius,
     to_bzp,
     upper_cubic,
     upper_cubic_polynomial,
 )
 from threshold_spectra.bounds import SANDWICH_TOL
-from conftest import connected_graphs, graph
+from conftest import (
+    bisection_root,
+    connected_graphs,
+    graph,
+    magnitude_scale,
+    proves_greatest_root,
+)
 
 PAW = graph("1101")
 G10101 = graph("10101")
@@ -56,15 +67,16 @@ def test_quadratic_reference_values():
 
 
 def test_cubic_coefficients():
-    assert lower_cubic_polynomial(PAW).coefficients == (1.0, -4.0, 3.0, -1.0)
-    assert upper_cubic_polynomial(PAW).coefficients == (1.0, -4.0, 2.0, 2.0)
-    assert lower_cubic_polynomial(G10101).coefficients == (1.0, -4.0, 3.0, -5.0)
-    assert upper_cubic_polynomial(G10101).coefficients == (1.0, -4.0, 0.0, 4.0)
+    assert lower_cubic_polynomial(PAW).coefficients == (1, -4, 3, -1)
+    assert upper_cubic_polynomial(PAW).coefficients == (1, -4, 2, 2)
+    assert lower_cubic_polynomial(G10101).coefficients == (1, -4, 3, -5)
+    assert upper_cubic_polynomial(G10101).coefficients == (1, -4, 0, 4)
+    assert all(type(a) is int for a in upper_cubic_polynomial(G10101).coefficients)
 
 
 def test_lower_cubic_root_exceeds_c():
     for g in applicable_graphs(range(4, 9)):
-        root = greatest_real_root(lower_cubic_polynomial(g), float(g.c)).value
+        root = greatest_real_root(lower_cubic_polynomial(g)).value
         assert root > g.c
         assert lower_cubic(g) > g.c - 1
 
@@ -113,14 +125,66 @@ def test_report_gaps_are_consistent():
     assert all(gap >= -SANDWICH_TOL for gap in gaps.values())
 
 
+def _assert_sandwich_and_certificates(g):
+    """sandwich_ok, rho <= upper_cubic, and every root proven and oracle-close."""
+    report = bound_report(g)
+    assert report.sandwich_ok is True
+    assert report.rho <= report.upper_cubic + SANDWICH_TOL
+    roots = (
+        (lower_cubic_polynomial(g), float(g.c), None, report.lower_cubic + 1.0),
+        (upper_cubic_polynomial(g), float(g.c), None, report.upper_cubic + 1.0),
+        (inequality_polynomial(g), 0.0, report.rho + 1.0, report.inequality_root),
+    )
+    for poly, hint, cap, reported in roots:
+        result = greatest_real_root(poly)
+        assert result.value == reported
+        assert result.bracket_low < result.value < result.bracket_high
+        assert proves_greatest_root(poly.coefficients, result.bracket_low, result.bracket_high)
+        assert abs(result.value - bisection_root(poly.coefficients, hint, cap)) <= 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=2, max_size=58))
+def test_sandwich_and_certificates_on_random_sequences(middle):
+    g = from_generating_sequence([1, *middle, 1])
+    assume(g.c >= 3 and g.z >= 1)
+    _assert_sandwich_and_certificates(g)
+
+
+def test_sandwich_on_every_graph_up_to_14_vertices():
+    checked = 0
+    for g in applicable_graphs(range(4, 15)):
+        report = bound_report(g)
+        assert report.sandwich_ok is True, g.generating_string
+        assert report.rho <= report.upper_cubic + SANDWICH_TOL, g.generating_string
+        checked += 1
+    assert checked == 8166  # 2^13 - 4 connected graphs, less 11 complete and 11 stars
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        "G{700,600,700}",
+        "G{400,300,500,400,400}",
+        "G{1,998,1000,1}",
+        "G{300,300,300,300,300,250,250}",
+        "G{250,200,300,150,250,200,300,150,200}",
+    ],
+)
+def test_sandwich_and_certificates_at_scale(blocks):
+    g = from_composition(parse_composition(blocks))
+    assert 1990 <= g.n <= 2010 and g.c >= 3 and g.z >= 1
+    _assert_sandwich_and_certificates(g)
+
+
 # ---------------------------------------------------------------------------
 # degree inequality (quartic)
 # ---------------------------------------------------------------------------
 
 
 def test_quartic_coefficients():
-    assert inequality_polynomial(G10101).coefficients == (1.0, 0.0, -6.0, -4.0, 2.0)
-    assert inequality_polynomial(G11011).coefficients == (2.0, -2.0, -13.0, -8.0, 1.0)
+    assert inequality_polynomial(G10101).coefficients == (1, 0, -6, -4, 2)
+    assert inequality_polynomial(G11011).coefficients == (2, -2, -13, -8, 1)
 
 
 def test_quartic_agrees_with_direct_slack():
@@ -128,7 +192,7 @@ def test_quartic_agrees_with_direct_slack():
         poly = inequality_polynomial(g)
         for x in (0.5, 1.3, 2.0, 3.7, 5.1):
             _, slack = inequality_check(g, x)
-            assert poly(x) == pytest.approx(slack, abs=1e-8 * poly.magnitude_scale(x))
+            assert poly(x) == pytest.approx(slack, abs=1e-8 * magnitude_scale(poly, x))
 
 
 def test_inequality_check_at_rho_and_shifts():
@@ -156,9 +220,9 @@ def test_equality_exactly_when_blocks_are_extreme():
         rho = spectral_radius(g)
         poly = inequality_polynomial(g)
         value = poly(rho)
-        assert value >= -1e-8 * poly.magnitude_scale(rho)
+        assert value >= -1e-8 * magnitude_scale(poly, rho)
         is_equality_family = all(bi in (1, g.c - 1) for bi in to_bzp(g).b)
-        is_zero_at_rho = abs(value) <= 1e-8 * poly.magnitude_scale(rho)
+        is_zero_at_rho = abs(value) <= 1e-8 * magnitude_scale(poly, rho)
         assert is_zero_at_rho == is_equality_family
 
 
@@ -174,7 +238,7 @@ def test_inequality_root_reference_values():
 def test_inequality_root_never_exceeds_rho():
     for g in applicable_graphs(range(4, 9)):
         rho = spectral_radius(g)
-        assert inequality_root(g, rho=rho) <= rho + SANDWICH_TOL
+        assert inequality_root(g) <= rho + SANDWICH_TOL
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,13 @@
 """Command-line interface: parsing, formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threshold_spectra import ParseError, spectral
 from threshold_spectra.cli import parse_graph_spec, run
@@ -278,3 +283,66 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     payload = json.loads(target.read_text())
     assert payload["graph"]["generating"] == "1101"
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: any argv exits 0, 1 or 2
+# ---------------------------------------------------------------------------
+
+# Sizes are bounded so that every case runs in bounded time: graph specs
+# have n <= 12, --kmax and --pmax <= 60, enumerate --n <= 12 and --m <= 66,
+# and verify --n-max <= 8 (every bare integer token is <= 8, so a flag
+# that picks one up as its value stays bounded as well).  --output is
+# left out, and no junk token starts with "-" (argparse would read a
+# prefix of --output as that flag), so no case writes a file.
+def _ints(low, high):
+    return st.integers(low, high).map(str)
+
+
+_valued_flags = st.one_of(
+    st.tuples(st.just("--kmax"), _ints(-2, 60)),
+    st.tuples(st.just("--pmax"), _ints(-2, 60)),
+    st.tuples(st.just("--n"), _ints(-2, 12)),
+    st.tuples(st.just("--m"), _ints(-2, 66)),
+    st.tuples(st.just("--n-min"), _ints(-2, 8)),
+    st.tuples(st.just("--n-max"), _ints(-2, 8)),
+    st.tuples(st.just("--tie-tol"), st.sampled_from(["0", "1e-9", "nan", "inf", "-1", "x"])),
+)
+_bare_flags = st.sampled_from(
+    ["--json", "--csv", "--kmax", "--n", "--m", "--n-max", "--tie-tol", "--help", "--bogus"]
+)
+_graph_specs = st.one_of(
+    st.text("01", max_size=12).map(lambda bits: f"gen:{bits}"),
+    st.lists(st.integers(0, 3), max_size=4).map(
+        lambda blocks: "comp:G{" + ",".join(map(str, blocks)) + "}"
+    ),
+    st.tuples(st.integers(0, 6), st.lists(st.integers(0, 6), max_size=4)).map(
+        lambda cb: f"bzp:{cb[0]}:" + ",".join(map(str, cb[1]))
+    ),
+)
+_junk = st.one_of(
+    st.sampled_from(
+        ["", "gen:", "gen:10102", "comp:G{", "comp:G{1,,2}", "bzp:", "bzp:x:1", "G{3}",
+         "1e400", "nan", "0", "7", "8", "\u00e9"]
+    ),
+    st.text(string.ascii_letters + ":{},;= \u00e9", max_size=6),
+)
+_pieces = st.one_of(
+    _valued_flags.map(list),
+    st.one_of(_bare_flags, _graph_specs, _junk).map(lambda token: [token]),
+)
+_argv = st.builds(
+    lambda head, pieces: [head, *(token for piece in pieces for token in piece)],
+    st.sampled_from(["analyze", "walks", "enumerate", "verify", "bogus", ""]),
+    st.lists(_pieces, max_size=6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv)
+def test_fuzzed_argv_exits_0_1_or_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -103,6 +103,13 @@ def test_find_extremal_near_ties_stay_in_band():
         assert spectral_radius(g) == pytest.approx(rho, abs=1e-12)
 
 
+@pytest.mark.parametrize("name", ["tie_tol", "near_tie_tol"])
+@pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf")])
+def test_find_extremal_rejects_bad_tolerances(name, bad):
+    with pytest.raises(ValueError, match=name):
+        find_extremal(7, 9, **{name: bad})
+
+
 def test_find_extremal_empty_census():
     with pytest.raises(ValueError):
         find_extremal(4, 2)

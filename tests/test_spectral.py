@@ -23,7 +23,7 @@ from threshold_spectra import (
     to_fop,
 )
 from threshold_spectra import spectral
-from conftest import connected_graphs, graph
+from conftest import bisection_root, connected_graphs, graph, proves_greatest_root
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +166,8 @@ def test_perron_vector_complete_graph_is_uniform():
 def test_polynomial_evaluates_like_polyval():
     rng = np.random.default_rng(7)
     for degree in range(0, 5):
-        coeffs = rng.normal(size=degree + 1)
-        coeffs[0] = abs(coeffs[0]) + 0.5
+        coeffs = [int(a) for a in rng.integers(-50, 51, size=degree + 1)]
+        coeffs[0] = abs(coeffs[0]) + 1
         poly = Polynomial(tuple(coeffs))
         assert poly.degree == degree
         for x in rng.normal(scale=3.0, size=6):
@@ -178,17 +178,11 @@ def test_polynomial_evaluates_like_polyval():
 
 @pytest.mark.parametrize(
     "coeffs",
-    [(), (0.0, 1.0), (-1.0, 2.0), (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)],
+    [(), (0, 1), (-1, 2), (1, 0, 0, 0, 0, 0), (1.0, -2.0)],
 )
 def test_polynomial_rejects_bad_coefficients(coeffs):
     with pytest.raises(ValueError):
         Polynomial(coeffs)
-
-
-def test_magnitude_scale_dominates_value():
-    poly = Polynomial((1.0, -4.0, 0.0, 4.0))
-    for x in (-3.0, 0.0, 0.7, 2.5, 10.0):
-        assert poly.magnitude_scale(x) >= max(1.0, abs(poly(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -197,59 +191,67 @@ def test_magnitude_scale_dominates_value():
 
 
 def test_root_of_cubic_with_complex_pair():
-    # (x - 2)(x^2 + 1); the second hint is the root itself
-    poly = Polynomial((1.0, -2.0, 1.0, -2.0))
-    for hint in (0.0, 2.0):
-        res = greatest_real_root(poly, hint)
-        assert res.value == pytest.approx(2.0, abs=1e-9)
-        _assert_certificate(poly, res)
+    # (x - 2)(x^2 + 1)
+    poly = Polynomial((1, -2, 1, -2))
+    res = greatest_real_root(poly)
+    assert res.value == pytest.approx(2.0, abs=1e-9)
+    _assert_certificate(poly, res)
 
 
 def test_root_of_linear():
-    res = greatest_real_root(Polynomial((2.0, -7.0)))
+    res = greatest_real_root(Polynomial((2, -7)))
     assert res.value == pytest.approx(3.5, abs=1e-9)
+    _assert_certificate(Polynomial((2, -7)), res)
 
 
 def test_rightmost_root_among_several():
-    # (x - 1)(x - 3)(x^2 + 1)
-    poly = Polynomial((1.0, -4.0, 4.0, -4.0, 3.0))
-    plain = greatest_real_root(poly)
-    assert plain.value == pytest.approx(3.0, abs=1e-9)
-    capped = greatest_real_root(poly, 0.0, bracket_high=4.0)
-    assert capped.value == pytest.approx(3.0, abs=1e-9)
-    _assert_certificate(poly, capped)
-    # an understated cap still recovers the rightmost root by expansion
-    low_cap = greatest_real_root(poly, 0.0, bracket_high=2.0)
-    assert low_cap.value == pytest.approx(3.0, abs=1e-9)
-
-
-def test_hint_above_all_roots_fails_loudly():
-    poly = Polynomial((1.0, -2.0, 1.0, -2.0))
-    with pytest.raises(ConvergenceError):
-        greatest_real_root(poly, bracket_hint=10.0)
-
-
-def test_hint_below_picks_root_above_hint():
     cases = [
-        # roots 1 and 3; a hint between them lands on 3
-        ((1.0, -4.0, 4.0, -4.0, 3.0), 2.0, 3.0),
-        # roots 1, 2, 3, 4; p(1.5) < 0 with three roots above the hint
-        ((1.0, -10.0, 35.0, -50.0, 24.0), 0.0, 4.0),
-        ((1.0, -10.0, 35.0, -50.0, 24.0), 1.5, 4.0),
-        ((1.0, -10.0, 35.0, -50.0, 24.0), 2.5, 4.0),
-        ((1.0, -10.0, 35.0, -50.0, 24.0), 3.5, 4.0),
+        # (x - 1)(x - 3)(x^2 + 1)
+        ((1, -4, 4, -4, 3), 3.0),
+        # (x - 1)(x - 2)(x - 3)(x - 4): three roots below the greatest
+        ((1, -10, 35, -50, 24), 4.0),
+        # x^3 has a triple root at 0, a sign change all the same
+        ((1, 0, 0, 0), 0.0),
     ]
-    for coeffs, hint, root in cases:
+    for coeffs, root in cases:
         poly = Polynomial(coeffs)
-        res = greatest_real_root(poly, bracket_hint=hint)
+        res = greatest_real_root(poly)
         assert res.value == pytest.approx(root, abs=1e-9)
         _assert_certificate(poly, res)
 
 
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        (1, 0, 1),  # x^2 + 1: no real root
+        (1, 0, 2, 0, 1),  # (x^2 + 1)^2
+        (1, -4, 4),  # (x - 2)^2: the greatest root has no sign change
+        (5,),  # a positive constant
+    ],
+)
+def test_no_certified_root_fails_loudly(coeffs):
+    with pytest.raises(ConvergenceError, match=r"greatest_real_root.*coefficients"):
+        greatest_real_root(Polynomial(coeffs))
+
+
+def test_certificate_agrees_with_bisection_oracle():
+    # the roots the package needs, checked against the old float path
+    for coeffs, hint, cap in [
+        ((1, -4, 3, -1), 3.0, None),
+        ((1, -4, 0, 4), 3.0, None),
+        ((1, 0, -6, -4, 2), 0.0, 4.0),
+        ((2, -2, -13, -8, 1), 0.0, 5.0),
+        ((1, -4, 4, -4, 3), 2.0, None),
+        ((1, -10, 35, -50, 24), 1.5, None),
+    ]:
+        res = greatest_real_root(Polynomial(coeffs))
+        assert abs(res.value - bisection_root(coeffs, hint, cap)) <= 1e-12
+
+
 def _assert_certificate(poly, res):
-    assert res.bracket_low <= res.value <= res.bracket_high
-    assert poly(res.bracket_low) <= 0.0 <= poly(res.bracket_high)
-    assert res.residual <= 1e-9 * poly.magnitude_scale(res.value)
+    assert res.bracket_low < res.value < res.bracket_high
+    assert res.bracket_high - res.bracket_low <= 1e-9 * max(1.0, abs(res.value))
+    assert proves_greatest_root(poly.coefficients, res.bracket_low, res.bracket_high)
 
 
 # ---------------------------------------------------------------------------
