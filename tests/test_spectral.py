@@ -208,8 +208,6 @@ def test_rightmost_root_among_several():
     cases = [
         # (x - 1)(x - 3)(x^2 + 1)
         ((1, -4, 4, -4, 3), 3.0),
-        # (x - 1)(x - 2)(x - 3)(x - 4): three roots below the greatest
-        ((1, -10, 35, -50, 24), 4.0),
         # x^3 has a triple root at 0, a sign change all the same
         ((1, 0, 0, 0), 0.0),
     ]
@@ -217,6 +215,28 @@ def test_rightmost_root_among_several():
         poly = Polynomial(coeffs)
         res = greatest_real_root(poly)
         assert res.value == pytest.approx(root, abs=1e-9)
+        _assert_certificate(poly, res)
+
+
+def test_hint_below_picks_root_above_hint():
+    # the root finder takes no hint: from any point below the greatest root,
+    # with other real roots in between, the bisection oracle and the
+    # certified root must agree on the greatest one
+    cases = [
+        # roots 1 and 3; a hint between them lands on 3
+        ((1, -4, 4, -4, 3), 2.0, 3.0),
+        # roots 1, 2, 3, 4; p(1.5) < 0 with three roots above the hint
+        ((1, -10, 35, -50, 24), 0.0, 4.0),
+        ((1, -10, 35, -50, 24), 1.5, 4.0),
+        ((1, -10, 35, -50, 24), 2.5, 4.0),
+        ((1, -10, 35, -50, 24), 3.5, 4.0),
+    ]
+    for coeffs, hint, root in cases:
+        poly = Polynomial(coeffs)
+        res = greatest_real_root(poly)
+        assert res.value == pytest.approx(root, abs=1e-9)
+        assert res.value > hint
+        assert abs(res.value - bisection_root(coeffs, hint)) <= 1e-12
         _assert_certificate(poly, res)
 
 
