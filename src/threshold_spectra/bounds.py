@@ -1,7 +1,8 @@
 """Closed-form lower and upper bounds on the spectral radius.
 
-All four bounds are driven by c (number of type-1 vertices), the b
-counts of the type-0 vertices, and F_1 = sum(b_i^2):
+:func:`bound_report` is the one way to get the bound values; its
+:class:`BoundReport` fields are all driven by c (number of type-1
+vertices), the b counts of the type-0 vertices, and F_1 = sum(b_i^2):
 
 * ``lower_cubic``: largest real root of
   ``x^3 - (c+1) x^2 + c x - F_1``, minus one.  This is the growth rate
@@ -16,8 +17,12 @@ counts of the type-0 vertices, and F_1 = sum(b_i^2):
   coincides with rho exactly when every b_i is 1 or c - 1, and is a
   sharp lower estimate otherwise.
 
-The cubics and the quartic are integer polynomials, and
-``greatest_real_root`` proves a bracket a few ulps wide around each root.
+The two cubics are the characteristic polynomials of the walk brackets,
+built by :func:`threshold_spectra.walks.bracket_cubics`;
+``lower_cubic_polynomial``, ``upper_cubic_polynomial`` and
+``inequality_polynomial`` expose the paper's polynomials themselves.
+They have integer coefficients, and ``greatest_real_root`` proves a
+bracket a few ulps wide around each root.
 
 The bounds assume n >= 4, c >= 3, z >= 1, and n - 1 < m < C(n, 2);
 outside that range they raise :class:`PreconditionError`, or are marked
@@ -31,6 +36,7 @@ from math import comb, sqrt
 
 from .graph_model import ThresholdGraph, to_bzp
 from .spectral import Polynomial, greatest_real_root, spectral_radius
+from .walks import bracket_cubics
 
 __all__ = [
     "BoundReport",
@@ -39,12 +45,7 @@ __all__ = [
     "bound_report",
     "inequality_check",
     "inequality_polynomial",
-    "inequality_root",
-    "lower_corollary",
-    "lower_cubic",
     "lower_cubic_polynomial",
-    "lower_quadratic",
-    "upper_cubic",
     "upper_cubic_polynomial",
 ]
 
@@ -112,35 +113,15 @@ def require_applicable(g: ThresholdGraph) -> None:
 
 
 def lower_cubic_polynomial(g: ThresholdGraph) -> Polynomial:
-    return _lower_cubic_polynomial(_bound_inputs(g))
+    """Characteristic cubic of the lower walk bracket; its root minus one is ``lower_cubic``."""
+    inputs = _bound_inputs(g)
+    return Polynomial(bracket_cubics(inputs.c, inputs.sb, inputs.f1)[0])
 
 
 def upper_cubic_polynomial(g: ThresholdGraph) -> Polynomial:
-    return _upper_cubic_polynomial(_bound_inputs(g))
-
-
-def lower_cubic(g: ThresholdGraph) -> float:
-    """Shifted largest root of the lower-bracket characteristic cubic.
-
-    The cubic is negative at x = c (its value there is -F_1), so the
-    largest root exceeds c and the bound exceeds c - 1.
-    """
-    return _lower_cubic(_bound_inputs(g))
-
-
-def upper_cubic(g: ThresholdGraph) -> float:
-    """Shifted largest root of the upper-bracket characteristic cubic."""
-    return _upper_cubic(_bound_inputs(g))
-
-
-def lower_corollary(g: ThresholdGraph) -> float:
-    """Explicit relaxation of the cubic lower bound: c - 1 + F_1 / n^2."""
-    return _lower_corollary(_bound_inputs(g))
-
-
-def lower_quadratic(g: ThresholdGraph) -> float:
-    """Closed-form quadratic lower bound from a two-block weighting."""
-    return _lower_quadratic(_bound_inputs(g))
+    """Characteristic cubic of the upper walk bracket; its root minus one is ``upper_cubic``."""
+    inputs = _bound_inputs(g)
+    return Polynomial(bracket_cubics(inputs.c, inputs.sb, inputs.f1)[1])
 
 
 def inequality_polynomial(g: ThresholdGraph) -> Polynomial:
@@ -181,47 +162,9 @@ def inequality_check(g: ThresholdGraph, rho: float) -> tuple[bool, float]:
     return slack >= -_INEQUALITY_REL * scale, slack
 
 
-def inequality_root(g: ThresholdGraph) -> float:
-    """Largest real root of the inequality quartic; sits at or below rho.
-
-    The quartic is nonnegative at rho and has positive leading
-    coefficient, so its rightmost sign change happens at or below rho.
-    The root is found without rho: Newton starts above every root, and
-    the bracket around the result is certified exactly.
-    """
-    return _inequality_root(_bound_inputs(g))
-
-
 # ---------------------------------------------------------------------------
 # the bounds from precomputed inputs
 # ---------------------------------------------------------------------------
-
-
-def _lower_cubic_polynomial(inputs: _Inputs) -> Polynomial:
-    c = inputs.c
-    return Polynomial((1, -(c + 1), c, -inputs.f1))
-
-
-def _upper_cubic_polynomial(inputs: _Inputs) -> Polynomial:
-    c, sb = inputs.c, inputs.sb
-    return Polynomial((1, -(c + 1), c - sb, c * sb - inputs.f1))
-
-
-def _lower_cubic(inputs: _Inputs) -> float:
-    return greatest_real_root(_lower_cubic_polynomial(inputs)).value - 1.0
-
-
-def _upper_cubic(inputs: _Inputs) -> float:
-    return greatest_real_root(_upper_cubic_polynomial(inputs)).value - 1.0
-
-
-def _lower_corollary(inputs: _Inputs) -> float:
-    return inputs.c - 1.0 + inputs.f1 / float(inputs.n * inputs.n)
-
-
-def _lower_quadratic(inputs: _Inputs) -> float:
-    c = inputs.c
-    return (c - 2.0 + sqrt(c * c + 4.0 * inputs.f1 / (c - 1.0))) / 2.0
 
 
 def _inequality_polynomial(inputs: _Inputs) -> Polynomial:
@@ -239,10 +182,6 @@ def _inequality_polynomial(inputs: _Inputs) -> Polynomial:
             -t3,
         )
     )
-
-
-def _inequality_root(inputs: _Inputs) -> float:
-    return greatest_real_root(_inequality_polynomial(inputs)).value
 
 
 def bound_report(g: ThresholdGraph, allow_inapplicable: bool = False) -> BoundReport:
@@ -274,11 +213,13 @@ def bound_report(g: ThresholdGraph, allow_inapplicable: bool = False) -> BoundRe
                 applicable=False,
             )
         raise
-    lo_cubic = _lower_cubic(inputs)
-    lo_corollary = _lower_corollary(inputs)
-    lo_quadratic = _lower_quadratic(inputs)
-    up_cubic = _upper_cubic(inputs)
-    ineq_root = _inequality_root(inputs)
+    c, f1 = inputs.c, inputs.f1
+    lower, upper = bracket_cubics(c, inputs.sb, f1)
+    lo_cubic = greatest_real_root(Polynomial(lower)).value - 1.0
+    lo_corollary = c - 1.0 + f1 / float(inputs.n * inputs.n)
+    lo_quadratic = (c - 2.0 + sqrt(c * c + 4.0 * f1 / (c - 1.0))) / 2.0
+    up_cubic = greatest_real_root(Polynomial(upper)).value - 1.0
+    ineq_root = greatest_real_root(_inequality_polynomial(inputs)).value
     lowers = (lo_cubic, lo_corollary, lo_quadratic, ineq_root)
     sandwich_ok = max(lowers) <= rho + SANDWICH_TOL and rho <= up_cubic + SANDWICH_TOL
     gaps = {

@@ -209,7 +209,7 @@ def _cmd_walks(args) -> str:
 
 
 def _cmd_enumerate(args) -> str:
-    census = enumerate_threshold_graphs(args.n, args.m, connected_only=True)
+    census = enumerate_threshold_graphs(args.n, args.m)
     if not census:
         raise ValueError(f"no connected threshold graph has n = {args.n}, m = {args.m}")
     reports = [bound_report(g, allow_inapplicable=True) for g in census]

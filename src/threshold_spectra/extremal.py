@@ -158,26 +158,16 @@ def _connected_census(n: int, m: int) -> Iterator[ThresholdGraph]:
             yield from_bzp(c, b)
 
 
-def enumerate_threshold_graphs(
-    n: int, m: int, connected_only: bool = True
-) -> list[ThresholdGraph]:
-    """All threshold graphs with n vertices and m edges, one per class.
+def enumerate_threshold_graphs(n: int, m: int) -> list[ThresholdGraph]:
+    """All connected threshold graphs with n vertices and m edges, one per class.
 
-    Connected graphs come first, ordered by (c ascending, b descending
-    lexicographic).  With ``connected_only`` false, disconnected graphs
-    follow: each is a smaller connected graph padded with isolated
-    vertices, ordered by pad size.
+    Ordered by (c ascending, b descending lexicographic).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if m < 0 or m > comb(n, 2):
         raise ValueError(f"m must lie in [0, C(n,2)] = [0, {comb(n, 2)}], got {m}")
-    graphs = list(_connected_census(n, m))
-    if not connected_only:
-        for pad in range(1, n):
-            for core in _connected_census(n - pad, m):
-                graphs.append(from_generating_sequence(core.bits + (0,) * pad))
-    return graphs
+    return list(_connected_census(n, m))
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +188,7 @@ def find_extremal(
     for name, tol in (("tie_tol", tie_tol), ("near_tie_tol", near_tie_tol)):
         if not 0.0 <= tol < float("inf"):
             raise ValueError(f"{name} must be a finite number >= 0, got {tol!r}")
-    census = enumerate_threshold_graphs(n, m, connected_only=True)
+    census = enumerate_threshold_graphs(n, m)
     if not census:
         raise ValueError(f"no connected threshold graph has n = {n}, m = {m}")
     radii = [spectral_radius(g) for g in census]

@@ -261,10 +261,11 @@ def to_composition(g: ThresholdGraph) -> CompositionSpec:
 
 
 def to_bzp(g: ThresholdGraph) -> BzpSequence:
-    """Count, for each type-0 vertex in insertion order, the later ones."""
+    """Count, for each type-0 vertex in insertion order, the later ones.
+
+    A complete graph has no type-0 vertex and encodes as ``BzpSequence(c, ())``.
+    """
     _require_connected(g, "bzp encoding")
-    if g.z == 0:
-        raise ValueError("bzp encoding needs at least one type-0 vertex (z >= 1)")
     b: list[int] = []
     ones_seen_after = 0
     for bit in reversed(g.bits):
@@ -355,7 +356,7 @@ def degree_sequence(g: ThresholdGraph) -> tuple[int, ...]:
     """
     _require_connected(g, "degree sequence")
     ones = [g.c - 1 + f for f in reversed(to_fop(g).f)]
-    return tuple(ones + (list(to_bzp(g).b) if g.z else []))
+    return tuple(ones) + to_bzp(g).b
 
 
 def adjacency_matrix(g: ThresholdGraph) -> np.ndarray:
@@ -378,7 +379,7 @@ def adjacency_matrix(g: ThresholdGraph) -> np.ndarray:
 def to_json_dict(g: ThresholdGraph) -> dict:
     """JSON-ready description with all encodings spelled out."""
     if g.is_connected:
-        bzp = list(to_bzp(g).b) if g.z >= 1 else []
+        bzp = list(to_bzp(g).b)
         fop = list(to_fop(g).f)
         degrees = list(degree_sequence(g))
     else:

@@ -22,6 +22,7 @@ positive Taylor coefficients just above it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +63,11 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Integer polynomial, coefficients in descending powers, leading > 0."""
+    """Integer polynomial, coefficients in descending powers, leading > 0.
+
+    Degree at most 4, and every coefficient within float range: the root
+    search evaluates in floats before it certifies in integers.
+    """
 
     coefficients: tuple[int, ...]
 
@@ -73,6 +78,12 @@ class Polynomial:
             raise ValueError("only degrees up to 4 are supported")
         if not all(isinstance(a, int) for a in self.coefficients):
             raise ValueError(f"coefficients must be integers, got {self.coefficients}")
+        for i, a in enumerate(self.coefficients):
+            if abs(a) > sys.float_info.max:
+                raise ValueError(
+                    f"coefficient {i} (of x^{len(self.coefficients) - 1 - i}) is beyond "
+                    f"float range: |a| > {sys.float_info.max!r}"
+                )
         if self.coefficients[0] <= 0:
             raise ValueError(f"leading coefficient must be positive, got {self.coefficients[0]}")
 

@@ -19,7 +19,10 @@ integers throughout:
   sandwiched between two order-3 linear recurrences: ``lw_prime`` keeps
   only single-zero-run contributions (a lower bound) and
   ``lw_double_prime`` overcounts via ``F_p <= F_1 * (sum b)^(p-1)``
-  (an upper bound).
+  (an upper bound).  Their characteristic cubics depend on c, sum b and
+  F_1 alone and are written once, in :func:`bracket_cubics`; the lower
+  and upper cubic bounds of :mod:`threshold_spectra.bounds` are built
+  from the same two tuples.
 
 The growth rate of ``LW_k`` recovers the spectral radius: the k-th root
 and the consecutive ratio both converge to ``1 + rho``.
@@ -52,7 +55,7 @@ from .graph_model import (
 
 __all__ = [
     "WalkTable",
-    "count_lazy_walks",
+    "bracket_cubics",
     "count_walks_with_signature",
     "fp_sequence",
     "fp_via_max_indices",
@@ -256,23 +259,6 @@ def lw_bruteforce(g: ThresholdGraph, kmax: int) -> list[int]:
     return values[: kmax + 1]
 
 
-def count_lazy_walks(g: ThresholdGraph, start_set, end_set, k: int) -> int:
-    """Exact number of k-step lazy walks from ``start_set`` to ``end_set``.
-
-    Vertex indices refer to the canonical (degree-sorted) order used by
-    :func:`threshold_spectra.graph_model.adjacency_matrix`.
-    """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    starts = _validated_vertex_set(start_set, g.n, "start_set")
-    ends = _validated_vertex_set(end_set, g.n, "end_set")
-    closed = _closed_neighbourhood(g)
-    vector = [1 if v in ends else 0 for v in range(g.n)]
-    for _ in range(k):
-        vector = [sum(vector[u] for u in closed[v]) for v in range(g.n)]
-    return sum(vector[v] for v in starts)
-
-
 def lw_recurrence(g: ThresholdGraph, kmax: int, pmax: int | None = None) -> WalkTable:
     """LW_0 .. LW_kmax by the F-convolution recurrence, plus both brackets.
 
@@ -288,7 +274,7 @@ def lw_recurrence(g: ThresholdGraph, kmax: int, pmax: int | None = None) -> Walk
     """
     _check_kmax(kmax)
     _require_connected(g, "lw_recurrence")
-    bzp = _bzp_or_empty(g)
+    bzp = to_bzp(g)
     c = g.c
     needed = (kmax - 3) // 2 + 1 if kmax >= 3 else 1
     top = max(needed, pmax if pmax is not None else 0, 1)
@@ -304,33 +290,44 @@ def lw_recurrence(g: ThresholdGraph, kmax: int, pmax: int | None = None) -> Walk
     for k in range(1, kmax + 1):
         head = max(k - 2, 0)
         lw.append(c * lw[k - 1] + sum(map(mul, lw[:head], reversed(closing[:head]))))
+    lower, upper = _bzp_cubics(bzp)
     return WalkTable(
         lw=tuple(lw),
-        lw_prime=tuple(lw_prime(g, kmax)),
-        lw_double_prime=tuple(lw_double_prime(g, kmax)),
+        lw_prime=tuple(_order_three(lower, c, kmax)),
+        lw_double_prime=tuple(_order_three(upper, c, kmax)),
         fp=tuple(fp),
     )
+
+
+def bracket_cubics(c: int, sb: int, f1: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Characteristic cubics of the lower and upper bracket sequences.
+
+    Coefficients run in descending powers, from c, ``sb = sum b`` and
+    ``F_1 = sum b_i^2``:
+
+    * lower (``LW'``): ``x^3 - (c+1) x^2 + c x - F_1``.  Its value at
+      x = c is -F_1 < 0 when z >= 1, so its largest root exceeds c.
+    * upper (``LW''``): ``x^3 - (c+1) x^2 + (c - sum b) x + (c sum b - F_1)``.
+
+    The largest root of each, minus one, is the lower or upper cubic
+    bound on the spectral radius.
+    """
+    return (1, -(c + 1), c, -f1), (1, -(c + 1), c - sb, c * sb - f1)
 
 
 def lw_prime(g: ThresholdGraph, kmax: int) -> list[int]:
     """Lower-bracket sequence: only single-zero-run closings are kept.
 
     ``LW'_k = c^k`` for k <= 2 and ``LW'_k = c * LW'_{k-1} +
-    F_1 * sum_{r=0}^{k-3} LW'_r`` afterwards.  Equivalently it solves
-    the order-3 recurrence with characteristic polynomial
-    ``x^3 - (c+1) x^2 + c x - F_1``.
+    F_1 * sum_{r=0}^{k-3} LW'_r`` afterwards.  Differencing that sum
+    gives the order-3 recurrence with the lower cubic of
+    :func:`bracket_cubics` as characteristic polynomial, which is how it
+    is evaluated.
     """
     _check_kmax(kmax)
     _require_connected(g, "lw_prime")
-    bzp = _bzp_or_empty(g)
-    c = g.c
-    f1 = sum(bi * bi for bi in bzp.b)
-    values = [c**k for k in range(min(kmax, 2) + 1)]
-    prefix = 0  # running sum of LW'_0 .. LW'_{k-3}
-    for k in range(3, kmax + 1):
-        prefix += values[k - 3]
-        values.append(c * values[k - 1] + f1 * prefix)
-    return values
+    lower, _ = _bzp_cubics(to_bzp(g))
+    return _order_three(lower, g.c, kmax)
 
 
 def lw_double_prime(g: ThresholdGraph, kmax: int) -> list[int]:
@@ -338,22 +335,14 @@ def lw_double_prime(g: ThresholdGraph, kmax: int) -> list[int]:
 
     Same convolution shape as the exact recurrence, with each F value
     overestimated geometrically.  Summing that geometric closing series
-    gives the order-3 recurrence with characteristic polynomial
-    ``x^3 - (c+1) x^2 + (c - sum b) x + (c * sum b - F_1)``, evaluated
-    here from ``LW''_k = c^k`` for k <= 2.
+    gives the order-3 recurrence with the upper cubic of
+    :func:`bracket_cubics` as characteristic polynomial, evaluated here
+    from ``LW''_k = c^k`` for k <= 2.
     """
     _check_kmax(kmax)
     _require_connected(g, "lw_double_prime")
-    bzp = _bzp_or_empty(g)
-    c = g.c
-    f1 = sum(bi * bi for bi in bzp.b)
-    sb = sum(bzp.b)
-    values = [c**k for k in range(min(kmax, 2) + 1)]
-    for k in range(3, kmax + 1):
-        values.append(
-            (c + 1) * values[k - 1] - (c - sb) * values[k - 2] - (c * sb - f1) * values[k - 3]
-        )
-    return values
+    _, upper = _bzp_cubics(to_bzp(g))
+    return _order_three(upper, g.c, kmax)
 
 
 def growth_estimate(sequence) -> tuple[float, float]:
@@ -373,6 +362,23 @@ def growth_estimate(sequence) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
+
+
+def _bzp_cubics(bzp: BzpSequence) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    return bracket_cubics(bzp.c, sum(bzp.b), sum(bi * bi for bi in bzp.b))
+
+
+def _order_three(cubic: tuple[int, ...], c: int, kmax: int) -> list[int]:
+    """Terms 0 .. kmax of the recurrence with characteristic polynomial ``cubic``.
+
+    The first three terms are c^0, c^1, c^2; a monic cubic ``(1, a1, a2,
+    a3)`` then gives ``v_k = -a1 v_{k-1} - a2 v_{k-2} - a3 v_{k-3}``.
+    """
+    _, a1, a2, a3 = cubic
+    values = [c**k for k in range(min(kmax, 2) + 1)]
+    for k in range(3, kmax + 1):
+        values.append(-a1 * values[k - 1] - a2 * values[k - 2] - a3 * values[k - 3])
+    return values
 
 
 def _int_matvec(matrix: list[list[int]], vector: list[int]) -> list[int]:
@@ -397,21 +403,6 @@ def _closed_neighbourhood(g: ThresholdGraph) -> list[list[int]]:
     a = adjacency_matrix(g)
     n = g.n
     return [[u for u in range(n) if u == v or a[v, u]] for v in range(n)]
-
-
-def _bzp_or_empty(g: ThresholdGraph) -> BzpSequence:
-    if g.z == 0:
-        return BzpSequence(c=g.c, b=())
-    return to_bzp(g)
-
-
-def _validated_vertex_set(vertices, n: int, name: str) -> set[int]:
-    out = {int(v) for v in vertices}
-    if not out:
-        raise ValueError(f"{name} must be nonempty")
-    if any(v < 0 or v >= n for v in out):
-        raise ValueError(f"{name} contains out-of-range vertices for n = {n}")
-    return out
 
 
 def _check_p(p: int) -> None:

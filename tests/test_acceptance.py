@@ -27,7 +27,6 @@ from threshold_spectra import (
     fp_via_zero_overlap,
     greatest_real_root,
     inequality_polynomial,
-    inequality_root,
     lower_cubic_polynomial,
     lw_bruteforce,
     lw_double_prime,
@@ -79,7 +78,7 @@ def test_criterion_2_fp_five_route_agreement():
     for n in range(2, 8):
         for g in connected_graphs(n):
             fop = to_fop(g)
-            bzp = to_bzp(g) if g.z >= 1 else BzpSequence(g.c, ())
+            bzp = to_bzp(g)
             seq = fp_sequence(bzp, 5)
             for p in range(6):
                 checked += 1
@@ -145,7 +144,7 @@ def test_criterion_4_bracketing_and_order3_recurrences():
             if not all(a <= b <= c for a, b, c in zip(lo, mid, hi)):
                 failures.append((g.generating_string, "bracket"))
                 continue
-            b = to_bzp(g).b if g.z >= 1 else ()
+            b = to_bzp(g).b
             c_, sb, f1 = g.c, sum(b), sum(x * x for x in b)
             for k in range(3, 21):
                 if lo[k] != (c_ + 1) * lo[k - 1] - c_ * lo[k - 2] + f1 * lo[k - 3]:

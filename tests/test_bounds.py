@@ -14,15 +14,10 @@ from threshold_spectra import (
     greatest_real_root,
     inequality_check,
     inequality_polynomial,
-    inequality_root,
-    lower_corollary,
-    lower_cubic,
     lower_cubic_polynomial,
-    lower_quadratic,
     parse_composition,
     spectral_radius,
     to_bzp,
-    upper_cubic,
     upper_cubic_polynomial,
 )
 from threshold_spectra.bounds import SANDWICH_TOL
@@ -52,13 +47,13 @@ def applicable_graphs(n_range):
 
 
 def test_corollary_reference_values():
-    assert lower_corollary(PAW) == pytest.approx(2.0625, abs=1e-12)
-    assert lower_corollary(G10101) == pytest.approx(2.2, abs=1e-12)
+    assert bound_report(PAW).lower_corollary == pytest.approx(2.0625, abs=1e-12)
+    assert bound_report(G10101).lower_corollary == pytest.approx(2.2, abs=1e-12)
 
 
 def test_quadratic_reference_values():
-    assert lower_quadratic(PAW) == pytest.approx((1 + math.sqrt(11)) / 2, abs=1e-12)
-    assert lower_quadratic(G10101) == pytest.approx((1 + math.sqrt(19)) / 2, abs=1e-12)
+    assert bound_report(PAW).lower_quadratic == pytest.approx((1 + math.sqrt(11)) / 2, abs=1e-12)
+    assert bound_report(G10101).lower_quadratic == pytest.approx((1 + math.sqrt(19)) / 2, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +73,7 @@ def test_lower_cubic_root_exceeds_c():
     for g in applicable_graphs(range(4, 9)):
         root = greatest_real_root(lower_cubic_polynomial(g)).value
         assert root > g.c
-        assert lower_cubic(g) > g.c - 1
+        assert bound_report(g).lower_cubic > g.c - 1
 
 
 def test_upper_cubic_tight_when_single_type0_vertex():
@@ -86,7 +81,8 @@ def test_upper_cubic_tight_when_single_type0_vertex():
     # cubic's shifted root reproduces rho itself
     for g in applicable_graphs(range(4, 8)):
         if g.z == 1:
-            assert upper_cubic(g) == pytest.approx(spectral_radius(g), abs=1e-9)
+            report = bound_report(g)
+            assert report.upper_cubic == pytest.approx(report.rho, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -227,18 +223,18 @@ def test_equality_exactly_when_blocks_are_extreme():
 
 
 def test_inequality_root_reference_values():
-    rho = spectral_radius(G11011)
-    root = inequality_root(G11011)
-    assert root == pytest.approx(3.3128057713129895, abs=1e-9)
-    assert 1e-3 < rho - root < 0.02
+    report = bound_report(G11011)
+    assert report.inequality_root == pytest.approx(3.3128057713129895, abs=1e-9)
+    assert 1e-3 < report.rho - report.inequality_root < 0.02
     # equality case: the root reproduces rho
-    assert inequality_root(G10101) == pytest.approx(spectral_radius(G10101), abs=1e-9)
+    report = bound_report(G10101)
+    assert report.inequality_root == pytest.approx(spectral_radius(G10101), abs=1e-9)
 
 
 def test_inequality_root_never_exceeds_rho():
     for g in applicable_graphs(range(4, 9)):
-        rho = spectral_radius(g)
-        assert inequality_root(g) <= rho + SANDWICH_TOL
+        report = bound_report(g)
+        assert report.inequality_root <= report.rho + SANDWICH_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +253,9 @@ def test_inequality_root_never_exceeds_rho():
 )
 def test_preconditions_rejected(bits, fragment):
     g = graph(bits)
+    # bound_report reads rho first, and a disconnected graph has none
     with pytest.raises(PreconditionError, match=fragment):
-        lower_corollary(g)
+        lower_cubic_polynomial(g)
     if g.is_connected:
         with pytest.raises(PreconditionError, match=fragment):
             bound_report(g)

@@ -130,10 +130,8 @@ def test_bzp_examples():
 
 
 def test_bzp_round_trip_and_size():
-    for n in range(2, 11):
+    for n in range(1, 11):
         for g in connected_graphs(n):
-            if g.z == 0:
-                continue
             seq = to_bzp(g)
             assert from_bzp(seq.c, seq.b) == g
             assert seq.size == g.m
@@ -158,8 +156,8 @@ def test_bzp_validation(c, b):
 def test_bzp_requires_connected_and_z():
     with pytest.raises(ValueError):
         to_bzp(graph("1010"))
-    with pytest.raises(ValueError):
-        to_bzp(graph("111"))
+    # a complete graph (z = 0) encodes as the empty b
+    assert to_bzp(graph("111")) == BzpSequence(3, ())
 
 
 def test_fop_examples():
@@ -209,8 +207,7 @@ def test_degree_sequence_structure():
             assert sum(degs) == 2 * g.m
             assert all(a >= b for a, b in zip(degs, degs[1:]))
             assert degs[g.c - 1] == g.c - 1
-            if g.z >= 1:
-                assert degs[g.c:] == to_bzp(g).b
+            assert degs[g.c:] == to_bzp(g).b
             if n >= 2:
                 assert degs[0] == n - 1  # a dominating vertex exists
 

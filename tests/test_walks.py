@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from threshold_spectra import (
     BzpSequence,
-    count_lazy_walks,
     count_walks_with_signature,
     fp_sequence,
     fp_via_max_indices,
@@ -85,7 +84,7 @@ def test_all_fp_routes_agree():
     for n in range(2, 7):
         for g in connected_graphs(n):
             fop = to_fop(g)
-            bzp = to_bzp(g) if g.z >= 1 else BzpSequence(g.c, ())
+            bzp = to_bzp(g)
             seq = fp_sequence(bzp, 4)
             for p in range(5):
                 reference = seq[p]
@@ -114,25 +113,6 @@ def test_signature_width_invariance():
 def test_signature_validation(signature):
     with pytest.raises(ValueError):
         count_walks_with_signature(G10101, signature)
-
-
-def test_count_lazy_walks_pointwise():
-    # index 2 in the canonical (degree-sorted) order is a triangle vertex
-    assert count_lazy_walks(PAW, {2}, {2}, 2) == 3
-    # summed over all pairs of type-1 endpoints this is LW_k for k >= 1
-    table = lw_recurrence(G10101, 4)
-    ones = set(range(G10101.c))
-    for k in range(1, 5):
-        assert count_lazy_walks(G10101, ones, ones, k - 1) == table.lw[k]
-
-
-def test_count_lazy_walks_validation():
-    with pytest.raises(ValueError):
-        count_lazy_walks(PAW, set(), {0}, 1)
-    with pytest.raises(ValueError):
-        count_lazy_walks(PAW, {0}, {7}, 1)
-    with pytest.raises(ValueError):
-        count_lazy_walks(PAW, {0}, {1}, -1)
 
 
 def test_recurrence_matches_bruteforce():
@@ -165,8 +145,6 @@ def test_bracketing_sequences():
 def test_bracket_recurrences_are_order_three():
     for n in range(3, 8):
         for g in connected_graphs(n):
-            if g.z < 1:
-                continue
             b = to_bzp(g).b
             c, sb, f1 = g.c, sum(b), sum(x * x for x in b)
             lo = lw_prime(g, 12)
@@ -224,7 +202,7 @@ def test_lw_double_prime_matches_its_convolution_definition():
     # LW''_k = c LW''_{k-1} + sum_r LW''_r sum_q C(k-3-r-q, q) F_1 (sum b)^q
     for n in range(1, 10):
         for g in connected_graphs(n):
-            b = to_bzp(g).b if g.z else ()
+            b = to_bzp(g).b
             f1, sb = sum(bi * bi for bi in b), sum(b)
             expected = [1]
             for k in range(1, 21):
