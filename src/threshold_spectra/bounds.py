@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, sqrt
 
-from .graph_model import ThresholdGraph, to_bzp
+from .graph_model import ThresholdGraph, _classes
 from .spectral import Polynomial, greatest_real_root, spectral_radius
 from .walks import bracket_cubics
 
@@ -77,7 +77,8 @@ class _Inputs:
     """What every bound reads: c, z, n, sum b, F_1 and the degree tail.
 
     The tail is the degree sequence from canonical position c - 1 on,
-    which is c - 1 followed by the bzp values b.
+    which is c - 1 followed by the bzp values b; it is held as
+    ``(count, degree)`` pairs, one per twin class.
     """
 
     c: int
@@ -85,15 +86,20 @@ class _Inputs:
     n: int
     sb: int
     f1: int
-    tail: tuple[int, ...]
+    tail: tuple[tuple[int, int], ...]
 
 
 def _bound_inputs(g: ThresholdGraph) -> _Inputs:
     """The bound inputs, after checking the standing assumptions."""
     require_applicable(g)
-    b = to_bzp(g).b
+    zeros = tuple((size, d) for symbol, _, size, d in _classes(g) if symbol == 0)
     return _Inputs(
-        c=g.c, z=g.z, n=g.n, sb=sum(b), f1=sum(bi * bi for bi in b), tail=(g.c - 1,) + b
+        c=g.c,
+        z=g.z,
+        n=g.n,
+        sb=sum(size * d for size, d in zeros),
+        f1=sum(size * d * d for size, d in zeros),
+        tail=((1, g.c - 1),) + zeros,
     )
 
 
@@ -155,7 +161,8 @@ def inequality_check(g: ThresholdGraph, rho: float) -> tuple[bool, float]:
     s = c - 1 + inputs.sb
     left = rho * ((rho - c + 2.0) * (rho * rho + rho - (z + 1.0)) - s) * (c - 2.0)
     right = sum(
-        (d * (rho * rho - (z + 1.0)) - rho * (rho - c + 2.0) + s) * (d - 1.0) for d in tail
+        count * (d * (rho * rho - (z + 1.0)) - rho * (rho - c + 2.0) + s) * (d - 1.0)
+        for count, d in tail
     )
     slack = left - right
     scale = max(1.0, abs(left), abs(right))
@@ -170,9 +177,9 @@ def inequality_check(g: ThresholdGraph, rho: float) -> tuple[bool, float]:
 def _inequality_polynomial(inputs: _Inputs) -> Polynomial:
     c, z, tail = inputs.c, inputs.z, inputs.tail
     s = c - 1 + inputs.sb
-    t1 = sum((d - 1) ** 2 for d in tail)
-    t2 = sum(d - 1 for d in tail)
-    t3 = sum((d - 1) * (s - d * (z + 1)) for d in tail)
+    t1 = sum(count * (d - 1) ** 2 for count, d in tail)
+    t2 = sum(count * (d - 1) for count, d in tail)
+    t3 = sum(count * (d - 1) * (s - d * (z + 1)) for count, d in tail)
     return Polynomial(
         (
             c - 2,

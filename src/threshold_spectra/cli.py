@@ -72,16 +72,14 @@ def parse_graph_spec(text: str) -> ThresholdGraph:
 # ---------------------------------------------------------------------------
 
 
-def _csv_float(x) -> str:
+def _csv_cell(x) -> str:
     if x is None:
         return ""
-    return format(float(x), ".17g")
-
-
-def _csv_bool(x) -> str:
-    if x is None:
-        return ""
-    return "true" if x else "false"
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, float):
+        return format(x, ".17g")
+    return str(x)
 
 
 def _json_text(obj) -> str:
@@ -92,17 +90,29 @@ def _human_float(x) -> str:
     return format(float(x), ".12g")
 
 
+_BOUND_COLUMNS = (
+    "rho",
+    "lower_cubic",
+    "lower_corollary",
+    "lower_quadratic",
+    "upper_cubic",
+    "inequality_root",
+)
+
+
+def _bound_cells(report) -> list:
+    return [getattr(report, column) for column in _BOUND_COLUMNS]
+
+
 def _report_dict(report) -> dict:
-    return {
-        "rho": report.rho,
-        "lower_cubic": report.lower_cubic,
-        "lower_corollary": report.lower_corollary,
-        "lower_quadratic": report.lower_quadratic,
-        "upper_cubic": report.upper_cubic,
-        "inequality_root": report.inequality_root,
+    return dict(zip(_BOUND_COLUMNS, _bound_cells(report))) | {
         "sandwich_ok": report.sandwich_ok,
         "gaps": report.gaps,
     }
+
+
+def _csv_line(cells) -> str:
+    return ",".join(map(_csv_cell, cells))
 
 
 # ---------------------------------------------------------------------------
@@ -116,25 +126,9 @@ def _cmd_analyze(args) -> str:
     if args.json:
         return _json_text({"graph": to_json_dict(g)} | _report_dict(report))
     if args.csv:
-        header = (
-            "generating,n,m,c,z,rho,lower_cubic,lower_corollary,"
-            "lower_quadratic,upper_cubic,inequality_root,sandwich_ok"
-        )
-        row = ",".join(
-            [
-                g.generating_string,
-                str(g.n),
-                str(g.m),
-                str(g.c),
-                str(g.z),
-                _csv_float(report.rho),
-                _csv_float(report.lower_cubic),
-                _csv_float(report.lower_corollary),
-                _csv_float(report.lower_quadratic),
-                _csv_float(report.upper_cubic),
-                _csv_float(report.inequality_root),
-                _csv_bool(report.sandwich_ok),
-            ]
+        header = _csv_line(["generating", "n", "m", "c", "z", *_BOUND_COLUMNS, "sandwich_ok"])
+        row = _csv_line(
+            [g.generating_string, g.n, g.m, g.c, g.z, *_bound_cells(report), report.sandwich_ok]
         )
         return header + "\n" + row + "\n"
     info = to_json_dict(g)
@@ -241,27 +235,10 @@ def _cmd_enumerate(args) -> str:
         }
         return _json_text(payload)
     if args.csv:
-        lines = [
-            "generating,c,z,m,rho,lower_cubic,lower_corollary,"
-            "lower_quadratic,upper_cubic,inequality_root,is_max"
-        ]
+        lines = [_csv_line(["generating", "c", "z", "m", *_BOUND_COLUMNS, "is_max"])]
         for g, report, is_max in zip(census, reports, flags):
             lines.append(
-                ",".join(
-                    [
-                        g.generating_string,
-                        str(g.c),
-                        str(g.z),
-                        str(g.m),
-                        _csv_float(report.rho),
-                        _csv_float(report.lower_cubic),
-                        _csv_float(report.lower_corollary),
-                        _csv_float(report.lower_quadratic),
-                        _csv_float(report.upper_cubic),
-                        _csv_float(report.inequality_root),
-                        _csv_bool(is_max),
-                    ]
-                )
+                _csv_line([g.generating_string, g.c, g.z, g.m, *_bound_cells(report), is_max])
             )
         return "\n".join(lines) + "\n"
     lines = [f"census n={args.n} m={args.m}: {len(census)} graph(s)", ""]
@@ -425,8 +402,12 @@ def run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: --output: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

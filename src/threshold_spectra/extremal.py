@@ -29,12 +29,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
-from .graph_model import (
-    ThresholdGraph,
-    _composition_bits,
-    from_bzp,
-    from_generating_sequence,
-)
+from .graph_model import ThresholdGraph, _block_runs, _from_runs, from_bzp
 from .spectral import spectral_radius
 
 __all__ = [
@@ -222,12 +217,10 @@ def _family(n: int, m: int, blocks: tuple[int, ...]) -> ThresholdGraph | None:
     Returns None unless the expansion is a connected graph with exactly
     n vertices and m edges.
     """
-    if any(p < 0 for p in blocks):
+    runs = _block_runs(blocks)
+    if any(p < 0 for p in blocks) or not any(p for symbol, p in runs if symbol == 1):
         return None
-    bits = _composition_bits(blocks)
-    if not bits or sum(bits) == 0:
-        return None
-    g = from_generating_sequence(bits)
+    g = _from_runs(runs)
     if g.n != n or g.m != m or not g.is_connected:
         return None
     return g
@@ -335,34 +328,15 @@ def verify_predictions(n_values) -> VerificationReport:
                 continue
             result = find_extremal(n, m)
             maximizers = set(result.maximizers)
+            entries = []
             if prediction.asserted:
                 ok = bool(maximizers) and maximizers <= set(prediction.asserted)
-                rows.append(
-                    VerificationRow(
-                        n=n,
-                        m=m,
-                        kind="asserted",
-                        rule=prediction.rule,
-                        predicted=prediction.asserted,
-                        maximizers=result.maximizers,
-                        ok=ok,
-                        note="subset of predicted set" if ok else "maximizer outside predicted set",
-                    )
-                )
+                note = "subset of predicted set" if ok else "maximizer outside predicted set"
+                entries.append(("asserted", prediction.rule, prediction.asserted, ok, note))
             if prediction.large_n is not None:
                 hit = prediction.large_n in maximizers
-                rows.append(
-                    VerificationRow(
-                        n=n,
-                        m=m,
-                        kind="large-n",
-                        rule="m=n+t",
-                        predicted=(prediction.large_n,),
-                        maximizers=result.maximizers,
-                        ok=None,
-                        note="matches" if hit else "does not match at this n",
-                    )
-                )
+                note = "matches" if hit else "does not match at this n"
+                entries.append(("large-n", "m=n+t", (prediction.large_n,), None, note))
             if prediction.conjecture is not None:
                 pair = prediction.conjecture
                 in_a = pair.candidate_a in maximizers
@@ -376,16 +350,9 @@ def verify_predictions(n_values) -> VerificationReport:
                 else:
                     note = "neither candidate maximizes"
                 predicted = tuple(g for g in (pair.candidate_a, pair.candidate_b) if g is not None)
-                rows.append(
-                    VerificationRow(
-                        n=n,
-                        m=m,
-                        kind="conjecture",
-                        rule="open case",
-                        predicted=predicted,
-                        maximizers=result.maximizers,
-                        ok=None,
-                        note=note,
-                    )
-                )
+                entries.append(("conjecture", "open case", predicted, None, note))
+            rows += [
+                VerificationRow(n, m, kind, rule, predicted, result.maximizers, ok, note)
+                for kind, rule, predicted, ok, note in entries
+            ]
     return VerificationReport(rows=tuple(rows))

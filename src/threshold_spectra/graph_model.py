@@ -1,12 +1,15 @@
-"""Threshold graphs and their interchangeable encodings.
+"""Threshold graphs, held as their twin classes, and their encodings.
 
 A threshold graph is assembled one vertex at a time: each new vertex is
 joined either to every vertex placed before it (a type-1 vertex) or to
 none of them (a type-0 vertex).  Recording one bit per vertex yields a
-generating sequence, and every other representation handled here is a
-reshaping of that sequence:
+generating sequence.  The vertices of one run of that sequence are
+twins (they have the same neighbours), so the runs are an equitable
+partition (Brouwer & Haemers, *Spectra of Graphs* 2.3), and a graph is
+held as its run lengths alone.  Every other representation handled here
+is read from one table of those twin classes:
 
-* composition blocks ``G{p1,...,pk}``: the run lengths of the sequence.
+* composition blocks ``G{p1,...,pk}``: the run lengths themselves.
   The last block always consists of type-1 symbols; an odd number of
   blocks starts with a run of ones, an even number with a run of zeros.
 * bzp sequence (backward zero positions): for the i-th type-0 vertex,
@@ -18,9 +21,10 @@ reshaping of that sequence:
   of type-0 neighbours.  Nondecreasing, starts at 0, ends at ``z``.
 
 The first bit of a generating sequence never affects the graph, so it is
-stored canonically as 1.  Two graphs are equal exactly when their
-canonical sequences are equal.  The graph is connected exactly when the
-last bit is 1: the final type-1 vertex dominates everything before it.
+stored canonically as 1: the first run is ones and the runs alternate.
+Two graphs are equal exactly when their canonical runs are equal.  The
+graph is connected exactly when the last bit is 1, i.e. the number of
+runs is odd: the final type-1 vertex dominates everything before it.
 
 Vertices are externally numbered in nonincreasing degree order, type-1
 vertices ahead of type-0 vertices at equal degree.  In that order the
@@ -30,8 +34,8 @@ every entry above it and to its left (off the diagonal) is 1 as well.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
 from math import comb
 
 import numpy as np
@@ -152,13 +156,15 @@ class FopSequence:
 
 @dataclass(frozen=True)
 class ThresholdGraph:
-    """A threshold graph held as its canonical generating sequence.
+    """A threshold graph held as its twin classes.
 
-    Fields are derived once from the sequence: ``n`` vertices, ``m``
-    edges, ``c`` type-1 vertices, ``z = n - c`` type-0 vertices.
+    ``runs`` are the run lengths of the canonical generating sequence:
+    the first run is ones and the runs alternate.  Fields are derived
+    once from them: ``n`` vertices, ``m`` edges, ``c`` type-1 vertices,
+    ``z = n - c`` type-0 vertices.
     """
 
-    bits: tuple[int, ...]
+    runs: tuple[int, ...]
     n: int
     m: int
     c: int
@@ -166,14 +172,70 @@ class ThresholdGraph:
 
     @property
     def is_connected(self) -> bool:
-        return self.bits[-1] == 1
+        return len(self.runs) % 2 == 1
+
+    @property
+    def bits(self) -> tuple[int, ...]:
+        """The canonical generating sequence, one bit per vertex."""
+        return tuple(map(int, self.generating_string))
 
     @property
     def generating_string(self) -> str:
-        return "".join(str(bit) for bit in self.bits)
+        return "".join("10"[i % 2] * size for i, size in enumerate(self.runs))
 
     def __repr__(self) -> str:
         return f"ThresholdGraph({self.generating_string})"
+
+
+def _from_runs(pairs) -> ThresholdGraph:
+    """The graph of ``(symbol, length)`` runs, normalised.
+
+    Empty runs vanish, equal neighbours merge, and the first bit becomes
+    1 (the first vertex has nothing earlier to attach to).  At least one
+    run must be nonempty.
+    """
+    runs = [0]
+    last = 1
+    for symbol, length in pairs:
+        if runs == [0] and length:
+            runs[0], length = 1, length - 1
+        if not length:
+            continue
+        if symbol == last:
+            runs[-1] += length
+        else:
+            runs.append(length)
+            last = symbol
+    n = c = m = 0
+    for i, size in enumerate(runs):
+        if i % 2 == 0:
+            # a type-1 vertex at 0-based index v contributes v edges
+            c += size
+            m += size * n + comb(size, 2)
+        n += size
+    return ThresholdGraph(runs=tuple(runs), n=n, m=m, c=c, z=n - c)
+
+
+def _classes(g: ThresholdGraph) -> tuple[tuple[int, int, int, int], ...]:
+    """``(symbol, start, size, degree)`` per twin class, in canonical order.
+
+    A type-1 vertex is adjacent to every earlier vertex and every later
+    type-1 vertex; a type-0 vertex only to the later type-1 vertices.
+    So type-1 degrees grow along the sequence from c - 1 and type-0
+    degrees shrink from at most c - 1: the canonical order (nonincreasing
+    degree, ones first at a tie) takes the ones runs last to first, then
+    the zero runs first to last.
+    """
+    ones, zeros = [], []
+    start = ones_through = 0
+    for i, size in enumerate(g.runs):
+        if i % 2 == 0:
+            ones_through += size
+            ones.append((1, start, size, start + size - 1 + g.c - ones_through))
+        else:
+            zeros.append((0, start, size, g.c - ones_through))
+        start += size
+    return tuple(ones[::-1] + zeros)
 
 
 def from_generating_sequence(bits) -> ThresholdGraph:
@@ -187,12 +249,7 @@ def from_generating_sequence(bits) -> ThresholdGraph:
         raise ValueError("generating sequence must be nonempty")
     if any(bit not in (0, 1) for bit in seq):
         raise ValueError(f"generating sequence must be 0/1 valued, got {seq}")
-    seq = (1,) + seq[1:]
-    n = len(seq)
-    ones = [i for i, bit in enumerate(seq) if bit == 1]
-    m = sum(ones)  # a type-1 vertex at 0-based index i contributes i edges
-    c = len(ones)
-    return ThresholdGraph(bits=seq, n=n, m=m, c=c, z=n - c)
+    return _from_runs((bit, len(list(run))) for bit, run in groupby(seq))
 
 
 def from_composition(spec) -> ThresholdGraph:
@@ -203,18 +260,13 @@ def from_composition(spec) -> ThresholdGraph:
     """
     if not isinstance(spec, CompositionSpec):
         spec = CompositionSpec(tuple(int(p) for p in spec))
-    return from_generating_sequence(_composition_bits(spec.blocks))
+    return _from_runs(_block_runs(spec.blocks))
 
 
-def _composition_bits(blocks) -> list[int]:
-    """Expand block lengths into bits; a zero-length block expands to nothing."""
+def _block_runs(blocks) -> list[tuple[int, int]]:
+    """``(symbol, length)`` of each block: the last is ones, and they alternate backwards."""
     k = len(blocks)
-    bits: list[int] = []
-    for j, p in enumerate(blocks, start=1):
-        # The last block is ones, and blocks alternate backwards from it.
-        symbol = 1 if (k - j) % 2 == 0 else 0
-        bits.extend([symbol] * p)
-    return bits
+    return [(1 - (k - j) % 2, p) for j, p in enumerate(blocks, start=1)]
 
 
 def parse_composition(text: str) -> CompositionSpec:
@@ -240,41 +292,24 @@ def parse_composition(text: str) -> CompositionSpec:
 
 
 def to_composition(g: ThresholdGraph) -> CompositionSpec:
-    """Run-length encode the canonical sequence.
+    """The runs as composition blocks.
 
     Only defined for connected graphs: the notation cannot end in a run
     of zeros, because the final block is a run of ones by definition.
     """
     _require_connected(g, "composition notation")
-    blocks: list[int] = []
-    run_symbol = g.bits[0]
-    run_length = 0
-    for bit in g.bits:
-        if bit == run_symbol:
-            run_length += 1
-        else:
-            blocks.append(run_length)
-            run_symbol = bit
-            run_length = 1
-    blocks.append(run_length)
-    return CompositionSpec(tuple(blocks))
+    return CompositionSpec(g.runs)
 
 
 def to_bzp(g: ThresholdGraph) -> BzpSequence:
     """Count, for each type-0 vertex in insertion order, the later ones.
 
-    A complete graph has no type-0 vertex and encodes as ``BzpSequence(c, ())``.
+    That count is the vertex's degree.  A complete graph has no type-0
+    vertex and encodes as ``BzpSequence(c, ())``.
     """
     _require_connected(g, "bzp encoding")
-    b: list[int] = []
-    ones_seen_after = 0
-    for bit in reversed(g.bits):
-        if bit == 1:
-            ones_seen_after += 1
-        else:
-            b.append(ones_seen_after)
-    b.reverse()
-    return BzpSequence(c=g.c, b=tuple(b))
+    b = tuple(d for symbol, _, size, d in _classes(g) if symbol == 0 for _ in range(size))
+    return BzpSequence(c=g.c, b=b)
 
 
 def from_bzp(c: int, b) -> ThresholdGraph:
@@ -285,78 +320,56 @@ def from_bzp(c: int, b) -> ThresholdGraph:
     terms it is placed so that exactly ``b[i]`` ones follow it.
     """
     seq = BzpSequence(c=int(c), b=tuple(int(bi) for bi in b))
-    zeros_by_remaining = Counter(seq.b)
-    bits: list[int] = []
-    for j in range(1, seq.c + 1):
-        bits.append(1)
-        # Zeros wanting (c - j) later ones sit right after the j-th one.
-        bits.extend([0] * zeros_by_remaining.get(seq.c - j, 0))
-    return from_generating_sequence(bits)
+    pairs, later_ones = [], seq.c
+    for value, run in groupby(seq.b):
+        # the zeros wanting `value` later ones sit right after the (c - value)-th one
+        pairs += [(1, later_ones - value), (0, len(list(run)))]
+        later_ones = value
+    return _from_runs(pairs + [(1, later_ones)])
 
 
 def to_fop(g: ThresholdGraph) -> FopSequence:
-    """Count, for each type-1 vertex in insertion order, the earlier zeros."""
+    """Count, for each type-1 vertex in insertion order, the earlier zeros.
+
+    A type-1 vertex of degree d has d - (c - 1) of them.
+    """
     _require_connected(g, "fop encoding")
-    f: list[int] = []
-    zeros_seen = 0
-    for bit in g.bits:
-        if bit == 1:
-            f.append(zeros_seen)
-        else:
-            zeros_seen += 1
-    return FopSequence(f=tuple(f), n=g.n)
+    f = tuple(
+        d - (g.c - 1)
+        for symbol, _, size, d in reversed(_classes(g))
+        if symbol == 1
+        for _ in range(size)
+    )
+    return FopSequence(f=f, n=g.n)
 
 
 def from_fop(f, n: int) -> ThresholdGraph:
     """Rebuild the graph whose i-th type-1 vertex has ``f[i]`` earlier zeros."""
     seq = FopSequence(f=tuple(int(fi) for fi in f), n=int(n))
-    bits: list[int] = []
-    previous = 0
-    for fi in seq.f:
-        bits.extend([0] * (fi - previous))
-        bits.append(1)
-        previous = fi
-    return from_generating_sequence(bits)
-
-
-def _insertion_degrees(g: ThresholdGraph) -> list[int]:
-    """Degrees indexed by insertion position.
-
-    A type-1 vertex at 0-based position i is adjacent to all i earlier
-    vertices plus every later type-1 vertex; a type-0 vertex only to the
-    later type-1 vertices.
-    """
-    n = g.n
-    ones_after = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        ones_after[i] = ones_after[i + 1] + (1 if g.bits[i] == 1 else 0)
-    degrees = []
-    for i, bit in enumerate(g.bits):
-        later_ones = ones_after[i + 1]
-        degrees.append(i + later_ones if bit == 1 else later_ones)
-    return degrees
+    pairs, earlier_zeros = [], 0
+    for value, run in groupby(seq.f):
+        pairs += [(0, value - earlier_zeros), (1, len(list(run)))]
+        earlier_zeros = value
+    return _from_runs(pairs)
 
 
 def canonical_vertex_order(g: ThresholdGraph) -> tuple[int, ...]:
-    """Insertion indices sorted by nonincreasing degree, ones before zeros.
+    """Insertion indices by nonincreasing degree, ones before zeros.
 
-    The sort is stable, so vertices tied on both keys keep insertion
-    order; the i-th type-0 vertex then lands at sorted position c + i.
+    Twins keep insertion order; the i-th type-0 vertex then lands at
+    position c + i.
     """
-    degrees = _insertion_degrees(g)
-    return tuple(sorted(range(g.n), key=lambda v: (-degrees[v], g.bits[v] == 0)))
+    return tuple(v for _, start, size, _ in _classes(g) for v in range(start, start + size))
 
 
 def degree_sequence(g: ThresholdGraph) -> tuple[int, ...]:
     """Degrees in canonical vertex order (nonincreasing).
 
     The i-th type-1 vertex has degree c - 1 + f_i and the i-th type-0
-    vertex has degree b_i, so no sort is needed: f is nondecreasing, b
-    is nonincreasing, and every b_i <= c - 1.
+    vertex has degree b_i.
     """
     _require_connected(g, "degree sequence")
-    ones = [g.c - 1 + f for f in reversed(to_fop(g).f)]
-    return tuple(ones) + to_bzp(g).b
+    return tuple(d for _, _, size, d in _classes(g) for _ in range(size))
 
 
 def adjacency_matrix(g: ThresholdGraph) -> np.ndarray:
@@ -366,12 +379,13 @@ def adjacency_matrix(g: ThresholdGraph) -> np.ndarray:
     type 1.  In degree-sorted order the matrix is stepwise.
     """
     order = canonical_vertex_order(g)
+    bits = g.bits
     n = g.n
     a = np.zeros((n, n), dtype=np.int64)
     for p in range(n):
         for q in range(p + 1, n):
             i, j = order[p], order[q]
-            if g.bits[max(i, j)] == 1:
+            if bits[max(i, j)] == 1:
                 a[p, q] = a[q, p] = 1
     return a
 

@@ -1,13 +1,14 @@
 """Numerical kernels: graph spectra, overlap spectra, real roots.
 
-The composition blocks (runs of the generating sequence) are twin
-classes and so an equitable partition.  Two blocks are joined when the
-later one is type 1, and type-1 blocks are cliques.  The spectral
-radius is the top eigenvalue of the k x k symmetrized quotient S, with
-S_ij = sqrt(|i| |j|) for joined blocks and S_ii = |i| - 1 or 0, from
-``numpy.linalg.eigh``; its eigenvector x lifts to x_b / sqrt(|b|) on
-each vertex of block b (Brouwer & Haemers, *Spectra of Graphs* 2.3).
-Cost depends on k, not n; the dense adjacency is only a test oracle.
+A graph is held as its twin classes (the runs of the generating
+sequence), which are an equitable partition.  Two classes are joined
+when the later one is type 1, and type-1 classes are cliques.  The
+spectral radius is the top eigenvalue of the k x k symmetrized quotient
+S, with S_ij = sqrt(|i| |j|) for joined classes and S_ii = |i| - 1 or 0,
+from ``numpy.linalg.eigh``; its eigenvector x lifts to x_b / sqrt(|b|)
+on each vertex of class b (Brouwer & Haemers, *Spectra of Graphs* 2.3).
+Both read the class table of :mod:`threshold_spectra.graph_model`, so
+cost depends on k, not n; the dense adjacency is only a test oracle.
 There is no tolerance to choose: ``eigh`` is direct, and the quotient
 residual is checked against a fixed bound only to detect a fault.
 
@@ -29,10 +30,11 @@ import numpy as np
 
 from .graph_model import (
     BzpSequence,
+    CompositionSpec,
     FopSequence,
     ThresholdGraph,
+    _classes,
     _require_connected,
-    to_composition,
 )
 from .walks import one_overlap_matrix, zero_overlap_matrix
 
@@ -114,12 +116,13 @@ class RootResult:
 
 
 def _quotient_eigenpair(g: ThresholdGraph, routine: str):
-    """Top eigenpair (theta, x >= 0) of S, plus block sizes and types."""
+    """Top eigenpair (theta, x >= 0) of S, and the class sizes, in canonical order."""
     _require_connected(g, routine)
-    spec = to_composition(g)
-    sizes = np.array(spec.blocks)
+    table = np.array(_classes(g))
+    # S is built in insertion order: eigh's last bits depend on the row order
+    insertion = np.argsort(table[:, 1])
+    ones, sizes = table[insertion, 0] == 1, table[insertion, 2]
     index = np.arange(sizes.size)
-    ones = (index[-1] - index) % 2 == 0
     s = np.sqrt(np.outer(sizes, sizes)) * ones[np.maximum.outer(index, index)]
     s[index, index] = np.where(ones, sizes - 1, 0)
     values, vectors = np.linalg.eigh(s)
@@ -127,9 +130,12 @@ def _quotient_eigenpair(g: ThresholdGraph, routine: str):
     residual = float(np.max(np.abs(s @ x - theta * x)))
     bound = _QUOTIENT_RESIDUAL_REL * max(1.0, theta)
     if not residual <= bound:
-        message = f"{routine}: quotient residual above {bound!r} for comp:{spec.format()}"
+        spec = CompositionSpec(g.runs).format()
+        message = f"{routine}: quotient residual above {bound!r} for comp:{spec}"
         raise ConvergenceError(message, theta, residual)
-    return theta, x, sizes, ones
+    canonical = np.empty_like(x)
+    canonical[insertion] = x
+    return theta, canonical, table[:, 2]
 
 
 def spectral_radius(g: ThresholdGraph) -> float:
@@ -142,15 +148,11 @@ def perron_vector(g: ThresholdGraph) -> np.ndarray:
     """Unit-norm positive eigenvector for the spectral radius.
 
     Entries follow the canonical vertex order and are nonincreasing
-    along it (higher degree never gets smaller weight).  Blocks are
-    contiguous in that order: type-1 blocks last to first, then type-0
-    blocks first to last, as type-1 degrees grow along the sequence from
-    c - 1 and type-0 degrees shrink from at most c - 1.
+    along it (higher degree never gets smaller weight); each twin class
+    is contiguous in that order.
     """
-    _, x, sizes, ones = _quotient_eigenpair(g, "perron_vector")
-    index = np.arange(sizes.size)
-    order = np.concatenate((index[ones][::-1], index[~ones]))
-    v = np.repeat(x[order] / np.sqrt(sizes[order]), sizes[order])
+    _, x, sizes = _quotient_eigenpair(g, "perron_vector")
+    v = np.repeat(x / np.sqrt(sizes), sizes)
     return v / float(np.linalg.norm(v))
 
 
@@ -172,7 +174,8 @@ def greatest_real_root(poly: Polynomial) -> RootResult:
     :data:`_CERTIFICATE_DOUBLINGS` times: p(low) < 0, and every Taylor
     coefficient of p(t + high) is positive, so by Descartes' rule of
     signs no root is >= high.  Without such a bracket (no real root, a
-    root of even multiplicity, or Newton stopped elsewhere) it raises
+    root of even multiplicity, Newton stopped elsewhere, or the bound, an
+    iterate or the bracket beyond float range) it raises
     :class:`ConvergenceError` naming the coefficients.
     """
     coefficients = poly.coefficients
@@ -189,6 +192,9 @@ def greatest_real_root(poly: Polynomial) -> RootResult:
     width = math.ulp(x)
     for _ in range(_CERTIFICATE_DOUBLINGS + 1):
         low, high = x - width, x + width
+        if not (math.isfinite(low) and math.isfinite(high)):
+            message = f"greatest_real_root: beyond float range for coefficients {coefficients}"
+            raise ConvergenceError(message, x, value)
         if _certified(coefficients, low, high):
             return RootResult(value=x, bracket_low=low, bracket_high=high, steps=steps)
         width *= 2.0

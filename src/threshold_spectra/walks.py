@@ -219,8 +219,8 @@ def count_walks_with_signature(g: ThresholdGraph, signature) -> int:
     if any(sig[i] == 1 and sig[i + 1] == 1 for i in range(len(sig) - 1)):
         raise ValueError("signature must separate ones by at least one zero")
     _require_connected(g, "count_walks_with_signature")
-    order = canonical_vertex_order(g)
-    types = [g.bits[v] for v in order]
+    bits = g.bits
+    types = [bits[v] for v in canonical_vertex_order(g)]
     closed = _closed_neighbourhood(g)
     counts = [1 if types[v] == sig[0] else 0 for v in range(g.n)]
     for symbol in sig[1:]:
@@ -247,8 +247,8 @@ def lw_bruteforce(g: ThresholdGraph, kmax: int) -> list[int]:
     """
     _check_kmax(kmax)
     _require_connected(g, "lw_bruteforce")
-    order = canonical_vertex_order(g)
-    types = [g.bits[v] for v in order]
+    bits = g.bits
+    types = [bits[v] for v in canonical_vertex_order(g)]
     chi = [1 if t == 1 else 0 for t in types]
     closed = _closed_neighbourhood(g)
     values = [1]

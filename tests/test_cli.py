@@ -80,41 +80,57 @@ def test_exit_codes(argv, code, capsys):
 
 # Case ids are fixed, so a case keeps its name when other rows come or go.
 @pytest.mark.parametrize(
-    "argv, flag",
+    "argv, expected",
     [
-        pytest.param(["walks", "gen:10101", "--pmax", "-1"], "--pmax", id="argv9---pmax"),
-        pytest.param(["walks", "gen:10101", "--kmax", "-1"], "--kmax", id="argv10---kmax"),
         pytest.param(
-            ["verify", "--n-min", "-5", "--n-max", "5"], "--n-min", id="argv11---n-min"
+            ["walks", "gen:10101", "--pmax", "-1"], "argument --pmax:", id="argv9---pmax"
         ),
-        pytest.param(["verify", "--n-max", "0"], "--n-max", id="argv12---n-max"),
+        pytest.param(
+            ["walks", "gen:10101", "--kmax", "-1"], "argument --kmax:", id="argv10---kmax"
+        ),
+        pytest.param(
+            ["verify", "--n-min", "-5", "--n-max", "5"], "argument --n-min:", id="argv11---n-min"
+        ),
+        pytest.param(["verify", "--n-max", "0"], "argument --n-max:", id="argv12---n-max"),
         pytest.param(
             ["enumerate", "--n", "7", "--m", "9", "--tie-tol", "nan"],
-            "--tie-tol",
+            "argument --tie-tol:",
             id="argv13---tie-tol",
         ),
         pytest.param(
             ["enumerate", "--n", "7", "--m", "9", "--tie-tol", "inf"],
-            "--tie-tol",
+            "argument --tie-tol:",
             id="argv14---tie-tol",
         ),
         pytest.param(
             ["enumerate", "--n", "7", "--m", "9", "--tie-tol", "-1"],
-            "--tie-tol",
+            "argument --tie-tol:",
             id="argv15---tie-tol",
         ),
         pytest.param(
             ["enumerate", "--n", "7", "--m", "9", "--tie-tol", "tiny"],
-            "--tie-tol",
+            "argument --tie-tol:",
             id="argv16---tie-tol",
+        ),
+        # run in a fresh directory: "missing" does not exist and "." is a directory
+        pytest.param(
+            ["analyze", "gen:11011", "--output", "missing/out.txt"],
+            "error: --output: [Errno 2] No such file or directory",
+            id="output-missing-directory",
+        ),
+        pytest.param(
+            ["analyze", "gen:11011", "--output", "."],
+            "error: --output: [Errno 21] Is a directory",
+            id="output-is-a-directory",
         ),
     ],
 )
-def test_bad_arguments_exit_2_naming_the_flag(argv, flag, capsys):
+def test_bad_arguments_exit_2_naming_the_flag(argv, expected, capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"argument {flag}:" in captured.err
+    assert expected in captured.err
     assert "Traceback" not in captured.err
 
 

@@ -1,7 +1,11 @@
 """Encodings, conversions, and structural invariants of the graph model."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import all_graphs, connected_graphs, graph
 
 from threshold_spectra import (
@@ -251,3 +255,79 @@ def test_json_dict_shapes():
     disconnected = to_json_dict(graph("1010"))
     assert disconnected["bzp"] is None
     assert disconnected["fop"] is None
+
+
+# ---------------------------------------------------------------------------
+# twin classes against the bit-level definitions
+# ---------------------------------------------------------------------------
+
+
+def _bzp_from_bits(bits):
+    """For each zero in insertion order, the ones inserted after it."""
+    b, later_ones = [], 0
+    for bit in reversed(bits):
+        if bit == 1:
+            later_ones += 1
+        else:
+            b.append(later_ones)
+    return tuple(reversed(b))
+
+
+def _fop_from_bits(bits):
+    """For each one in insertion order, the zeros inserted before it."""
+    f, earlier_zeros = [], 0
+    for bit in bits:
+        if bit == 1:
+            f.append(earlier_zeros)
+        else:
+            earlier_zeros += 1
+    return tuple(f)
+
+
+def _check_against_bits(raw):
+    g = from_generating_sequence(raw)
+    bits = (1,) + tuple(raw[1:])
+    assert g.bits == bits
+    assert g.runs == tuple(len(list(run)) for _, run in itertools.groupby(bits))
+    assert from_generating_sequence(g.bits) == g
+    assert g.generating_string == "".join(map(str, bits))
+    assert (g.n, g.c, g.z) == (len(bits), sum(bits), len(bits) - sum(bits))
+    assert g.m == sum(i for i, bit in enumerate(bits) if bit)
+    assert g.is_connected == (bits[-1] == 1)
+    if not g.is_connected:
+        return
+    ones = np.array(bits, dtype=bool)
+    index = np.arange(g.n)
+    adjacency = ones[np.maximum.outer(index, index)] & (index[:, None] != index[None, :])
+    degrees = adjacency.sum(axis=1)
+    # the stable sort that defined the canonical order before graphs held twin classes
+    order = tuple(sorted(range(g.n), key=lambda v: (-degrees[v], bits[v] == 0)))
+    assert canonical_vertex_order(g) == order
+    assert degree_sequence(g) == tuple(int(degrees[v]) for v in order)
+    assert to_bzp(g) == BzpSequence(g.c, _bzp_from_bits(bits))
+    assert to_fop(g) == FopSequence(_fop_from_bits(bits), g.n)
+    assert from_composition(to_composition(g)) == g
+    assert from_bzp(g.c, to_bzp(g).b) == g
+    assert from_fop(to_fop(g).f, g.n) == g
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=200))
+def test_twin_classes_match_bit_definitions(raw):
+    _check_against_bits(raw)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        [1] + [0] * 1998 + [1],  # star
+        [1, 0] * 1000,  # alternating, disconnected
+        [0, 1] * 1000,  # alternating, connected
+        [1] * 700 + [0] * 600 + [1] * 700,
+        [int(d) for d in format(3**1300, "b")[:1999]] + [1],  # irregular runs
+    ],
+    ids=["star", "alternating-open", "alternating", "three-blocks", "digits"],
+)
+def test_twin_classes_match_bit_definitions_at_n_2000(raw):
+    assert len(raw) == 2000
+    _check_against_bits(raw)

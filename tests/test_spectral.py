@@ -1,6 +1,8 @@
 """Eigenvalue machinery: the block quotient, overlap spectra, root isolation."""
 
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -258,6 +260,18 @@ def test_hint_below_picks_root_above_hint():
 )
 def test_no_certified_root_fails_loudly(coeffs):
     with pytest.raises(ConvergenceError, match=r"greatest_real_root.*coefficients"):
+        greatest_real_root(Polynomial(coeffs))
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        (1, -int(sys.float_info.max)),  # the bracket one ulp above the root is inf
+        (1, 0, -(10**308)),  # Newton squares 1.4e154 from the Fujiwara bound
+    ],
+)
+def test_float_overflow_is_a_convergence_error(coeffs):
+    with pytest.raises(ConvergenceError, match=rf"greatest_real_root: .*{re.escape(str(coeffs))}"):
         greatest_real_root(Polynomial(coeffs))
 
 
