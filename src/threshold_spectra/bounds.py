@@ -1,8 +1,9 @@
 """Closed-form lower and upper bounds on the spectral radius.
 
-:func:`bound_report` is the one way to get the bound values; its
-:class:`BoundReport` fields are all driven by c (number of type-1
-vertices), the b counts of the type-0 vertices, and F_1 = sum(b_i^2):
+:func:`bound_reports` is the one way to get the bound values
+(:func:`bound_report` runs it on one graph); the :class:`BoundReport`
+fields are all driven by c (number of type-1 vertices), the b counts of
+the type-0 vertices, and F_1 = sum(b_i^2):
 
 * ``lower_cubic``: largest real root of
   ``x^3 - (c+1) x^2 + c x - F_1``, minus one.  This is the growth rate
@@ -24,6 +25,12 @@ built by :func:`threshold_spectra.walks.bracket_cubics`;
 They have integer coefficients, and ``greatest_real_root`` proves a
 bracket a few ulps wide around each root.
 
+A census runs as one batch.  At fixed (n, m) and c, both z = n - c and
+sum b = m - C(c, 2) are fixed, so every bound polynomial depends on
+(c, F_1) alone; :func:`bound_reports` takes rho for the whole list from
+one :func:`~threshold_spectra.spectral.spectral_radii` call and
+certifies each distinct coefficient tuple once.
+
 The bounds assume n >= 4, c >= 3, z >= 1, and n - 1 < m < C(n, 2);
 outside that range they raise :class:`PreconditionError`, or are marked
 not applicable when a report is built leniently.
@@ -34,8 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, sqrt
 
-from .graph_model import ThresholdGraph, _classes
-from .spectral import Polynomial, greatest_real_root, spectral_radius
+from .graph_model import ThresholdGraph, _zero_classes
+from .spectral import Polynomial, greatest_real_root, spectral_radii
 from .walks import bracket_cubics
 
 __all__ = [
@@ -43,6 +50,7 @@ __all__ = [
     "PreconditionError",
     "SANDWICH_TOL",
     "bound_report",
+    "bound_reports",
     "inequality_check",
     "inequality_polynomial",
     "lower_cubic_polynomial",
@@ -92,15 +100,8 @@ class _Inputs:
 def _bound_inputs(g: ThresholdGraph) -> _Inputs:
     """The bound inputs, after checking the standing assumptions."""
     require_applicable(g)
-    zeros = tuple((size, d) for symbol, _, size, d in _classes(g) if symbol == 0)
-    return _Inputs(
-        c=g.c,
-        z=g.z,
-        n=g.n,
-        sb=sum(size * d for size, d in zeros),
-        f1=sum(size * d * d for size, d in zeros),
-        tail=((1, g.c - 1),) + zeros,
-    )
+    zeros, sb, f1 = _zero_classes(g)
+    return _Inputs(c=g.c, z=g.z, n=g.n, sb=sb, f1=f1, tail=((1, g.c - 1),) + zeros)
 
 
 def require_applicable(g: ThresholdGraph) -> None:
@@ -143,7 +144,7 @@ def inequality_polynomial(g: ThresholdGraph) -> Polynomial:
     h(rho) = 0 exactly when every b_i is 1 or c - 1; otherwise
     h(rho) > 0 and the largest real root of h sits strictly below rho.
     """
-    return _inequality_polynomial(_bound_inputs(g))
+    return Polynomial(_inequality_coefficients(_bound_inputs(g)))
 
 
 def inequality_check(g: ThresholdGraph, rho: float) -> tuple[bool, float]:
@@ -174,25 +175,23 @@ def inequality_check(g: ThresholdGraph, rho: float) -> tuple[bool, float]:
 # ---------------------------------------------------------------------------
 
 
-def _inequality_polynomial(inputs: _Inputs) -> Polynomial:
+def _inequality_coefficients(inputs: _Inputs) -> tuple[int, ...]:
     c, z, tail = inputs.c, inputs.z, inputs.tail
     s = c - 1 + inputs.sb
     t1 = sum(count * (d - 1) ** 2 for count, d in tail)
     t2 = sum(count * (d - 1) for count, d in tail)
     t3 = sum(count * (d - 1) * (s - d * (z + 1)) for count, d in tail)
-    return Polynomial(
-        (
-            c - 2,
-            (c - 2) * (3 - c),
-            -((c - 2) * (z + c - 1) + t1),
-            (c - 2) * ((c - 2) * (z + 1) - s - t2),
-            -t3,
-        )
+    return (
+        c - 2,
+        (c - 2) * (3 - c),
+        -((c - 2) * (z + c - 1) + t1),
+        (c - 2) * ((c - 2) * (z + 1) - s - t2),
+        -t3,
     )
 
 
-def bound_report(g: ThresholdGraph, allow_inapplicable: bool = False) -> BoundReport:
-    """Compute rho, the four bounds, and the inequality root, with gaps.
+def bound_reports(graphs, allow_inapplicable: bool = False) -> list[BoundReport]:
+    """Compute rho, the four bounds, and the inequality root, with gaps, per graph.
 
     ``sandwich_ok`` asserts that every lower-side value (the three lower
     bounds and the inequality root) is at most rho and that rho is at
@@ -202,8 +201,26 @@ def bound_report(g: ThresholdGraph, allow_inapplicable: bool = False) -> BoundRe
     graphs outside the standing assumptions (stars, complete graphs,
     c < 3): rho is still reported and every bound is None.  Otherwise
     such graphs raise :class:`PreconditionError`.
+
+    Each distinct coefficient tuple is certified once per call, through
+    a dict that lives only as long as the call; ``greatest_real_root``
+    is deterministic, so a shared root is exactly the one a graph would
+    get alone.
     """
-    rho = spectral_radius(g)
+    graphs = list(graphs)
+    roots: dict[tuple[int, ...], float] = {}
+
+    def root(coefficients: tuple[int, ...]) -> float:
+        if coefficients not in roots:
+            roots[coefficients] = greatest_real_root(Polynomial(coefficients)).value
+        return roots[coefficients]
+
+    radii = spectral_radii(graphs)
+    return [_report(g, rho, root, allow_inapplicable) for g, rho in zip(graphs, radii)]
+
+
+def _report(g: ThresholdGraph, rho: float, root, allow_inapplicable: bool) -> BoundReport:
+    """One graph's report, given its rho and a function from coefficients to the root."""
     try:
         inputs = _bound_inputs(g)
     except PreconditionError:
@@ -222,11 +239,11 @@ def bound_report(g: ThresholdGraph, allow_inapplicable: bool = False) -> BoundRe
         raise
     c, f1 = inputs.c, inputs.f1
     lower, upper = bracket_cubics(c, inputs.sb, f1)
-    lo_cubic = greatest_real_root(Polynomial(lower)).value - 1.0
+    lo_cubic = root(lower) - 1.0
     lo_corollary = c - 1.0 + f1 / float(inputs.n * inputs.n)
     lo_quadratic = (c - 2.0 + sqrt(c * c + 4.0 * f1 / (c - 1.0))) / 2.0
-    up_cubic = greatest_real_root(Polynomial(upper)).value - 1.0
-    ineq_root = greatest_real_root(_inequality_polynomial(inputs)).value
+    up_cubic = root(upper) - 1.0
+    ineq_root = root(_inequality_coefficients(inputs))
     lowers = (lo_cubic, lo_corollary, lo_quadratic, ineq_root)
     sandwich_ok = max(lowers) <= rho + SANDWICH_TOL and rho <= up_cubic + SANDWICH_TOL
     gaps = {
@@ -247,3 +264,8 @@ def bound_report(g: ThresholdGraph, allow_inapplicable: bool = False) -> BoundRe
         gaps=gaps,
         applicable=True,
     )
+
+
+def bound_report(g: ThresholdGraph, allow_inapplicable: bool = False) -> BoundReport:
+    """The :func:`bound_reports` entry of one graph."""
+    return bound_reports([g], allow_inapplicable)[0]

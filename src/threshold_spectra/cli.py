@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 
-from .bounds import PreconditionError, bound_report
+from .bounds import PreconditionError, bound_report, bound_reports
 from .extremal import enumerate_threshold_graphs, verify_predictions
 from .graph_model import (
     ParseError,
@@ -206,7 +206,7 @@ def _cmd_enumerate(args) -> str:
     census = enumerate_threshold_graphs(args.n, args.m)
     if not census:
         raise ValueError(f"no connected threshold graph has n = {args.n}, m = {args.m}")
-    reports = [bound_report(g, allow_inapplicable=True) for g in census]
+    reports = bound_reports(census, allow_inapplicable=True)
     rho_max = max(report.rho for report in reports)
     flags = [rho_max - report.rho <= args.tie_tol for report in reports]
     if args.json:
@@ -371,8 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_walks.set_defaults(handler=_cmd_walks)
 
     p_enum = sub.add_parser("enumerate", help="census with bounds at fixed n, m")
-    p_enum.add_argument("--n", type=int, required=True)
-    p_enum.add_argument("--m", type=int, required=True)
+    p_enum.add_argument("--n", type=_int_at_least(1), required=True)
+    # m above C(n, 2) is a domain error (exit 1): that limit depends on n
+    p_enum.add_argument("--m", type=_int_at_least(0), required=True)
     p_enum.add_argument("--tie-tol", type=_nonnegative_float, default=1e-9, dest="tie_tol")
     _add_format_flags(p_enum)
     p_enum.set_defaults(handler=_cmd_enumerate)

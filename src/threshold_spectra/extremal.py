@@ -30,7 +30,7 @@ from math import comb
 from typing import Iterator
 
 from .graph_model import ThresholdGraph, _block_runs, _from_runs, from_bzp
-from .spectral import spectral_radius
+from .spectral import spectral_radii
 
 __all__ = [
     "ConjecturePair",
@@ -186,7 +186,7 @@ def find_extremal(
     census = enumerate_threshold_graphs(n, m)
     if not census:
         raise ValueError(f"no connected threshold graph has n = {n}, m = {m}")
-    radii = [spectral_radius(g) for g in census]
+    radii = spectral_radii(census)
     rho_max = max(radii)
     maximizers = tuple(g for g, rho in zip(census, radii) if rho_max - rho <= tie_tol)
     near_ties = tuple(

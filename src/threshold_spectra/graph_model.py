@@ -238,6 +238,16 @@ def _classes(g: ThresholdGraph) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(ones[::-1] + zeros)
 
 
+def _zero_classes(g: ThresholdGraph) -> tuple[tuple[tuple[int, int], ...], int, int]:
+    """The type-0 classes as ``(size, b)`` pairs, then sum b and F_1 = sum b^2.
+
+    b is the degree of a type-0 vertex, its number of later ones; the
+    pairs follow the canonical order, so b is nonincreasing.
+    """
+    zeros = tuple((size, d) for symbol, _, size, d in _classes(g) if symbol == 0)
+    return zeros, sum(size * b for size, b in zeros), sum(size * b * b for size, b in zeros)
+
+
 def from_generating_sequence(bits) -> ThresholdGraph:
     """Build a graph from an iterable of 0/1 insertion bits.
 

@@ -7,10 +7,15 @@ spectral radius is the top eigenvalue of the k x k symmetrized quotient
 S, with S_ij = sqrt(|i| |j|) for joined classes and S_ii = |i| - 1 or 0,
 from ``numpy.linalg.eigh``; its eigenvector x lifts to x_b / sqrt(|b|)
 on each vertex of class b (Brouwer & Haemers, *Spectra of Graphs* 2.3).
-Both read the class table of :mod:`threshold_spectra.graph_model`, so
+Both read the twin classes of :mod:`threshold_spectra.graph_model`, so
 cost depends on k, not n; the dense adjacency is only a test oracle.
 There is no tolerance to choose: ``eigh`` is direct, and the quotient
 residual is checked against a fixed bound only to detect a fault.
+
+A census runs as one batch: :func:`spectral_radii` stacks the quotients
+of all graphs with the same k and calls ``eigh`` once per stack, and
+:func:`spectral_radius` and :func:`perron_vector` are that kernel run
+on a list of one graph, so both give bitwise the same values.
 
 The spectral F_p routes diagonalize the zero- and one-overlap matrices
 with ``numpy.linalg.eigh``; the exact integer F_p values are their
@@ -46,10 +51,12 @@ __all__ = [
     "fp_spectral_fop",
     "greatest_real_root",
     "perron_vector",
+    "spectral_radii",
     "spectral_radius",
 ]
 
 _QUOTIENT_RESIDUAL_REL = 1e-10  # relative to max(1, theta); eigh reaches ~1e-15
+_STACK = 4096  # quotients per stacked eigh call: at most 4096 * k^2 floats
 _MAX_NEWTON_STEPS = 100
 _CERTIFICATE_DOUBLINGS = 16  # the widest bracket tried is 2^16 ulps each side
 
@@ -115,33 +122,60 @@ class RootResult:
 # ---------------------------------------------------------------------------
 
 
-def _quotient_eigenpair(g: ThresholdGraph, routine: str):
-    """Top eigenpair (theta, x >= 0) of S, and the class sizes, in canonical order."""
-    _require_connected(g, routine)
-    table = np.array(_classes(g))
-    # S is built in insertion order: eigh's last bits depend on the row order
-    insertion = np.argsort(table[:, 1])
-    ones, sizes = table[insertion, 0] == 1, table[insertion, 2]
-    index = np.arange(sizes.size)
-    s = np.sqrt(np.outer(sizes, sizes)) * ones[np.maximum.outer(index, index)]
-    s[index, index] = np.where(ones, sizes - 1, 0)
-    values, vectors = np.linalg.eigh(s)
-    theta, x = float(values[-1]), np.abs(vectors[:, -1])
-    residual = float(np.max(np.abs(s @ x - theta * x)))
-    bound = _QUOTIENT_RESIDUAL_REL * max(1.0, theta)
-    if not residual <= bound:
-        spec = CompositionSpec(g.runs).format()
-        message = f"{routine}: quotient residual above {bound!r} for comp:{spec}"
-        raise ConvergenceError(message, theta, residual)
-    canonical = np.empty_like(x)
-    canonical[insertion] = x
-    return theta, canonical, table[:, 2]
+def _quotient_eigenpairs(graphs, routine: str):
+    """Top eigenpair (theta, x >= 0) of S for each graph, x in insertion order.
+
+    In insertion order the classes are the runs, ones first and then
+    alternating, so S needs only the run lengths.  The graphs are grouped
+    by block count k; each group's quotients are stacked into one
+    (G, k, k) array (at most :data:`_STACK` of them, which bounds memory
+    on huge censuses) and ``eigh`` runs once per stack.  Each S holds the
+    floats it holds when built alone, so theta and x are bitwise the
+    single-graph values.  The residual is checked per graph, and the
+    first failing graph in input order is named.
+    """
+    graphs = list(graphs)
+    groups: dict[int, list[int]] = {}
+    for i, g in enumerate(graphs):
+        _require_connected(g, routine)
+        groups.setdefault(len(g.runs), []).append(i)
+    thetas, residuals = np.empty(len(graphs)), np.empty(len(graphs))
+    vectors = [None] * len(graphs)
+    for k, group in groups.items():
+        index = np.arange(k)
+        ones = index % 2 == 0
+        joined = ones[np.maximum.outer(index, index)]
+        for start in range(0, len(group), _STACK):
+            members = group[start : start + _STACK]
+            sizes = np.array([graphs[i].runs for i in members])
+            # S is built in insertion order: eigh's last bits depend on the row order
+            s = np.sqrt(sizes[:, :, None] * sizes[:, None, :]) * joined
+            s[:, index, index] = np.where(ones, sizes - 1, 0)
+            values, eigenvectors = np.linalg.eigh(s)
+            theta, x = values[:, -1], np.abs(eigenvectors[:, :, -1])
+            thetas[members] = theta
+            error = (s @ x[:, :, None])[:, :, 0] - theta[:, None] * x
+            residuals[members] = np.max(np.abs(error), axis=1)
+            for i, row in zip(members, x):
+                vectors[i] = row
+    bounds = _QUOTIENT_RESIDUAL_REL * np.maximum(1.0, thetas)
+    failing = np.flatnonzero(~(residuals <= bounds))
+    if failing.size:
+        i = failing[0]
+        spec = CompositionSpec(graphs[i].runs).format()
+        message = f"{routine}: quotient residual above {float(bounds[i])!r} for comp:{spec}"
+        raise ConvergenceError(message, float(thetas[i]), float(residuals[i]))
+    return thetas.tolist(), vectors
+
+
+def spectral_radii(graphs) -> list[float]:
+    """Largest adjacency eigenvalue of each connected threshold graph."""
+    return _quotient_eigenpairs(graphs, "spectral_radius")[0]
 
 
 def spectral_radius(g: ThresholdGraph) -> float:
     """Largest adjacency eigenvalue of a connected threshold graph."""
-    theta, *_ = _quotient_eigenpair(g, "spectral_radius")
-    return theta
+    return spectral_radii([g])[0]
 
 
 def perron_vector(g: ThresholdGraph) -> np.ndarray:
@@ -151,8 +185,12 @@ def perron_vector(g: ThresholdGraph) -> np.ndarray:
     along it (higher degree never gets smaller weight); each twin class
     is contiguous in that order.
     """
-    _, x, sizes = _quotient_eigenpair(g, "perron_vector")
-    v = np.repeat(x / np.sqrt(sizes), sizes)
+    _, (x,) = _quotient_eigenpairs([g], "perron_vector")
+    table = np.array(_classes(g))
+    canonical = np.empty_like(x)
+    canonical[np.argsort(table[:, 1])] = x
+    sizes = table[:, 2]
+    v = np.repeat(canonical / np.sqrt(sizes), sizes)
     return v / float(np.linalg.norm(v))
 
 

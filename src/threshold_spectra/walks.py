@@ -48,6 +48,7 @@ from .graph_model import (
     FopSequence,
     ThresholdGraph,
     _require_connected,
+    _zero_classes,
     adjacency_matrix,
     canonical_vertex_order,
     to_bzp,
@@ -290,7 +291,7 @@ def lw_recurrence(g: ThresholdGraph, kmax: int, pmax: int | None = None) -> Walk
     for k in range(1, kmax + 1):
         head = max(k - 2, 0)
         lw.append(c * lw[k - 1] + sum(map(mul, lw[:head], reversed(closing[:head]))))
-    lower, upper = _bzp_cubics(bzp)
+    lower, upper = bracket_cubics(c, *_zero_classes(g)[1:])
     return WalkTable(
         lw=tuple(lw),
         lw_prime=tuple(_order_three(lower, c, kmax)),
@@ -326,7 +327,7 @@ def lw_prime(g: ThresholdGraph, kmax: int) -> list[int]:
     """
     _check_kmax(kmax)
     _require_connected(g, "lw_prime")
-    lower, _ = _bzp_cubics(to_bzp(g))
+    lower, _ = bracket_cubics(g.c, *_zero_classes(g)[1:])
     return _order_three(lower, g.c, kmax)
 
 
@@ -341,7 +342,7 @@ def lw_double_prime(g: ThresholdGraph, kmax: int) -> list[int]:
     """
     _check_kmax(kmax)
     _require_connected(g, "lw_double_prime")
-    _, upper = _bzp_cubics(to_bzp(g))
+    _, upper = bracket_cubics(g.c, *_zero_classes(g)[1:])
     return _order_three(upper, g.c, kmax)
 
 
@@ -362,10 +363,6 @@ def growth_estimate(sequence) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
-
-
-def _bzp_cubics(bzp: BzpSequence) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    return bracket_cubics(bzp.c, sum(bzp.b), sum(bi * bi for bi in bzp.b))
 
 
 def _order_three(cubic: tuple[int, ...], c: int, kmax: int) -> list[int]:

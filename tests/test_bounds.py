@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from threshold_spectra import (
     PreconditionError,
     bound_report,
+    bound_reports,
+    enumerate_threshold_graphs,
     from_composition,
     from_generating_sequence,
     greatest_real_root,
@@ -291,3 +293,59 @@ def test_bound_report_encodes_the_graph_once(monkeypatch):
     report = bound_report(graph("1101011"))
     assert report.applicable and report.sandwich_ok
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# a census as one batch
+# ---------------------------------------------------------------------------
+
+
+def censuses(n_max):
+    """Every nonempty connected (n, m) census with n <= n_max."""
+    for n in range(1, n_max + 1):
+        for m in range(math.comb(n, 2) + 1):
+            census = enumerate_threshold_graphs(n, m)
+            if census:
+                yield census
+
+
+def test_batched_reports_equal_single_graph_reports():
+    """Floats compare exactly: a batch gives each graph the report it gets alone."""
+    everything = []
+    for census in censuses(12):
+        single = [bound_report(g, allow_inapplicable=True) for g in census]
+        assert bound_reports(census, allow_inapplicable=True) == single
+        everything += census
+    # several n, m and k, applicable or not, in one call take the same path
+    mixed = bound_reports(everything, allow_inapplicable=True)
+    assert mixed == [bound_report(g, allow_inapplicable=True) for g in everything]
+    assert {r.applicable for r in mixed} == {True, False}
+
+
+def test_batched_reports_certify_each_polynomial_once(monkeypatch):
+    import sys
+
+    calls = []
+
+    def counting_root(poly):
+        calls.append(poly.coefficients)
+        return greatest_real_root(poly)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("threshold_spectra") and hasattr(module, "greatest_real_root"):
+            monkeypatch.setattr(module, "greatest_real_root", counting_root)
+    census = enumerate_threshold_graphs(14, 40)
+    reports = bound_reports(census, allow_inapplicable=True)
+    applicable = [g for g, r in zip(census, reports) if r.applicable]
+    distinct = {
+        make(g).coefficients
+        for g in applicable
+        for make in (lower_cubic_polynomial, upper_cubic_polynomial, inequality_polynomial)
+    }
+    assert len(calls) == len(set(calls)) == len(distinct)
+    assert set(calls) == distinct
+    assert len(distinct) < 3 * len(applicable)  # the census does share roots
+
+
+def test_empty_batch():
+    assert bound_reports([]) == []

@@ -123,6 +123,13 @@ def test_exit_codes(argv, code, capsys):
             "error: --output: [Errno 21] Is a directory",
             id="output-is-a-directory",
         ),
+        pytest.param(["enumerate", "--n", "0", "--m", "0"], "argument --n:", id="enumerate-n-0"),
+        pytest.param(
+            ["enumerate", "--n", "-3", "--m", "2"], "argument --n:", id="enumerate-n-negative"
+        ),
+        pytest.param(
+            ["enumerate", "--n", "5", "--m", "-1"], "argument --m:", id="enumerate-m-negative"
+        ),
     ],
 )
 def test_bad_arguments_exit_2_naming_the_flag(argv, expected, capsys, monkeypatch, tmp_path):
@@ -138,6 +145,10 @@ def test_unreachable_tol_is_a_domain_error(monkeypatch, capsys):
     monkeypatch.setattr(spectral, "_QUOTIENT_RESIDUAL_REL", 1e-300)
     assert run(["analyze", "comp:G{3,5,5,2,4}"]) == 1
     assert "spectral_radius" in capsys.readouterr().err
+    assert run(["enumerate", "--n", "9", "--m", "14"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "spectral_radius" in captured.err and "comp:G{" in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from threshold_spectra import (
     ConvergenceError,
     Polynomial,
     adjacency_matrix,
+    enumerate_threshold_graphs,
     fp_spectral_bzp,
     fp_spectral_fop,
     fp_via_min_products,
@@ -20,6 +21,7 @@ from threshold_spectra import (
     from_generating_sequence,
     greatest_real_root,
     perron_vector,
+    spectral_radii,
     spectral_radius,
     to_bzp,
     to_fop,
@@ -80,6 +82,25 @@ def test_unreachable_tol_names_routine_and_graph(monkeypatch):
     g = graph("1110000011111001111")
     with pytest.raises(ConvergenceError, match=r"spectral_radius: .*comp:G\{3,5,5,2,4\}"):
         spectral_radius(g)
+
+
+def test_stacked_radii_equal_single_graph_radii():
+    """Stacking quotients by k changes no bit of rho, on every cell with n <= 12."""
+    for n in range(1, 13):
+        for m in range(math.comb(n, 2) + 1):
+            census = enumerate_threshold_graphs(n, m)
+            assert spectral_radii(census) == [spectral_radius(g) for g in census]
+    assert spectral_radii([]) == []
+
+
+def test_batch_names_its_first_failing_graph(monkeypatch):
+    monkeypatch.setattr(spectral, "_QUOTIENT_RESIDUAL_REL", 1e-300)
+    # k = 1 passes any bound, k = 5 and k = 3 fail it; groups sorted by k would name k = 3
+    graphs = [graph("111"), graph("1110000011111001111"), graph("1101")]
+    with pytest.raises(ConvergenceError, match=r"spectral_radius: .*comp:G\{3,5,5,2,4\}"):
+        spectral_radii(graphs)
+    with pytest.raises(ValueError, match="^spectral_radius requires a connected graph"):
+        spectral_radii([graph("111"), graph("1100")])
 
 
 # random connected generating sequences with 2 <= n <= 60
