@@ -162,7 +162,6 @@ def _cmd_analyze(args) -> str:
 def _cmd_walks(args) -> str:
     g = parse_graph_spec(args.graph)
     table = lw_recurrence(g, args.kmax, pmax=args.pmax)
-    fp = table.fp[: args.pmax + 1]
     if args.json:
         return _json_text(
             {
@@ -172,7 +171,7 @@ def _cmd_walks(args) -> str:
                 "lw": list(table.lw),
                 "lw_prime": list(table.lw_prime),
                 "lw_double_prime": list(table.lw_double_prime),
-                "fp": list(fp),
+                "fp": list(table.fp),
             }
         )
     if args.csv:
@@ -181,7 +180,7 @@ def _cmd_walks(args) -> str:
             lines.append(f"{k},{table.lw[k]},{table.lw_prime[k]},{table.lw_double_prime[k]}")
         lines.append("")
         lines.append("p,F_p")
-        for p, value in enumerate(fp):
+        for p, value in enumerate(table.fp):
             lines.append(f"{p},{value}")
         return "\n".join(lines) + "\n"
     width = max(len(str(table.lw_double_prime[-1])), len("LW_double_prime"))
@@ -197,7 +196,7 @@ def _cmd_walks(args) -> str:
         )
     lines.append("")
     lines.append(f"{'p':>4}  F_p")
-    for p, value in enumerate(fp):
+    for p, value in enumerate(table.fp):
         lines.append(f"{p:>4}  {value}")
     return "\n".join(lines) + "\n"
 
@@ -362,9 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--kmax",
         type=_int_at_least(0),
         default=50,
-        help="longest walk length (default 50); cost is O(kmax^2) big-integer products "
-        "and LW_k has about k*log2(1+rho) bits, 973 at k = 200 on the 45-vertex "
-        "alternating graph",
+        help="longest walk length (default 50); each step costs O(k) big-integer "
+        "operations for k twin classes, and LW_k has about k*log2(1+rho) bits, 973 "
+        "at k = 200 on the 45-vertex alternating graph",
     )
     p_walks.add_argument("--pmax", type=_int_at_least(0), default=10)
     _add_format_flags(p_walks)

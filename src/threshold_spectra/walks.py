@@ -27,21 +27,21 @@ integers throughout:
 The growth rate of ``LW_k`` recovers the spectral radius: the k-th root
 and the consecutive ratio both converge to ``1 + rho``.
 
-Cost: ``lw_recurrence`` takes O(kmax^2) big-integer products for LW
-(the closing series of the convolution is computed once) plus
-O(pmax * z) for the F values (the zero-overlap matrix is applied by a
-prefix and a suffix pass, never built).  The integers grow too: ``LW_k``
-has about ``k * log2(1 + rho)`` bits, 973 bits at k = 200 on the
-45-vertex alternating graph.  The matrix and brute-force routines stay
-as independent oracles.
+Cost: the twin classes are an equitable partition (Brouwer & Haemers,
+*Spectra of Graphs* 2.3), so ``A + I`` and the zero-overlap matrix act
+on one value per class, and ``lw_recurrence`` takes O(k) big-integer
+operations per step for k classes, for LW and for F alike.  The
+integers grow too: ``LW_k`` has about ``k * log2(1 + rho)`` bits, 973
+bits at k = 200 on the 45-vertex alternating graph.  The F-convolution,
+matrix and brute-force routines stay as independent oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, groupby, product
 from math import exp, log
-from operator import add, mul
+from operator import add, mul, sub
 
 from .graph_model import (
     BzpSequence,
@@ -51,7 +51,6 @@ from .graph_model import (
     _zero_classes,
     adjacency_matrix,
     canonical_vertex_order,
-    to_bzp,
 )
 
 __all__ = [
@@ -102,7 +101,7 @@ def fp_via_min_products(bzp: BzpSequence, p: int) -> int:
     type-1 neighbours available for one run-to-run transition.  Runs in
     z^p time, so it is only suitable as a small-case oracle.
     """
-    _check_p(p)
+    _check_nonnegative("p", p)
     if p == 0:
         return bzp.c
     b = bzp.b
@@ -123,7 +122,7 @@ def fp_via_max_indices(bzp: BzpSequence, p: int) -> int:
     Because b is nonincreasing, ``min(b[i], b[j]) = b[max(i, j)]``, so
     this must agree with :func:`fp_via_min_products` term by term.
     """
-    _check_p(p)
+    _check_nonnegative("p", p)
     if p == 0:
         return bzp.c
     b = bzp.b
@@ -177,7 +176,7 @@ def fp_via_zero_overlap(bzp: BzpSequence, p: int) -> int:
 
 def fp_via_one_overlap(fop: FopSequence, p: int) -> int:
     """F_p = 1^T * Phi^p * 1 for the one-overlap matrix Phi, p >= 0."""
-    _check_p(p)
+    _check_nonnegative("p", p)
     matrix = one_overlap_matrix(fop)
     vector = [1] * fop.c
     for _ in range(p):
@@ -186,22 +185,13 @@ def fp_via_one_overlap(fop: FopSequence, p: int) -> int:
 
 
 def fp_sequence(bzp: BzpSequence, pmax: int) -> list[int]:
-    """F_0 .. F_pmax as ``b^T Z^(p-1) b``, applying Z in O(z) per step.
+    """F_0 .. F_pmax as ``b^T Z^(p-1) b``, applying Z in O(1) per run of equal b.
 
-    ``Z_ij = b[max(i, j)]`` (see :func:`zero_overlap_matrix`), so ``(Z
-    v)_i = b_i * sum_{j<=i} v_j + sum_{j>i} b_j v_j``: one prefix pass
-    and one suffix pass instead of a z x z product.
+    ``Z_ij = b[max(i, j)]`` (see :func:`zero_overlap_matrix`) is constant
+    on each block of equal b, so Z acts on one value per block.
     """
-    _check_p(pmax)
-    values = [bzp.c]
-    if pmax == 0:
-        return values
-    b = list(bzp.b)
-    vector = b[:]
-    for _ in range(pmax):
-        values.append(sum(map(mul, b, vector)))
-        vector = _zero_overlap_apply(b, vector)
-    return values
+    _check_nonnegative("pmax", pmax)
+    return _fp_classes(bzp.c, [(len(list(run)), b) for b, run in groupby(bzp.b)], pmax)
 
 
 def count_walks_with_signature(g: ThresholdGraph, signature) -> int:
@@ -246,7 +236,7 @@ def lw_bruteforce(g: ThresholdGraph, kmax: int) -> list[int]:
     of type-1 endpoints, i.e. ``chi^T (A + I)^(k-1) chi`` with chi the
     type-1 indicator.  Independent of the recurrence path on purpose.
     """
-    _check_kmax(kmax)
+    _check_nonnegative("kmax", kmax)
     _require_connected(g, "lw_bruteforce")
     bits = g.bits
     types = [bits[v] for v in canonical_vertex_order(g)]
@@ -260,43 +250,39 @@ def lw_bruteforce(g: ThresholdGraph, kmax: int) -> list[int]:
     return values[: kmax + 1]
 
 
-def lw_recurrence(g: ThresholdGraph, kmax: int, pmax: int | None = None) -> WalkTable:
-    """LW_0 .. LW_kmax by the F-convolution recurrence, plus both brackets.
+def lw_recurrence(g: ThresholdGraph, kmax: int, pmax: int = 10) -> WalkTable:
+    """LW_0 .. LW_kmax as ``chi^T (A + I)^(k-1) chi`` on the twin classes, plus both brackets.
 
-    The step is ``LW_k = c * LW_{k-1} + sum_{r=0}^{k-3} LW_r *
-    closing[k-3-r]``.  The closing series ``closing[s] = sum_q C(s-q, q)
-    * F_{q+1}`` counts the closing signatures with s units of slack
-    spread over their q+1 zero runs; it depends on s alone, so it is
-    computed once, its binomials row by row by Pascal's rule.  Cost:
-    O(kmax^2) big-integer products for LW plus O(pmax * z) for the F
-    values.  ``LW_k`` has about ``k * log2(1 + rho)`` bits (973 bits at
-    k = 200 on the 45-vertex alternating graph), so the cost of each
-    product grows with k as well.
+    chi is the type-1 indicator.  Twins carry equal values, so the vector
+    is one integer y per run; the runs alternate ones, zeros, ..., ones.
+    With ``w = size * y``, a type-1 run gets the weight of every one and
+    of the zeros before it, a type-0 run its own y plus the weight of
+    the ones after it, and ``LW_{k+1}`` is the weight of the ones.
+    Cost: O(k) big-integer operations per step for k runs, and the same
+    per F value (``fp`` holds F_0 .. F_pmax).  ``LW_k`` has about ``k *
+    log2(1 + rho)`` bits (973 at k = 200 on the 45-vertex alternating
+    graph), so each operation grows with k as well.
     """
-    _check_kmax(kmax)
+    _check_nonnegative("kmax", kmax)
+    _check_nonnegative("pmax", pmax)
     _require_connected(g, "lw_recurrence")
-    bzp = to_bzp(g)
-    c = g.c
-    needed = (kmax - 3) // 2 + 1 if kmax >= 3 else 1
-    top = max(needed, pmax if pmax is not None else 0, 1)
-    fp = fp_sequence(bzp, top)
-    tail = fp[1:]
-    closing = []
-    # row holds C(s-q, q); Pascal's rule puts row[q] + previous[q-1] in row s + 1
-    previous, row = [], [1]
-    for _ in range(kmax - 2):
-        closing.append(sum(map(mul, row, tail)))
-        previous, row = row, [1, *map(add, row[1:] + [0], previous)]
+    ones, zeros = g.runs[0::2], g.runs[1::2]
+    y1, y0 = [1] * len(ones), [0] * len(zeros)
     lw = [1]
-    for k in range(1, kmax + 1):
-        head = max(k - 2, 0)
-        lw.append(c * lw[k - 1] + sum(map(mul, lw[:head], reversed(closing[:head]))))
-    lower, upper = bracket_cubics(c, *_zero_classes(g)[1:])
+    for _ in range(kmax):
+        # reach[i]: the weight of the type-1 runs up to the i-th one
+        reach = list(accumulate(map(mul, ones, y1)))
+        total = reach[-1]
+        lw.append(total)
+        y1 = list(map(total.__add__, accumulate(map(mul, zeros, y0), initial=0)))
+        y0 = list(map(sub, map(total.__add__, y0), reach))
+    classes, sb, f1 = _zero_classes(g)
+    lower, upper = bracket_cubics(g.c, sb, f1)
     return WalkTable(
         lw=tuple(lw),
-        lw_prime=tuple(_order_three(lower, c, kmax)),
-        lw_double_prime=tuple(_order_three(upper, c, kmax)),
-        fp=tuple(fp),
+        lw_prime=tuple(_order_three(lower, g.c, kmax)),
+        lw_double_prime=tuple(_order_three(upper, g.c, kmax)),
+        fp=tuple(_fp_classes(g.c, classes, pmax)),
     )
 
 
@@ -325,7 +311,7 @@ def lw_prime(g: ThresholdGraph, kmax: int) -> list[int]:
     :func:`bracket_cubics` as characteristic polynomial, which is how it
     is evaluated.
     """
-    _check_kmax(kmax)
+    _check_nonnegative("kmax", kmax)
     _require_connected(g, "lw_prime")
     lower, _ = bracket_cubics(g.c, *_zero_classes(g)[1:])
     return _order_three(lower, g.c, kmax)
@@ -340,7 +326,7 @@ def lw_double_prime(g: ThresholdGraph, kmax: int) -> list[int]:
     :func:`bracket_cubics` as characteristic polynomial, evaluated here
     from ``LW''_k = c^k`` for k <= 2.
     """
-    _check_kmax(kmax)
+    _check_nonnegative("kmax", kmax)
     _require_connected(g, "lw_double_prime")
     _, upper = bracket_cubics(g.c, *_zero_classes(g)[1:])
     return _order_three(upper, g.c, kmax)
@@ -382,18 +368,24 @@ def _int_matvec(matrix: list[list[int]], vector: list[int]) -> list[int]:
     return [sum(row[j] * vector[j] for j in range(len(vector))) for row in matrix]
 
 
-def _zero_overlap_apply(b: list[int], vector: list[int]) -> list[int]:
-    """``Z @ vector`` for ``Z_ij = b[max(i, j)]``, by one prefix and one suffix pass."""
-    out = []
-    prefix = 0
-    for bi, vi in zip(b, vector):
-        prefix += vi
-        out.append(bi * prefix)
-    suffix = 0
-    for i in range(len(b) - 1, -1, -1):
-        out[i] += suffix
-        suffix += b[i] * vector[i]
-    return out
+def _fp_classes(c: int, classes, pmax: int) -> list[int]:
+    """F_0 .. F_pmax from the ``(size, b)`` blocks of equal b, b decreasing.
+
+    On blocks, ``(Z u)_J = b_J * sum_{L<=J} s_L u_L + sum_{L>J} s_L b_L
+    u_L`` (min(b_i, b_j) = b[max(i, j)], also inside a block), and
+    ``F_p = sum_J s_J b_J u_J`` with u starting at b.
+    """
+    sizes = [size for size, _ in classes]
+    b = [value for _, value in classes]
+    u = b
+    values = [c]
+    for _ in range(pmax):
+        su = list(map(mul, sizes, u))
+        reach = list(accumulate(map(mul, b, su), initial=0))
+        total = reach[-1]
+        values.append(total)
+        u = list(map(add, map(mul, b, accumulate(su)), map(total.__sub__, reach[1:])))
+    return values
 
 
 def _closed_neighbourhood(g: ThresholdGraph) -> list[list[int]]:
@@ -402,11 +394,6 @@ def _closed_neighbourhood(g: ThresholdGraph) -> list[list[int]]:
     return [[u for u in range(n) if u == v or a[v, u]] for v in range(n)]
 
 
-def _check_p(p: int) -> None:
-    if p < 0:
-        raise ValueError(f"p must be >= 0, got {p}")
-
-
-def _check_kmax(kmax: int) -> None:
-    if kmax < 0:
-        raise ValueError(f"kmax must be >= 0, got {kmax}")
+def _check_nonnegative(name: str, value: int) -> None:
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")

@@ -1,6 +1,7 @@
 """Exact walk counts: the F_p family and the three LW sequences."""
 
 from math import comb
+from operator import add, mul
 
 import pytest
 from conftest import connected_graphs, graph
@@ -15,6 +16,7 @@ from threshold_spectra import (
     fp_via_min_products,
     fp_via_one_overlap,
     fp_via_zero_overlap,
+    from_composition,
     from_generating_sequence,
     growth_estimate,
     lw_bruteforce,
@@ -86,6 +88,7 @@ def test_all_fp_routes_agree():
             fop = to_fop(g)
             bzp = to_bzp(g)
             seq = fp_sequence(bzp, 4)
+            assert lw_recurrence(g, 0, pmax=4).fp == tuple(seq)
             for p in range(5):
                 reference = seq[p]
                 assert fp_via_min_products(bzp, p) == reference
@@ -157,9 +160,13 @@ def test_bracket_recurrences_are_order_three():
 
 
 def test_walk_table_fp_cache_length():
-    assert len(lw_recurrence(G10101, 3).fp) == 2
-    assert len(lw_recurrence(G10101, 12).fp) == 6
+    # fp holds F_0 .. F_pmax whatever kmax is; pmax defaults to 10, as in the CLI
+    assert len(lw_recurrence(G10101, 3).fp) == 11
+    assert len(lw_recurrence(G10101, 12).fp) == 11
     assert len(lw_recurrence(G10101, 12, pmax=8).fp) == 9
+    assert lw_recurrence(G10101, 12, pmax=0).fp == (3,)
+    with pytest.raises(ValueError, match="^pmax must be >= 0, got -3$"):
+        lw_recurrence(G10101, 5, pmax=-3)
 
 
 def test_growth_estimate_tracks_spectral_radius():
@@ -217,7 +224,7 @@ def test_lw_double_prime_matches_its_convolution_definition():
 
 
 # ---------------------------------------------------------------------------
-# the hoisted recurrence and the O(z) F sequence against their oracles
+# the twin-class recurrence and F sequence against the convolution oracles
 # ---------------------------------------------------------------------------
 
 
@@ -247,6 +254,58 @@ def lw_seed_convolution(g, kmax):
     return lw
 
 
+def lw_hoisted_convolution(g, kmax):
+    """LW by the convolution with its closing series computed once.
+
+    ``closing[s] = sum_q C(s-q, q) F_{q+1}`` counts the closing
+    signatures with s units of slack, and ``LW_k = c LW_{k-1} +
+    sum_{r<=k-3} LW_r closing[k-3-r]``: O(kmax^2) big-integer products.
+    F comes from applying the zero-overlap matrix per type-0 vertex by
+    one prefix and one suffix pass, so neither the twin-class step nor
+    ``fp_sequence`` is on this path.
+    """
+    b = list(to_bzp(g).b)
+    vector, tail = b[:], []
+    for _ in range(max((kmax - 3) // 2 + 1, 1)):
+        tail.append(sum(map(mul, b, vector)))
+        out, prefix = [], 0
+        for bi, vi in zip(b, vector):
+            prefix += vi
+            out.append(bi * prefix)
+        suffix = 0
+        for i in range(len(b) - 1, -1, -1):
+            out[i] += suffix
+            suffix += b[i] * vector[i]
+        vector = out
+    closing = []
+    # row holds C(s-q, q); Pascal's rule puts row[q] + previous[q-1] in row s + 1
+    previous, row = [], [1]
+    for _ in range(kmax - 2):
+        closing.append(sum(map(mul, row, tail)))
+        previous, row = row, [1, *map(add, row[1:] + [0], previous)]
+    lw = [1]
+    for k in range(1, kmax + 1):
+        head = max(k - 2, 0)
+        lw.append(g.c * lw[k - 1] + sum(map(mul, lw[:head], reversed(closing[:head]))))
+    return lw
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        (700, 600, 700),
+        (400, 300, 500, 400, 400),
+        (1, 998, 1000, 1),
+        (300, 300, 300, 300, 300, 250, 250),
+        (250, 200, 300, 150, 250, 200, 300, 150, 200),
+    ],
+)
+def test_recurrence_matches_hoisted_convolution_at_n_2000(blocks):
+    g = from_composition(blocks)
+    assert g.n == 2000 and g.z >= 1
+    assert list(lw_recurrence(g, 120).lw) == lw_hoisted_convolution(g, 120)
+
+
 def connected_sequences(max_n):
     return st.lists(st.integers(0, 1), max_size=max_n - 2).map(
         lambda middle: from_generating_sequence([1, *middle, 1])
@@ -271,11 +330,11 @@ def test_recurrence_matches_bruteforce_property(g, kmax):
         ("111", (1, 3, 9, 27)),  # z = 0: every F_p with p >= 1 vanishes
         ("1101", (1, 3, 9, 28)),  # c^3 + F_1 with F_1 = 1
         ("10101", (1, 3, 9, 32)),  # F_1 = 5
+        ("1", (1, 1, 1, 1)),  # n = 1: one run, no edge
     ],
 )
 @pytest.mark.parametrize("kmax", [0, 1, 2, 3])
 def test_short_tables(bits, expected, kmax):
-    # kmax <= 2 needs no closing term; kmax = 3 uses the single one, F_1
     g = graph(bits)
     assert lw_recurrence(g, kmax).lw == expected[: kmax + 1]
     assert lw_bruteforce(g, kmax) == list(expected[: kmax + 1])
