@@ -26,10 +26,10 @@ They have integer coefficients, and ``greatest_real_root`` proves a
 bracket a few ulps wide around each root.
 
 A census runs as one batch.  At fixed (n, m) and c, both z = n - c and
-sum b = m - C(c, 2) are fixed, so every bound polynomial depends on
-(c, F_1) alone; :func:`bound_reports` takes rho for the whole list from
-one :func:`~threshold_spectra.spectral.spectral_radii` call and
-certifies each distinct coefficient tuple once.
+sum b = m - C(c, 2) are fixed, so every bound depends on (c, F_1)
+alone; :func:`bound_reports` takes rho for the whole list from one
+:func:`~threshold_spectra.spectral.spectral_radii` call, evaluates the
+bounds once per (c, F_1) class and certifies each coefficient tuple once.
 
 The bounds assume n >= 4, c >= 3, z >= 1, and n - 1 < m < C(n, 2);
 outside that range they raise :class:`PreconditionError`, or are marked
@@ -39,7 +39,9 @@ not applicable when a report is built leniently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb, sqrt
+from typing import NamedTuple
 
 from .graph_model import ThresholdGraph, _zero_classes
 from .spectral import Polynomial, greatest_real_root, spectral_radii
@@ -80,28 +82,25 @@ class BoundReport:
     applicable: bool
 
 
-@dataclass(frozen=True)
-class _Inputs:
-    """What every bound reads: c, z, n, sum b, F_1 and the degree tail.
-
-    The tail is the degree sequence from canonical position c - 1 on,
-    which is c - 1 followed by the bzp values b; it is held as
-    ``(count, degree)`` pairs, one per twin class.
-    """
+class _Inputs(NamedTuple):
+    """What every bound reads: c, z, n, sum b and F_1."""
 
     c: int
     z: int
     n: int
     sb: int
     f1: int
-    tail: tuple[tuple[int, int], ...]
 
 
 def _bound_inputs(g: ThresholdGraph) -> _Inputs:
     """The bound inputs, after checking the standing assumptions."""
     require_applicable(g)
-    zeros, sb, f1 = _zero_classes(g)
-    return _Inputs(c=g.c, z=g.z, n=g.n, sb=sb, f1=f1, tail=((1, g.c - 1),) + zeros)
+    sb = f1 = 0
+    # the zero runs from the last one back, each with b = the ones after it
+    for size, b in zip(g.runs[-2::-2], accumulate(g.runs[::-2])):
+        sb += size * b
+        f1 += size * b * b
+    return _Inputs(c=g.c, z=g.z, n=g.n, sb=sb, f1=f1)
 
 
 def require_applicable(g: ThresholdGraph) -> None:
@@ -158,7 +157,8 @@ def inequality_check(g: ThresholdGraph, rho: float) -> tuple[bool, float]:
     c - 1.  Values below the largest root of the quartic fail the check.
     """
     inputs = _bound_inputs(g)
-    c, z, tail = inputs.c, inputs.z, inputs.tail
+    c, z = inputs.c, inputs.z
+    tail = ((1, c - 1),) + _zero_classes(g)[0]
     s = c - 1 + inputs.sb
     left = rho * ((rho - c + 2.0) * (rho * rho + rho - (z + 1.0)) - s) * (c - 2.0)
     right = sum(
@@ -176,11 +176,13 @@ def inequality_check(g: ThresholdGraph, rho: float) -> tuple[bool, float]:
 
 
 def _inequality_coefficients(inputs: _Inputs) -> tuple[int, ...]:
-    c, z, tail = inputs.c, inputs.z, inputs.tail
-    s = c - 1 + inputs.sb
-    t1 = sum(count * (d - 1) ** 2 for count, d in tail)
-    t2 = sum(count * (d - 1) for count, d in tail)
-    t3 = sum(count * (d - 1) * (s - d * (z + 1)) for count, d in tail)
+    """The quartic's coefficients: the tail of :func:`inequality_polynomial`
+    is c - 1 and then b, so T1, T2 and T3 close up in c, z, sum b and F_1."""
+    c, z, sb, f1 = inputs.c, inputs.z, inputs.sb, inputs.f1
+    s = c - 1 + sb
+    t1 = (c - 2) ** 2 + f1 - 2 * sb + z
+    t2 = c - 2 + sb - z
+    t3 = s * t2 - (z + 1) * ((c - 1) * (c - 2) + f1 - sb)
     return (
         c - 2,
         (c - 2) * (3 - c),
@@ -202,48 +204,51 @@ def bound_reports(graphs, allow_inapplicable: bool = False) -> list[BoundReport]
     c < 3): rho is still reported and every bound is None.  Otherwise
     such graphs raise :class:`PreconditionError`.
 
-    Each distinct coefficient tuple is certified once per call, through
-    a dict that lives only as long as the call; ``greatest_real_root``
-    is deterministic, so a shared root is exactly the one a graph would
-    get alone.
+    The bounds are evaluated once per distinct :class:`_Inputs` and each
+    coefficient tuple is certified once, in dicts that live as long as
+    the call; ``greatest_real_root`` is deterministic, so a shared value
+    is exactly the one a graph would get alone.
     """
     graphs = list(graphs)
     roots: dict[tuple[int, ...], float] = {}
+    bounds: dict[_Inputs, tuple[float, ...]] = {}
 
     def root(coefficients: tuple[int, ...]) -> float:
         if coefficients not in roots:
             roots[coefficients] = greatest_real_root(Polynomial(coefficients)).value
         return roots[coefficients]
 
-    radii = spectral_radii(graphs)
-    return [_report(g, rho, root, allow_inapplicable) for g, rho in zip(graphs, radii)]
+    reports = []
+    for g, rho in zip(graphs, spectral_radii(graphs)):
+        try:
+            inputs = _bound_inputs(g)
+        except PreconditionError:
+            if not allow_inapplicable:
+                raise
+            # rho alone: the five bounds, sandwich_ok and gaps are None
+            reports.append(BoundReport(rho, *(None,) * 7, applicable=False))
+            continue
+        if inputs not in bounds:
+            bounds[inputs] = _bounds(inputs, root)
+        reports.append(_report(rho, bounds[inputs]))
+    return reports
 
 
-def _report(g: ThresholdGraph, rho: float, root, allow_inapplicable: bool) -> BoundReport:
-    """One graph's report, given its rho and a function from coefficients to the root."""
-    try:
-        inputs = _bound_inputs(g)
-    except PreconditionError:
-        if allow_inapplicable:
-            return BoundReport(
-                rho=rho,
-                lower_cubic=None,
-                lower_corollary=None,
-                lower_quadratic=None,
-                upper_cubic=None,
-                inequality_root=None,
-                sandwich_ok=None,
-                gaps=None,
-                applicable=False,
-            )
-        raise
+def _bounds(inputs: _Inputs, root) -> tuple[float, ...]:
+    """The five bound values in field order, given a function from coefficients to the root."""
     c, f1 = inputs.c, inputs.f1
     lower, upper = bracket_cubics(c, inputs.sb, f1)
-    lo_cubic = root(lower) - 1.0
-    lo_corollary = c - 1.0 + f1 / float(inputs.n * inputs.n)
-    lo_quadratic = (c - 2.0 + sqrt(c * c + 4.0 * f1 / (c - 1.0))) / 2.0
-    up_cubic = root(upper) - 1.0
-    ineq_root = root(_inequality_coefficients(inputs))
+    return (
+        root(lower) - 1.0,
+        c - 1.0 + f1 / float(inputs.n * inputs.n),
+        (c - 2.0 + sqrt(c * c + 4.0 * f1 / (c - 1.0))) / 2.0,
+        root(upper) - 1.0,
+        root(_inequality_coefficients(inputs)),
+    )
+
+
+def _report(rho: float, values: tuple[float, ...]) -> BoundReport:
+    lo_cubic, lo_corollary, lo_quadratic, up_cubic, ineq_root = values
     lowers = (lo_cubic, lo_corollary, lo_quadratic, ineq_root)
     sandwich_ok = max(lowers) <= rho + SANDWICH_TOL and rho <= up_cubic + SANDWICH_TOL
     gaps = {
@@ -253,17 +258,7 @@ def _report(g: ThresholdGraph, rho: float, root, allow_inapplicable: bool) -> Bo
         "upper_cubic": up_cubic - rho,
         "inequality_root": rho - ineq_root,
     }
-    return BoundReport(
-        rho=rho,
-        lower_cubic=lo_cubic,
-        lower_corollary=lo_corollary,
-        lower_quadratic=lo_quadratic,
-        upper_cubic=up_cubic,
-        inequality_root=ineq_root,
-        sandwich_ok=sandwich_ok,
-        gaps=gaps,
-        applicable=True,
-    )
+    return BoundReport(rho, *values, sandwich_ok, gaps, applicable=True)
 
 
 def bound_report(g: ThresholdGraph, allow_inapplicable: bool = False) -> BoundReport:

@@ -14,8 +14,9 @@ Exit codes: 0 success, 1 domain errors, 2 usage errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from .bounds import PreconditionError, bound_report, bound_reports
 from .extremal import enumerate_threshold_graphs, verify_predictions
@@ -83,7 +84,39 @@ def _csv_cell(x) -> str:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """``json.dumps(obj, indent=2) + "\\n"`` byte for byte, without its pure-Python encoder."""
+    return _json_value(obj, "\n") + "\n"
+
+
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_JSON_SCALARS = {  # by exact type, so bool never reaches int
+    float: lambda x: _FLOAT_WORDS.get(text := float.__repr__(x), text),
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda x: "null",
+}
+
+
+def _json_value(value, indent: str) -> str:
+    """One value; ``indent`` is the line break and indentation before its closing bracket."""
+    write = _JSON_SCALARS.get(type(value))
+    if write is not None:
+        return write(value)
+    if not isinstance(value, (dict, list, tuple)):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    brackets, inner = ("{}" if isinstance(value, dict) else "[]"), indent + "  "
+    if not value:
+        return brackets
+    if isinstance(value, dict):
+        items = [
+            encode_basestring_ascii(k) + ": " + _json_value(v, inner) for k, v in value.items()
+        ]
+    elif set(map(type, value)) == {int}:
+        items = map(int.__repr__, value)
+    else:
+        items = [_json_value(item, inner) for item in value]
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
 
 
 def _human_float(x) -> str:
@@ -386,10 +419,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = cache(build_parser)  # run reuses one parser: building it costs more than a parse
+
+
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _parser().parse_args(list(argv))
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

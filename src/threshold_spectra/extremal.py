@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
-from .graph_model import ThresholdGraph, _block_runs, _from_runs, from_bzp
+from .graph_model import ThresholdGraph, _block_runs, _from_runs
 from .spectral import spectral_radii
 
 __all__ = [
@@ -137,20 +137,27 @@ def _partitions(total: int, parts: int, max_part: int) -> Iterator[tuple[int, ..
             yield (first,) + rest
 
 
+def _partition_runs(c: int, b: tuple[int, ...]) -> tuple[int, ...]:
+    """The runs of ``from_bzp(c, b)``: c - b_1, then per group of equal b its
+    count and the gap to the next value, then b_last."""
+    runs, higher = [], c
+    for value in dict.fromkeys(b):
+        runs += (higher - value, b.count(value))
+        higher = value
+    runs.append(higher)
+    return tuple(runs)
+
+
 def _connected_census(n: int, m: int) -> Iterator[ThresholdGraph]:
     for c in range(1, n + 1):
         z = n - c
         remainder = m - comb(c, 2)
         if remainder < 0:
             break  # C(c, 2) only grows with c
-        if z == 0:
-            if remainder == 0:
-                yield from_bzp(c, ())
-            continue
-        if c < 2 or remainder < z or remainder > z * (c - 1):
-            continue
+        if not z <= remainder <= z * (c - 1):
+            continue  # every b_i lies in [1, c - 1]
         for b in _partitions(remainder, z, c - 1):
-            yield from_bzp(c, b)
+            yield ThresholdGraph(runs=_partition_runs(c, b), n=n, m=m, c=c, z=z)
 
 
 def enumerate_threshold_graphs(n: int, m: int) -> list[ThresholdGraph]:

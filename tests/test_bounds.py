@@ -23,6 +23,7 @@ from threshold_spectra import (
     upper_cubic_polynomial,
 )
 from threshold_spectra.bounds import SANDWICH_TOL
+from threshold_spectra.graph_model import _zero_classes
 from conftest import (
     bisection_root,
     connected_graphs,
@@ -183,6 +184,36 @@ def test_sandwich_and_certificates_at_scale(blocks):
 def test_quartic_coefficients():
     assert inequality_polynomial(G10101).coefficients == (1, 0, -6, -4, 2)
     assert inequality_polynomial(G11011).coefficients == (2, -2, -13, -8, 1)
+
+
+def test_quartic_closed_form_equals_tail_sums():
+    """T1, T2 and T3 summed over the degree tail, one term per twin class.
+
+    The tail is the degree sequence from canonical position c - 1 on:
+    c - 1 once, then b per type-0 class.
+    """
+    checked = 0
+    for census in censuses(14):
+        for g in census:
+            try:
+                coefficients = inequality_polynomial(g).coefficients
+            except PreconditionError:
+                continue
+            c, z = g.c, g.z
+            tail = ((1, c - 1),) + _zero_classes(g)[0]
+            s = sum(count * d for count, d in tail)
+            t1 = sum(count * (d - 1) ** 2 for count, d in tail)
+            t2 = sum(count * (d - 1) for count, d in tail)
+            t3 = sum(count * (d - 1) * (s - d * (z + 1)) for count, d in tail)
+            assert coefficients == (
+                c - 2,
+                (c - 2) * (3 - c),
+                -((c - 2) * (z + c - 1) + t1),
+                (c - 2) * ((c - 2) * (z + 1) - s - t2),
+                -t3,
+            )
+            checked += 1
+    assert checked == 8166  # every applicable graph with n <= 14, as in the sandwich test
 
 
 def test_quartic_agrees_with_direct_slack():

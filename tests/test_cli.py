@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import string
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threshold_spectra import ParseError, spectral
-from threshold_spectra.cli import parse_graph_spec, run
+from threshold_spectra.cli import _json_text, parse_graph_spec, run
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +311,43 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     payload = json.loads(target.read_text())
     assert payload["graph"]["generating"] == "1101"
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer
+# ---------------------------------------------------------------------------
+
+_json_pieces = st.sampled_from(['"', "\\", "\n", ", ", ": ", "\u00e9", "\u2028", "\U0001f600"])
+_json_strings = st.lists(st.one_of(_json_pieces, st.characters()), max_size=6).map("".join)
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**200), 2**200),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e-320, 1e16, 0.1]),
+    st.floats(),
+    _json_strings,
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(st.integers(-(2**200), 2**200), max_size=4),
+        st.dictionaries(_json_strings, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_values)
+def test_json_writer_matches_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, indent=2) + "\n"
+
+
+def test_json_writer_rejects_what_json_rejects():
+    with pytest.raises(TypeError):
+        _json_text({"graphs": [{1, 2}]})
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Census enumeration, maximizer search, and literature reconciliation."""
 
+from itertools import combinations_with_replacement
 from math import comb
 
 import numpy as np
@@ -9,6 +10,7 @@ from threshold_spectra import (
     adjacency_matrix,
     enumerate_threshold_graphs,
     find_extremal,
+    from_bzp,
     predict_maximizers,
     spectral_radius,
     to_composition,
@@ -39,6 +41,35 @@ def test_census_matches_bitstring_sweep():
             # ordered by number of dominating-type vertices, ascending
             cs = [g.c for g in census]
             assert cs == sorted(cs)
+
+
+def bzp_census(n):
+    """The (c, b) encodings of the connected graphs on n vertices, by edge count.
+
+    Each list runs over c ascending and, at one c, over the nonincreasing
+    b with parts in [1, c - 1] in descending lexicographic order.
+    """
+    by_m = {}
+    for c in range(1, n + 1):
+        for b in combinations_with_replacement(range(c - 1, 0, -1), n - c):
+            by_m.setdefault(comb(c, 2) + sum(b), []).append((c, b))
+    return by_m
+
+
+def test_census_equals_validated_bzp_rebuild():
+    """Each census graph, built straight from its partition, equals ``from_bzp``'s."""
+    cells = graphs = 0
+    for n in range(1, 15):
+        by_m = bzp_census(n)
+        for m in range(comb(n, 2) + 1):
+            census = enumerate_threshold_graphs(n, m)
+            expected = [from_bzp(c, b) for c, b in by_m.get(m, [])]
+            assert [(g.runs, g.n, g.m, g.c, g.z) for g in census] == [
+                (g.runs, g.n, g.m, g.c, g.z) for g in expected
+            ]
+            cells += 1
+            graphs += len(census)
+    assert (cells, graphs) == (469, 8192)
 
 
 def test_census_with_disconnected_graphs():
