@@ -9,6 +9,12 @@ Graphs are given as ``gen:<bits>``, ``comp:G{p1,...,pk}``, or
 ``--json`` / ``--csv`` (``verify`` has no CSV form); identical
 invocations produce identical bytes.
 Exit codes: 0 success, 1 domain errors, 2 usage errors.
+
+JSON output is byte for byte ``json.dumps(payload, indent=2)``.  One
+generic writer, ``_json_text``, writes every payload except the rows of
+``enumerate --json``: those have a fixed shape, so each is filled into
+one of two ``%`` templates (with bounds, or with them null) built once
+at import from the same column names.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import argparse
 import sys
 from functools import cache
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter, itemgetter
 
 from .bounds import PreconditionError, bound_report, bound_reports
 from .extremal import enumerate_threshold_graphs, verify_predictions
@@ -133,8 +140,7 @@ _BOUND_COLUMNS = (
 )
 
 
-def _bound_cells(report) -> list:
-    return [getattr(report, column) for column in _BOUND_COLUMNS]
+_bound_cells = attrgetter(*_BOUND_COLUMNS)  # the report's values, in column order
 
 
 def _report_dict(report) -> dict:
@@ -142,6 +148,65 @@ def _report_dict(report) -> dict:
         "sandwich_ok": report.sandwich_ok,
         "gaps": report.gaps,
     }
+
+
+_GAP_KEYS = _BOUND_COLUMNS[1:]  # bound_reports keys each gap by its bound's column
+
+
+def _object_text(items, indent: str) -> str:
+    """``{key: text}`` laid out like :func:`_json_value`; keys need no escaping."""
+    inner = indent + "  "
+    return "{" + ",".join(f'{inner}"{key}": {text}' for key, text in items) + indent + "}"
+
+
+def _census_row_template(applicable: bool) -> str:
+    """A row of ``enumerate --json`` at its depth in the payload, as a ``%`` template.
+
+    Strings go in as ``"%s"``, ints as ``%d``, floats as ``%r`` (the
+    ``float.__repr__`` that ``json`` uses for finite floats) and booleans
+    as ``%s`` of "false" or "true".  For a graph the bounds do not cover,
+    the five bounds, ``sandwich_ok`` and ``gaps`` are null.
+    """
+    gaps = _object_text([(key, "%r") for key in _GAP_KEYS], "\n      ")
+    bound, sandwich_ok, gaps = ("%r", "%s", gaps) if applicable else ("null",) * 3
+    items = [
+        *[("generating", '"%s"'), ("composition", '"%s"')],
+        *[("c", "%d"), ("z", "%d"), ("m", "%d"), ("is_max", "%s"), ("rho", "%r")],
+        *[(column, bound) for column in _BOUND_COLUMNS[1:]],
+        *[("sandwich_ok", sandwich_ok), ("gaps", gaps)],
+    ]
+    return _object_text(items, "\n    ")
+
+
+_CENSUS_ROWS = (_census_row_template(False), _census_row_template(True))  # by applicable
+_JSON_BOOLS = ("false", "true")
+_gap_values = itemgetter(*_GAP_KEYS)
+
+
+def _census_json(envelope: dict, census, compositions, reports, flags) -> str:
+    """``_json_text(envelope | {"graphs": rows})``, with each row from its template."""
+    rows = []
+    for g, composition, report, is_max in zip(census, compositions, reports, flags):
+        head = (g.generating_string, composition, g.c, g.z, g.m, _JSON_BOOLS[is_max])
+        if report.applicable:
+            rows.append(
+                _CENSUS_ROWS[1]
+                % (
+                    *head,
+                    *_bound_cells(report),
+                    _JSON_BOOLS[report.sandwich_ok],
+                    *_gap_values(report.gaps),
+                )
+            )
+        else:
+            rows.append(_CENSUS_ROWS[0] % (*head, report.rho))
+    # %r spells non-finite floats nan, inf and -inf, json NaN, Infinity and -Infinity;
+    # after ": " only a value can read so, as the strings hold just 0, 1, G, {, } and ","
+    text = ",\n    ".join(rows)
+    for word, spelling in (("nan", "NaN"), ("inf", "Infinity"), ("-inf", "-Infinity")):
+        text = text.replace(": " + word, ": " + spelling)
+    # the census is never empty: the envelope without its closing "\n}\n", then the rows
+    return _json_text(envelope)[:-3] + ',\n  "graphs": [\n    ' + text + "\n  ]\n}\n"
 
 
 def _csv_line(cells) -> str:
@@ -241,31 +306,6 @@ def _cmd_enumerate(args) -> str:
     reports = bound_reports(census, allow_inapplicable=True)
     rho_max = max(report.rho for report in reports)
     flags = [rho_max - report.rho <= args.tie_tol for report in reports]
-    if args.json:
-        rows = []
-        for g, report, is_max in zip(census, reports, flags):
-            rows.append(
-                {
-                    "generating": g.generating_string,
-                    "composition": to_composition(g).format(),
-                    "c": g.c,
-                    "z": g.z,
-                    "m": g.m,
-                    "is_max": is_max,
-                }
-                | _report_dict(report)
-            )
-        payload = {
-            "n": args.n,
-            "m": args.m,
-            "census_size": len(census),
-            "rho_max": rho_max,
-            "maximizers": [
-                to_composition(g).format() for g, is_max in zip(census, flags) if is_max
-            ],
-            "graphs": rows,
-        }
-        return _json_text(payload)
     if args.csv:
         lines = [_csv_line(["generating", "c", "z", "m", *_BOUND_COLUMNS, "is_max"])]
         for g, report, is_max in zip(census, reports, flags):
@@ -273,8 +313,19 @@ def _cmd_enumerate(args) -> str:
                 _csv_line([g.generating_string, g.c, g.z, g.m, *_bound_cells(report), is_max])
             )
         return "\n".join(lines) + "\n"
+    compositions = [to_composition(g).format() for g in census]
+    maximizers = [text for text, is_max in zip(compositions, flags) if is_max]
+    if args.json:
+        envelope = {
+            "n": args.n,
+            "m": args.m,
+            "census_size": len(census),
+            "rho_max": rho_max,
+            "maximizers": maximizers,
+        }
+        return _census_json(envelope, census, compositions, reports, flags)
     lines = [f"census n={args.n} m={args.m}: {len(census)} graph(s)", ""]
-    for g, report, is_max in zip(census, reports, flags):
+    for g, composition, report, is_max in zip(census, compositions, reports, flags):
         marker = "*" if is_max else " "
         bounds = (
             "bounds n/a"
@@ -287,11 +338,10 @@ def _cmd_enumerate(args) -> str:
             )
         )
         lines.append(
-            f" {marker} {g.generating_string}  {to_composition(g).format():<18} "
+            f" {marker} {g.generating_string}  {composition:<18} "
             f"rho={_human_float(report.rho)}  {bounds}"
         )
     lines.append("")
-    maximizers = [to_composition(g).format() for g, is_max in zip(census, flags) if is_max]
     lines.append(f"rho_max {_human_float(rho_max)} attained by {', '.join(maximizers)}")
     return "\n".join(lines) + "\n"
 

@@ -124,28 +124,24 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def _partitions(total: int, parts: int, max_part: int) -> Iterator[tuple[int, ...]]:
-    """Nonincreasing tuples with ``parts`` entries in [1, max_part], descending lex."""
+def _partition_runs(c: int, total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """The runs of ``from_bzp(c, b)`` for every nonincreasing b with ``parts``
+    entries in [1, c - 1] summing to ``total``, b in descending lex order.
+
+    The runs are c - b_1, then per group of equal b its count and the gap
+    to the next value, then b_last.  Groups come by value, then count,
+    both descending, with one generator frame per group.
+    """
     if parts == 0:
-        if total == 0:
-            yield ()
+        yield (c,)
         return
-    highest = min(max_part, total - (parts - 1))
-    lowest = -(-total // parts)  # ceil: the first part is at least the average
-    for first in range(highest, lowest - 1, -1):
-        for rest in _partitions(total - first, parts - 1, first):
-            yield (first,) + rest
-
-
-def _partition_runs(c: int, b: tuple[int, ...]) -> tuple[int, ...]:
-    """The runs of ``from_bzp(c, b)``: c - b_1, then per group of equal b its
-    count and the gap to the next value, then b_last."""
-    runs, higher = [], c
-    for value in dict.fromkeys(b):
-        runs += (higher - value, b.count(value))
-        higher = value
-    runs.append(higher)
-    return tuple(runs)
+    # the first value is at least the average and leaves at least 1 per later part
+    for value in range(min(c - 1, total - parts + 1), -(-total // parts) - 1, -1):
+        # the other parts - count entries lie in [1, value - 1] and sum to total - count * value
+        most = min(parts, (total - parts) // (value - 1)) if value > 1 else parts
+        for count in range(most, max(1, total - parts * (value - 1)) - 1, -1):
+            for rest in _partition_runs(value, total - count * value, parts - count):
+                yield (c - value, count, *rest)
 
 
 def _connected_census(n: int, m: int) -> Iterator[ThresholdGraph]:
@@ -156,8 +152,8 @@ def _connected_census(n: int, m: int) -> Iterator[ThresholdGraph]:
             break  # C(c, 2) only grows with c
         if not z <= remainder <= z * (c - 1):
             continue  # every b_i lies in [1, c - 1]
-        for b in _partitions(remainder, z, c - 1):
-            yield ThresholdGraph(runs=_partition_runs(c, b), n=n, m=m, c=c, z=z)
+        for runs in _partition_runs(c, remainder, z):
+            yield ThresholdGraph(runs=runs, n=n, m=m, c=c, z=z)
 
 
 def enumerate_threshold_graphs(n: int, m: int) -> list[ThresholdGraph]:

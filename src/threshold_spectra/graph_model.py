@@ -92,7 +92,7 @@ class CompositionSpec:
         return sum(self.blocks)
 
     def format(self) -> str:
-        return "G{" + ",".join(str(p) for p in self.blocks) + "}"
+        return "G{" + ",".join(map(str, self.blocks)) + "}"
 
 
 @dataclass(frozen=True)
@@ -318,8 +318,7 @@ def to_bzp(g: ThresholdGraph) -> BzpSequence:
     vertex and encodes as ``BzpSequence(c, ())``.
     """
     _require_connected(g, "bzp encoding")
-    b = tuple(d for symbol, _, size, d in _classes(g) if symbol == 0 for _ in range(size))
-    return BzpSequence(c=g.c, b=b)
+    return BzpSequence(c=g.c, b=tuple(_vertex_lists(g)[0]))
 
 
 def from_bzp(c: int, b) -> ThresholdGraph:
@@ -344,13 +343,7 @@ def to_fop(g: ThresholdGraph) -> FopSequence:
     A type-1 vertex of degree d has d - (c - 1) of them.
     """
     _require_connected(g, "fop encoding")
-    f = tuple(
-        d - (g.c - 1)
-        for symbol, _, size, d in reversed(_classes(g))
-        if symbol == 1
-        for _ in range(size)
-    )
-    return FopSequence(f=f, n=g.n)
+    return FopSequence(f=tuple(_vertex_lists(g)[1]), n=g.n)
 
 
 def from_fop(f, n: int) -> ThresholdGraph:
@@ -379,7 +372,26 @@ def degree_sequence(g: ThresholdGraph) -> tuple[int, ...]:
     vertex has degree b_i.
     """
     _require_connected(g, "degree sequence")
-    return tuple(d for _, _, size, d in _classes(g) for _ in range(size))
+    return tuple(_vertex_lists(g)[2])
+
+
+def _vertex_lists(g: ThresholdGraph) -> tuple[list[int], list[int], list[int]]:
+    """bzp, fop and the degree sequence as lists, one ``[value] * size`` block per class.
+
+    The canonical order lists the ones runs last to first, then the zero
+    runs first to last: the degrees follow it, bzp is its zero part, and
+    fop takes the ones runs first to last with f = d - (c - 1).
+    """
+    classes = _classes(g)
+    bzp, fop, degrees = [], [], []
+    for symbol, _, size, d in classes:
+        degrees += [d] * size
+        if symbol == 0:
+            bzp += [d] * size
+    for symbol, _, size, d in reversed(classes):
+        if symbol == 1:
+            fop += [d - (g.c - 1)] * size
+    return bzp, fop, degrees
 
 
 def adjacency_matrix(g: ThresholdGraph) -> np.ndarray:
@@ -402,14 +414,7 @@ def adjacency_matrix(g: ThresholdGraph) -> np.ndarray:
 
 def to_json_dict(g: ThresholdGraph) -> dict:
     """JSON-ready description with all encodings spelled out."""
-    if g.is_connected:
-        bzp = list(to_bzp(g).b)
-        fop = list(to_fop(g).f)
-        degrees = list(degree_sequence(g))
-    else:
-        bzp = None
-        fop = None
-        degrees = None
+    bzp, fop, degrees = _vertex_lists(g) if g.is_connected else (None, None, None)
     return {
         "n": g.n,
         "m": g.m,

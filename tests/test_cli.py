@@ -5,12 +5,20 @@ import io
 import json
 import math
 import string
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from threshold_spectra import ParseError, spectral
+from threshold_spectra import (
+    ParseError,
+    bound_reports,
+    cli,
+    enumerate_threshold_graphs,
+    spectral,
+    to_composition,
+)
 from threshold_spectra.cli import _json_text, parse_graph_spec, run
 
 
@@ -256,6 +264,85 @@ def test_enumerate_json(capsys):
     assert len(payload["graphs"]) == 2
     flags = [row["is_max"] for row in payload["graphs"]]
     assert flags.count(True) == 1
+
+
+def _census_payload(n, m, tie_tol, census, reports):
+    """The ``enumerate --json`` payload with one dict per row: the oracle for the row template."""
+    rho_max = max(report.rho for report in reports)
+    flags = [rho_max - report.rho <= tie_tol for report in reports]
+    rows = [
+        {
+            "generating": g.generating_string,
+            "composition": to_composition(g).format(),
+            "c": g.c,
+            "z": g.z,
+            "m": g.m,
+            "is_max": is_max,
+            "rho": report.rho,
+            "lower_cubic": report.lower_cubic,
+            "lower_corollary": report.lower_corollary,
+            "lower_quadratic": report.lower_quadratic,
+            "upper_cubic": report.upper_cubic,
+            "inequality_root": report.inequality_root,
+            "sandwich_ok": report.sandwich_ok,
+            "gaps": report.gaps,
+        }
+        for g, report, is_max in zip(census, reports, flags)
+    ]
+    return {
+        "n": n,
+        "m": m,
+        "census_size": len(census),
+        "rho_max": rho_max,
+        "maximizers": [row["composition"] for row in rows if row["is_max"]],
+        "graphs": rows,
+    }
+
+
+@pytest.mark.parametrize("tie_tol", [1e-9, 1.0], ids=["default-tie-tol", "tie-tol-1"])
+def test_enumerate_json_is_json_dumps_of_the_row_dicts(tie_tol, capsys):
+    cells = graphs = inapplicable = maximizers = 0
+    for n in range(1, 11):
+        for m in range(math.comb(n, 2) + 1):
+            census = enumerate_threshold_graphs(n, m)
+            if not census:
+                continue
+            argv = ["enumerate", "--n", str(n), "--m", str(m), "--json"]
+            assert run(argv if tie_tol == 1e-9 else argv + ["--tie-tol", "1"]) == 0
+            reports = bound_reports(census, allow_inapplicable=True)
+            payload = _census_payload(n, m, tie_tol, census, reports)
+            assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+            cells += 1
+            graphs += len(census)
+            inapplicable += sum(not report.applicable for report in reports)
+            maximizers += len(payload["maximizers"])
+    # rows without bounds: every graph with n < 4, then the star and the complete graph per n
+    assert (cells, graphs, inapplicable) == (130, 512, 18)
+    # one maximizer per cell at the default, and every graph within 1 of rho_max
+    assert maximizers == {1e-9: 130, 1.0: 512}[tie_tol]
+
+
+def test_enumerate_json_spells_non_finite_floats_like_json_dumps(monkeypatch, capsys):
+    real = cli.bound_reports
+
+    def non_finite(graphs, allow_inapplicable=False):
+        reports = real(graphs, allow_inapplicable)
+        first = reports[0]
+        if not first.applicable:
+            return [replace(first, rho=math.inf)]
+        gaps = first.gaps | {"lower_cubic": -math.inf, "upper_cubic": math.nan}
+        reports[0] = replace(first, lower_cubic=math.inf, gaps=gaps)
+        reports[1] = replace(reports[1], rho=math.nan, inequality_root=-math.inf)
+        return reports
+
+    monkeypatch.setattr(cli, "bound_reports", non_finite)
+    for n, m in [(9, 14), (6, 5)]:  # four applicable rows; the star alone
+        assert run(["enumerate", "--n", str(n), "--m", str(m), "--json"]) == 0
+        census = enumerate_threshold_graphs(n, m)
+        payload = _census_payload(n, m, 1e-9, census, non_finite(census, True))
+        out = capsys.readouterr().out
+        assert out == json.dumps(payload, indent=2) + "\n"
+        assert "Infinity" in out and ("NaN" in out) == (n == 9)
 
 
 def test_enumerate_csv_header_and_marking(capsys):

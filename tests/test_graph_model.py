@@ -257,6 +257,18 @@ def test_json_dict_shapes():
     assert disconnected["fop"] is None
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 222), min_size=1, max_size=9))
+def test_json_dict_lists_equal_the_validated_encodings(blocks):
+    # up to 9 blocks of at most 222: n <= 1998
+    g = from_composition(blocks)
+    d = to_json_dict(g)
+    assert d["bzp"] == list(to_bzp(g).b)
+    assert d["fop"] == list(to_fop(g).f)
+    assert d["degrees"] == list(degree_sequence(g))
+    assert (d["n"], d["m"], d["c"], d["z"]) == (g.n, g.m, g.c, g.z)
+
+
 # ---------------------------------------------------------------------------
 # twin classes against the bit-level definitions
 # ---------------------------------------------------------------------------
