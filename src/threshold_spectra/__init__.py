@@ -5,6 +5,12 @@ encodings, counts lazy walks between dominating-type vertices exactly,
 computes spectral radii, evaluates closed-form lower and upper bounds on
 them, and searches exhaustively for the spectral-radius maximizers at a
 fixed number of vertices and edges.
+
+The names below are the core: each result comes from one routine.  The
+paper's alternative formulas for the same results (the other F_p routes,
+brute-force walk counts, the bound polynomials, the dense adjacency
+matrix) are checks of that core, in :mod:`threshold_spectra.identities`,
+which this package does not import.
 """
 
 from .graph_model import (
@@ -13,7 +19,6 @@ from .graph_model import (
     FopSequence,
     ParseError,
     ThresholdGraph,
-    adjacency_matrix,
     degree_sequence,
     from_bzp,
     from_composition,
@@ -24,44 +29,17 @@ from .graph_model import (
     to_composition,
     to_fop,
 )
-from .walks import (
-    WalkTable,
-    bracket_cubics,
-    count_walks_with_signature,
-    fp_sequence,
-    fp_via_max_indices,
-    fp_via_min_products,
-    fp_via_one_overlap,
-    fp_via_zero_overlap,
-    growth_estimate,
-    lw_bruteforce,
-    lw_double_prime,
-    lw_prime,
-    lw_recurrence,
-    one_overlap_matrix,
-    zero_overlap_matrix,
-)
+from .walks import WalkTable, bracket_cubics, lw_recurrence
 from .spectral import (
     ConvergenceError,
     Polynomial,
     RootResult,
-    fp_spectral_bzp,
-    fp_spectral_fop,
     greatest_real_root,
     perron_vector,
     spectral_radii,
     spectral_radius,
 )
-from .bounds import (
-    BoundReport,
-    PreconditionError,
-    bound_report,
-    bound_reports,
-    inequality_check,
-    inequality_polynomial,
-    lower_cubic_polynomial,
-    upper_cubic_polynomial,
-)
+from .bounds import BoundReport, PreconditionError, bound_report, bound_reports
 from .extremal import (
     ConjecturePair,
     ExtremalResult,
@@ -79,7 +57,6 @@ __all__ = [
     "FopSequence",
     "ParseError",
     "ThresholdGraph",
-    "adjacency_matrix",
     "degree_sequence",
     "from_bzp",
     "from_composition",
@@ -91,24 +68,10 @@ __all__ = [
     "to_fop",
     "WalkTable",
     "bracket_cubics",
-    "count_walks_with_signature",
-    "fp_sequence",
-    "fp_via_max_indices",
-    "fp_via_min_products",
-    "fp_via_one_overlap",
-    "fp_via_zero_overlap",
-    "growth_estimate",
-    "lw_bruteforce",
-    "lw_double_prime",
-    "lw_prime",
     "lw_recurrence",
-    "one_overlap_matrix",
-    "zero_overlap_matrix",
     "ConvergenceError",
     "Polynomial",
     "RootResult",
-    "fp_spectral_bzp",
-    "fp_spectral_fop",
     "greatest_real_root",
     "perron_vector",
     "spectral_radii",
@@ -117,10 +80,6 @@ __all__ = [
     "PreconditionError",
     "bound_report",
     "bound_reports",
-    "inequality_check",
-    "inequality_polynomial",
-    "lower_cubic_polynomial",
-    "upper_cubic_polynomial",
     "ConjecturePair",
     "ExtremalResult",
     "MaximizerPrediction",

@@ -19,11 +19,12 @@ the type-0 vertices, and F_1 = sum(b_i^2):
   sharp lower estimate otherwise.
 
 The two cubics are the characteristic polynomials of the walk brackets,
-built by :func:`threshold_spectra.walks.bracket_cubics`;
-``lower_cubic_polynomial``, ``upper_cubic_polynomial`` and
-``inequality_polynomial`` expose the paper's polynomials themselves.
-They have integer coefficients, and ``greatest_real_root`` proves a
-bracket a few ulps wide around each root.
+built by :func:`threshold_spectra.walks.bracket_cubics`.  All three
+polynomials have integer coefficients, and ``greatest_real_root`` proves
+a bracket a few ulps wide around each root.  The paper's polynomials as
+:class:`~threshold_spectra.spectral.Polynomial` objects, and the degree
+inequality evaluated at a given rho, are test oracles in
+:mod:`threshold_spectra.identities`.
 
 A census runs as one batch.  At fixed (n, m) and c, both z = n - c and
 sum b = m - C(c, 2) are fixed, so every bound depends on (c, F_1)
@@ -39,7 +40,6 @@ not applicable when a report is built leniently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from math import comb, sqrt
 from typing import NamedTuple
 
@@ -53,14 +53,9 @@ __all__ = [
     "SANDWICH_TOL",
     "bound_report",
     "bound_reports",
-    "inequality_check",
-    "inequality_polynomial",
-    "lower_cubic_polynomial",
-    "upper_cubic_polynomial",
 ]
 
 SANDWICH_TOL = 1e-9
-_INEQUALITY_REL = 1e-9
 
 
 class PreconditionError(ValueError):
@@ -95,11 +90,7 @@ class _Inputs(NamedTuple):
 def _bound_inputs(g: ThresholdGraph) -> _Inputs:
     """The bound inputs, after checking the standing assumptions."""
     require_applicable(g)
-    sb = f1 = 0
-    # the zero runs from the last one back, each with b = the ones after it
-    for size, b in zip(g.runs[-2::-2], accumulate(g.runs[::-2])):
-        sb += size * b
-        f1 += size * b * b
+    _, sb, f1 = _zero_classes(g)
     return _Inputs(c=g.c, z=g.z, n=g.n, sb=sb, f1=f1)
 
 
@@ -118,20 +109,13 @@ def require_applicable(g: ThresholdGraph) -> None:
         raise PreconditionError(f"bounds require m < C(n,2), got m = {g.m}, n = {g.n}")
 
 
-def lower_cubic_polynomial(g: ThresholdGraph) -> Polynomial:
-    """Characteristic cubic of the lower walk bracket; its root minus one is ``lower_cubic``."""
-    inputs = _bound_inputs(g)
-    return Polynomial(bracket_cubics(inputs.c, inputs.sb, inputs.f1)[0])
+# ---------------------------------------------------------------------------
+# the bounds from precomputed inputs
+# ---------------------------------------------------------------------------
 
 
-def upper_cubic_polynomial(g: ThresholdGraph) -> Polynomial:
-    """Characteristic cubic of the upper walk bracket; its root minus one is ``upper_cubic``."""
-    inputs = _bound_inputs(g)
-    return Polynomial(bracket_cubics(inputs.c, inputs.sb, inputs.f1)[1])
-
-
-def inequality_polynomial(g: ThresholdGraph) -> Polynomial:
-    """Quartic h with h(rho) >= 0; expanded from the degree inequality.
+def _inequality_coefficients(inputs: _Inputs) -> tuple[int, ...]:
+    """The coefficients of the degree quartic h, with h(rho) >= 0.
 
     With S the degree sum over the positions c..n (S = c - 1 + sum b),
     T1 = sum (d_i - 1)^2, T2 = sum (d_i - 1), and
@@ -140,44 +124,10 @@ def inequality_polynomial(g: ThresholdGraph) -> Polynomial:
     h(x) = (c-2) x^4 + (c-2)(3-c) x^3 - ((c-2)(z+c-1) + T1) x^2
            + (c-2)((c-2)(z+1) - S - T2) x - T3
 
-    h(rho) = 0 exactly when every b_i is 1 or c - 1; otherwise
-    h(rho) > 0 and the largest real root of h sits strictly below rho.
+    The tail of degrees is c - 1 and then b, so T1, T2 and T3 close up
+    in c, z, sum b and F_1.  h(rho) = 0 exactly when every b_i is 1 or
+    c - 1; otherwise the largest real root of h sits strictly below rho.
     """
-    return Polynomial(_inequality_coefficients(_bound_inputs(g)))
-
-
-def inequality_check(g: ThresholdGraph, rho: float) -> tuple[bool, float]:
-    """Evaluate the degree inequality at rho: (holds, slack).
-
-    The left side collects the walk mass balanced through the dominating
-    block by the principal eigenvector; replacing each tail-degree
-    partial sum there by its proportional share can only shrink the
-    right side, so slack = left - right is >= 0 (within rounding) at the
-    true spectral radius, with equality exactly when every b_i is 1 or
-    c - 1.  Values below the largest root of the quartic fail the check.
-    """
-    inputs = _bound_inputs(g)
-    c, z = inputs.c, inputs.z
-    tail = ((1, c - 1),) + _zero_classes(g)[0]
-    s = c - 1 + inputs.sb
-    left = rho * ((rho - c + 2.0) * (rho * rho + rho - (z + 1.0)) - s) * (c - 2.0)
-    right = sum(
-        count * (d * (rho * rho - (z + 1.0)) - rho * (rho - c + 2.0) + s) * (d - 1.0)
-        for count, d in tail
-    )
-    slack = left - right
-    scale = max(1.0, abs(left), abs(right))
-    return slack >= -_INEQUALITY_REL * scale, slack
-
-
-# ---------------------------------------------------------------------------
-# the bounds from precomputed inputs
-# ---------------------------------------------------------------------------
-
-
-def _inequality_coefficients(inputs: _Inputs) -> tuple[int, ...]:
-    """The quartic's coefficients: the tail of :func:`inequality_polynomial`
-    is c - 1 and then b, so T1, T2 and T3 close up in c, z, sum b and F_1."""
     c, z, sb, f1 = inputs.c, inputs.z, inputs.sb, inputs.f1
     s = c - 1 + sb
     t1 = (c - 2) ** 2 + f1 - 2 * sb + z

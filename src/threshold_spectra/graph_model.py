@@ -30,15 +30,15 @@ Vertices are externally numbered in nonincreasing degree order, type-1
 vertices ahead of type-0 vertices at equal degree.  In that order the
 adjacency matrix is stepwise: whenever an entry above the diagonal is 1,
 every entry above it and to its left (off the diagonal) is 1 as well.
+Nothing in the package builds that n x n matrix: it and the order are
+test oracles in :mod:`threshold_spectra.identities`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import accumulate, groupby
 from math import comb
-
-import numpy as np
 
 __all__ = [
     "BzpSequence",
@@ -46,8 +46,6 @@ __all__ = [
     "FopSequence",
     "ParseError",
     "ThresholdGraph",
-    "adjacency_matrix",
-    "canonical_vertex_order",
     "degree_sequence",
     "from_bzp",
     "from_composition",
@@ -133,6 +131,11 @@ class FopSequence:
     def __post_init__(self):
         if not self.f:
             raise ValueError("f must be nonempty")
+        if not isinstance(self.n, int):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
+        for i, fi in enumerate(self.f):
+            if not isinstance(fi, int):
+                raise ValueError(f"f[{i}] = {fi!r} is not an integer")
         if self.f[0] != 0:
             raise ValueError(f"f[0] must be 0 (the first vertex is type 1), got {self.f[0]}")
         if any(self.f[i] > self.f[i + 1] for i in range(len(self.f) - 1)):
@@ -241,11 +244,17 @@ def _classes(g: ThresholdGraph) -> tuple[tuple[int, int, int, int], ...]:
 def _zero_classes(g: ThresholdGraph) -> tuple[tuple[tuple[int, int], ...], int, int]:
     """The type-0 classes as ``(size, b)`` pairs, then sum b and F_1 = sum b^2.
 
-    b is the degree of a type-0 vertex, its number of later ones; the
-    pairs follow the canonical order, so b is nonincreasing.
+    b is the degree of a type-0 vertex, its number of later ones: one
+    pass from the last run back pairs each zero run with the ones after
+    it.  The pairs follow the canonical order, so b is nonincreasing.
     """
-    zeros = tuple((size, d) for symbol, _, size, d in _classes(g) if symbol == 0)
-    return zeros, sum(size * b for size, b in zeros), sum(size * b * b for size, b in zeros)
+    runs = g.runs
+    zeros = tuple(zip(runs[-2::-2], accumulate(runs[::-2])))[::-1]
+    sb = f1 = 0
+    for size, b in zeros:
+        sb += size * b
+        f1 += size * b * b
+    return zeros, sb, f1
 
 
 def from_generating_sequence(bits) -> ThresholdGraph:
@@ -254,12 +263,12 @@ def from_generating_sequence(bits) -> ThresholdGraph:
     The first bit is normalized to 1; it never affects the graph because
     the first vertex has nothing earlier to attach to.
     """
-    seq = tuple(int(bit) for bit in bits)
+    seq = tuple(bits)
     if not seq:
         raise ValueError("generating sequence must be nonempty")
     if any(bit not in (0, 1) for bit in seq):
         raise ValueError(f"generating sequence must be 0/1 valued, got {seq}")
-    return _from_runs((bit, len(list(run))) for bit, run in groupby(seq))
+    return _from_runs((int(bit), len(list(run))) for bit, run in groupby(seq))
 
 
 def from_composition(spec) -> ThresholdGraph:
@@ -269,7 +278,7 @@ def from_composition(spec) -> ThresholdGraph:
     lengths.
     """
     if not isinstance(spec, CompositionSpec):
-        spec = CompositionSpec(tuple(int(p) for p in spec))
+        spec = CompositionSpec(tuple(_integral(p, "block") for p in spec))
     return _from_runs(_block_runs(spec.blocks))
 
 
@@ -328,7 +337,7 @@ def from_bzp(c: int, b) -> ThresholdGraph:
     type-0 vertex is attached to ``b[i]`` clique vertices; in sequence
     terms it is placed so that exactly ``b[i]`` ones follow it.
     """
-    seq = BzpSequence(c=int(c), b=tuple(int(bi) for bi in b))
+    seq = BzpSequence(c=_integral(c, "c"), b=tuple(_integral(bi, "b entry") for bi in b))
     pairs, later_ones = [], seq.c
     for value, run in groupby(seq.b):
         # the zeros wanting `value` later ones sit right after the (c - value)-th one
@@ -348,21 +357,12 @@ def to_fop(g: ThresholdGraph) -> FopSequence:
 
 def from_fop(f, n: int) -> ThresholdGraph:
     """Rebuild the graph whose i-th type-1 vertex has ``f[i]`` earlier zeros."""
-    seq = FopSequence(f=tuple(int(fi) for fi in f), n=int(n))
+    seq = FopSequence(f=tuple(_integral(fi, "f entry") for fi in f), n=_integral(n, "n"))
     pairs, earlier_zeros = [], 0
     for value, run in groupby(seq.f):
         pairs += [(0, value - earlier_zeros), (1, len(list(run)))]
         earlier_zeros = value
     return _from_runs(pairs)
-
-
-def canonical_vertex_order(g: ThresholdGraph) -> tuple[int, ...]:
-    """Insertion indices by nonincreasing degree, ones before zeros.
-
-    Twins keep insertion order; the i-th type-0 vertex then lands at
-    position c + i.
-    """
-    return tuple(v for _, start, size, _ in _classes(g) for v in range(start, start + size))
 
 
 def degree_sequence(g: ThresholdGraph) -> tuple[int, ...]:
@@ -394,24 +394,6 @@ def _vertex_lists(g: ThresholdGraph) -> tuple[list[int], list[int], list[int]]:
     return bzp, fop, degrees
 
 
-def adjacency_matrix(g: ThresholdGraph) -> np.ndarray:
-    """0/1 adjacency matrix under the canonical vertex order.
-
-    Two vertices are adjacent exactly when the later-inserted one is
-    type 1.  In degree-sorted order the matrix is stepwise.
-    """
-    order = canonical_vertex_order(g)
-    bits = g.bits
-    n = g.n
-    a = np.zeros((n, n), dtype=np.int64)
-    for p in range(n):
-        for q in range(p + 1, n):
-            i, j = order[p], order[q]
-            if bits[max(i, j)] == 1:
-                a[p, q] = a[q, p] = 1
-    return a
-
-
 def to_json_dict(g: ThresholdGraph) -> dict:
     """JSON-ready description with all encodings spelled out."""
     bzp, fop, degrees = _vertex_lists(g) if g.is_connected else (None, None, None)
@@ -425,6 +407,14 @@ def to_json_dict(g: ThresholdGraph) -> dict:
         "fop": fop,
         "degrees": degrees,
     }
+
+
+def _integral(value, what: str) -> int:
+    """``int(value)``, raising instead of truncating a value the cast would change."""
+    as_int = int(value)
+    if as_int != value:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return as_int
 
 
 def _require_connected(g: ThresholdGraph, what: str) -> None:

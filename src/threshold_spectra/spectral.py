@@ -1,4 +1,4 @@
-"""Numerical kernels: graph spectra, overlap spectra, real roots.
+"""Numerical kernels: graph spectra and certified real roots.
 
 A graph is held as its twin classes (the runs of the generating
 sequence), which are an equitable partition.  Two classes are joined
@@ -8,7 +8,8 @@ S, with S_ij = sqrt(|i| |j|) for joined classes and S_ii = |i| - 1 or 0,
 from ``numpy.linalg.eigh``; its eigenvector x lifts to x_b / sqrt(|b|)
 on each vertex of class b (Brouwer & Haemers, *Spectra of Graphs* 2.3).
 Both read the twin classes of :mod:`threshold_spectra.graph_model`, so
-cost depends on k, not n; the dense adjacency is only a test oracle.
+cost depends on k, not n; the dense adjacency is only a test oracle
+(:func:`threshold_spectra.identities.adjacency_matrix`).
 There is no tolerance to choose: ``eigh`` is direct, and the quotient
 residual is checked against a fixed bound only to detect a fault.
 
@@ -17,12 +18,12 @@ of all graphs with the same k and calls ``eigh`` once per stack, and
 :func:`spectral_radius` and :func:`perron_vector` are that kernel run
 on a list of one graph, so both give bitwise the same values.
 
-The spectral F_p routes diagonalize the zero- and one-overlap matrices
-with ``numpy.linalg.eigh``; the exact integer F_p values are their
-oracle.  The bound polynomials have integer coefficients, so the
-greatest real root from float Newton is proven in exact integer
-arithmetic: p is negative just below it and p(t + high) has only
-positive Taylor coefficients just above it.
+The bound polynomials have integer coefficients, so the greatest real
+root from float Newton is proven in exact integer arithmetic: p is
+negative just below it and p(t + high) has only positive Taylor
+coefficients just above it.  The spectral F_p routes over the overlap
+matrices live with the other identities, in
+:mod:`threshold_spectra.identities`.
 """
 
 from __future__ import annotations
@@ -33,22 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_model import (
-    BzpSequence,
-    CompositionSpec,
-    FopSequence,
-    ThresholdGraph,
-    _classes,
-    _require_connected,
-)
-from .walks import one_overlap_matrix, zero_overlap_matrix
+from .graph_model import CompositionSpec, ThresholdGraph, _classes, _require_connected
 
 __all__ = [
     "ConvergenceError",
     "Polynomial",
     "RootResult",
-    "fp_spectral_bzp",
-    "fp_spectral_fop",
     "greatest_real_root",
     "perron_vector",
     "spectral_radii",
@@ -290,28 +281,3 @@ def _certified(coefficients: tuple[int, ...], low: float, high: float) -> bool:
         for j in range(1, degree + 1 - i):
             shifted[j] += numerator * shifted[j - 1]
     return all(a > 0 for a in shifted)
-
-
-# ---------------------------------------------------------------------------
-# spectral evaluation of the F_p identities
-# ---------------------------------------------------------------------------
-
-
-def fp_spectral_bzp(bzp: BzpSequence, p: int) -> float:
-    """F_p as sum_i (b . x_i)^2 * lambda_i^(p-1) over the zero-overlap spectrum."""
-    if p < 1:
-        raise ValueError(f"the zero-overlap identity needs p >= 1, got {p}")
-    if bzp.z == 0:
-        return 0.0
-    values, vectors = np.linalg.eigh(np.array(zero_overlap_matrix(bzp), dtype=float))
-    weights = vectors.T @ np.array(bzp.b, dtype=float)
-    return float(np.sum(weights**2 * values ** (p - 1)))
-
-
-def fp_spectral_fop(fop: FopSequence, p: int) -> float:
-    """F_p as sum_i (1 . x_i)^2 * lambda_i^p over the one-overlap spectrum."""
-    if p < 0:
-        raise ValueError(f"p must be >= 0, got {p}")
-    values, vectors = np.linalg.eigh(np.array(one_overlap_matrix(fop), dtype=float))
-    weights = vectors.T @ np.ones(fop.c)
-    return float(np.sum(weights**2 * values**p))

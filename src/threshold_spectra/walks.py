@@ -16,60 +16,39 @@ integers throughout:
 * ``LW_k``: the number of lazy walks of length k-1 whose two endpoints
   are both type-1 vertices, with ``LW_0 = 1`` for the empty walk.
   ``LW_k`` satisfies a convolution recurrence over the F values, and is
-  sandwiched between two order-3 linear recurrences: ``lw_prime`` keeps
-  only single-zero-run contributions (a lower bound) and
-  ``lw_double_prime`` overcounts via ``F_p <= F_1 * (sum b)^(p-1)``
-  (an upper bound).  Their characteristic cubics depend on c, sum b and
-  F_1 alone and are written once, in :func:`bracket_cubics`; the lower
-  and upper cubic bounds of :mod:`threshold_spectra.bounds` are built
-  from the same two tuples.
+  sandwiched between two order-3 linear recurrences: ``LW'`` keeps only
+  single-zero-run contributions (a lower bound) and ``LW''`` overcounts
+  via ``F_p <= F_1 * (sum b)^(p-1)`` (an upper bound).  Their
+  characteristic cubics depend on c, sum b and F_1 alone and are
+  written once, in :func:`bracket_cubics`; the lower and upper cubic
+  bounds of :mod:`threshold_spectra.bounds` are built from the same two
+  tuples.
 
-The growth rate of ``LW_k`` recovers the spectral radius: the k-th root
-and the consecutive ratio both converge to ``1 + rho``.
+:func:`lw_recurrence` is the one entry point: its :class:`WalkTable`
+holds LW, both brackets and F_0..F_pmax.  The growth rate of ``LW_k``
+recovers the spectral radius: the k-th root and the consecutive ratio
+both converge to ``1 + rho``.
 
 Cost: the twin classes are an equitable partition (Brouwer & Haemers,
 *Spectra of Graphs* 2.3), so ``A + I`` and the zero-overlap matrix act
 on one value per class, and ``lw_recurrence`` takes O(k) big-integer
 operations per step for k classes, for LW and for F alike.  The
 integers grow too: ``LW_k`` has about ``k * log2(1 + rho)`` bits, 973
-bits at k = 200 on the 45-vertex alternating graph.  The F-convolution,
-matrix and brute-force routines stay as independent oracles.
+bits at k = 200 on the 45-vertex alternating graph.  The paper's other
+routes to F_p and LW (closed formulas, overlap matrices, signature
+counting) are independent oracles in :mod:`threshold_spectra.identities`;
+:func:`lw_bruteforce`, the powers of ``A + I``, is one of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, groupby, product
-from math import exp, log
+from itertools import accumulate
 from operator import add, mul, sub
 
-from .graph_model import (
-    BzpSequence,
-    FopSequence,
-    ThresholdGraph,
-    _require_connected,
-    _zero_classes,
-    adjacency_matrix,
-    canonical_vertex_order,
-)
+from .graph_model import ThresholdGraph, _require_connected, _zero_classes
 
-__all__ = [
-    "WalkTable",
-    "bracket_cubics",
-    "count_walks_with_signature",
-    "fp_sequence",
-    "fp_via_max_indices",
-    "fp_via_min_products",
-    "fp_via_one_overlap",
-    "fp_via_zero_overlap",
-    "growth_estimate",
-    "lw_bruteforce",
-    "lw_double_prime",
-    "lw_prime",
-    "lw_recurrence",
-    "one_overlap_matrix",
-    "zero_overlap_matrix",
-]
+__all__ = ["WalkTable", "bracket_cubics", "lw_bruteforce", "lw_recurrence"]
 
 
 @dataclass(frozen=True)
@@ -79,6 +58,13 @@ class WalkTable:
     ``lw[k]`` is exact; ``lw_prime[k] <= lw[k] <= lw_double_prime[k]``
     holds entrywise and all three agree up to k = 2 (and k = 3, where
     each equals ``c^3 + F_1``).  ``fp[p]`` holds ``F_p``.
+
+    ``lw_prime`` keeps only single-zero-run closings: ``LW'_k = c^k``
+    for k <= 2, then ``c LW'_{k-1} + F_1 sum_{r<=k-3} LW'_r``.
+    ``lw_double_prime`` is the exact convolution with each F_{q+1}
+    replaced by ``F_1 (sum b)^q``.  Differencing the one and summing the
+    geometric closing series of the other give order-3 recurrences with
+    the cubics of :func:`bracket_cubics`, which is how both are evaluated.
     """
 
     lw: tuple[int, ...]
@@ -88,166 +74,8 @@ class WalkTable:
 
 
 # ---------------------------------------------------------------------------
-# F_p: closed formulas, overlap matrices, and the brute-force signature count
+# LW: the twin-class recurrence, and brute force via matrix powers
 # ---------------------------------------------------------------------------
-
-
-def fp_via_min_products(bzp: BzpSequence, p: int) -> int:
-    """F_p as the p-fold sum of pairwise-minimum products.
-
-    For p >= 2 this enumerates all index tuples (i1, ..., ip) over the
-    type-0 vertices and sums ``b[i1] * min(b[i1], b[i2]) * ... *
-    min(b[i_{p-1}], b[ip]) * b[ip]``; each factor counts the common
-    type-1 neighbours available for one run-to-run transition.  Runs in
-    z^p time, so it is only suitable as a small-case oracle.
-    """
-    _check_nonnegative("p", p)
-    if p == 0:
-        return bzp.c
-    b = bzp.b
-    if p == 1:
-        return sum(bi * bi for bi in b)
-    total = 0
-    for idx in product(range(len(b)), repeat=p):
-        term = b[idx[0]] * b[idx[-1]]
-        for j in range(p - 1):
-            term *= min(b[idx[j]], b[idx[j + 1]])
-        total += term
-    return total
-
-
-def fp_via_max_indices(bzp: BzpSequence, p: int) -> int:
-    """F_p with minima replaced by ``b[max(i, j)]``.
-
-    Because b is nonincreasing, ``min(b[i], b[j]) = b[max(i, j)]``, so
-    this must agree with :func:`fp_via_min_products` term by term.
-    """
-    _check_nonnegative("p", p)
-    if p == 0:
-        return bzp.c
-    b = bzp.b
-    if p == 1:
-        return sum(bi * bi for bi in b)
-    total = 0
-    for idx in product(range(len(b)), repeat=p):
-        term = b[idx[0]] * b[idx[-1]]
-        for j in range(p - 1):
-            term *= b[max(idx[j], idx[j + 1])]
-        total += term
-    return total
-
-
-def zero_overlap_matrix(bzp: BzpSequence) -> list[list[int]]:
-    """Common-neighbour counts between type-0 vertices: ``b[max(i, j)]``.
-
-    Entry (i, j) counts the type-1 vertices adjacent to both the i-th
-    and the j-th type-0 vertex; the diagonal is b itself.  Symmetric and
-    positive semidefinite.
-    """
-    b = bzp.b
-    z = len(b)
-    return [[b[max(i, j)] for j in range(z)] for i in range(z)]
-
-
-def one_overlap_matrix(fop: FopSequence) -> list[list[int]]:
-    """Common type-0 neighbour counts between type-1 vertices: ``f[min(i, j)]``.
-
-    Entry (i, j) counts the type-0 vertices inserted before both the
-    i-th and the j-th type-1 vertex.  Symmetric and positive
-    semidefinite.
-    """
-    f = fop.f
-    c = len(f)
-    return [[f[min(i, j)] for j in range(c)] for i in range(c)]
-
-
-def fp_via_zero_overlap(bzp: BzpSequence, p: int) -> int:
-    """F_p = b^T * Z^(p-1) * b for the zero-overlap matrix Z, p >= 1."""
-    if p < 1:
-        raise ValueError(f"the zero-overlap identity needs p >= 1, got {p}")
-    if bzp.z == 0:
-        raise ValueError("the zero-overlap identity needs z >= 1")
-    matrix = zero_overlap_matrix(bzp)
-    vector = list(bzp.b)
-    for _ in range(p - 1):
-        vector = _int_matvec(matrix, vector)
-    return sum(bi * vi for bi, vi in zip(bzp.b, vector))
-
-
-def fp_via_one_overlap(fop: FopSequence, p: int) -> int:
-    """F_p = 1^T * Phi^p * 1 for the one-overlap matrix Phi, p >= 0."""
-    _check_nonnegative("p", p)
-    matrix = one_overlap_matrix(fop)
-    vector = [1] * fop.c
-    for _ in range(p):
-        vector = _int_matvec(matrix, vector)
-    return sum(vector)
-
-
-def fp_sequence(bzp: BzpSequence, pmax: int) -> list[int]:
-    """F_0 .. F_pmax as ``b^T Z^(p-1) b``, applying Z in O(1) per run of equal b.
-
-    ``Z_ij = b[max(i, j)]`` (see :func:`zero_overlap_matrix`) is constant
-    on each block of equal b, so Z acts on one value per block.
-    """
-    _check_nonnegative("pmax", pmax)
-    return _fp_classes(bzp.c, [(len(list(run)), b) for b, run in groupby(bzp.b)], pmax)
-
-
-def count_walks_with_signature(g: ThresholdGraph, signature) -> int:
-    """Brute-force count of lazy walks realizing an alternating signature.
-
-    The signature must be of the alternating form: it starts and ends
-    with 1 and every maximal run of zeros is nonempty (no two ones are
-    adjacent).  The result equals ``F_p`` where p is the number of zero
-    runs, regardless of the run widths.
-    """
-    sig = tuple(int(s) for s in signature)
-    if not sig or any(s not in (0, 1) for s in sig):
-        raise ValueError(f"signature must be a nonempty 0/1 sequence, got {signature!r}")
-    if sig[0] != 1 or sig[-1] != 1:
-        raise ValueError("signature must start and end with 1")
-    if any(sig[i] == 1 and sig[i + 1] == 1 for i in range(len(sig) - 1)):
-        raise ValueError("signature must separate ones by at least one zero")
-    _require_connected(g, "count_walks_with_signature")
-    bits = g.bits
-    types = [bits[v] for v in canonical_vertex_order(g)]
-    closed = _closed_neighbourhood(g)
-    counts = [1 if types[v] == sig[0] else 0 for v in range(g.n)]
-    for symbol in sig[1:]:
-        nxt = [0] * g.n
-        for v in range(g.n):
-            if types[v] != symbol:
-                continue
-            nxt[v] = sum(counts[u] for u in closed[v])
-        counts = nxt
-    return sum(counts)
-
-
-# ---------------------------------------------------------------------------
-# LW: brute force via matrix powers, and the three recurrences
-# ---------------------------------------------------------------------------
-
-
-def lw_bruteforce(g: ThresholdGraph, kmax: int) -> list[int]:
-    """LW_0 .. LW_kmax by exact integer powers of (A + I).
-
-    ``LW_k`` sums the (k-1)-step lazy-walk counts over all ordered pairs
-    of type-1 endpoints, i.e. ``chi^T (A + I)^(k-1) chi`` with chi the
-    type-1 indicator.  Independent of the recurrence path on purpose.
-    """
-    _check_nonnegative("kmax", kmax)
-    _require_connected(g, "lw_bruteforce")
-    bits = g.bits
-    types = [bits[v] for v in canonical_vertex_order(g)]
-    chi = [1 if t == 1 else 0 for t in types]
-    closed = _closed_neighbourhood(g)
-    values = [1]
-    vector = chi[:]
-    for _ in range(kmax):
-        values.append(sum(ci * vi for ci, vi in zip(chi, vector)))
-        vector = [sum(vector[u] for u in closed[v]) for v in range(g.n)]
-    return values[: kmax + 1]
 
 
 def lw_recurrence(g: ThresholdGraph, kmax: int, pmax: int = 10) -> WalkTable:
@@ -302,48 +130,23 @@ def bracket_cubics(c: int, sb: int, f1: int) -> tuple[tuple[int, ...], tuple[int
     return (1, -(c + 1), c, -f1), (1, -(c + 1), c - sb, c * sb - f1)
 
 
-def lw_prime(g: ThresholdGraph, kmax: int) -> list[int]:
-    """Lower-bracket sequence: only single-zero-run closings are kept.
+def lw_bruteforce(g: ThresholdGraph, kmax: int) -> list[int]:
+    """LW_0 .. LW_kmax by exact integer powers of (A + I).
 
-    ``LW'_k = c^k`` for k <= 2 and ``LW'_k = c * LW'_{k-1} +
-    F_1 * sum_{r=0}^{k-3} LW'_r`` afterwards.  Differencing that sum
-    gives the order-3 recurrence with the lower cubic of
-    :func:`bracket_cubics` as characteristic polynomial, which is how it
-    is evaluated.
+    ``LW_k`` sums the (k-1)-step lazy-walk counts over all ordered pairs
+    of type-1 endpoints, i.e. ``chi^T (A + I)^(k-1) chi`` with chi the
+    type-1 indicator.  Independent of the recurrence path on purpose:
+    it steps over every vertex, in insertion order.
     """
     _check_nonnegative("kmax", kmax)
-    _require_connected(g, "lw_prime")
-    lower, _ = bracket_cubics(g.c, *_zero_classes(g)[1:])
-    return _order_three(lower, g.c, kmax)
-
-
-def lw_double_prime(g: ThresholdGraph, kmax: int) -> list[int]:
-    """Upper-bracket sequence: F_{q+1} is replaced by F_1 * (sum b)^q.
-
-    Same convolution shape as the exact recurrence, with each F value
-    overestimated geometrically.  Summing that geometric closing series
-    gives the order-3 recurrence with the upper cubic of
-    :func:`bracket_cubics` as characteristic polynomial, evaluated here
-    from ``LW''_k = c^k`` for k <= 2.
-    """
-    _check_nonnegative("kmax", kmax)
-    _require_connected(g, "lw_double_prime")
-    _, upper = bracket_cubics(g.c, *_zero_classes(g)[1:])
-    return _order_three(upper, g.c, kmax)
-
-
-def growth_estimate(sequence) -> tuple[float, float]:
-    """(k-th root, consecutive ratio) of the last entry, in log space."""
-    values = list(sequence)
-    if len(values) < 3:
-        raise ValueError("growth estimate needs at least three entries")
-    if any(v <= 0 for v in values):
-        raise ValueError("growth estimate needs positive entries")
-    top = len(values) - 1
-    log_last = log(values[top])
-    root = exp(log_last / top)
-    ratio = exp(log_last - log(values[top - 1]))
-    return root, ratio
+    _require_connected(g, "lw_bruteforce")
+    chi = g.bits
+    closed = _closed_neighbourhoods(g)
+    values, vector = [1], list(chi)
+    for _ in range(kmax):
+        values.append(sum(map(mul, chi, vector)))
+        vector = [sum(vector[u] for u in row) for row in closed]
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +165,6 @@ def _order_three(cubic: tuple[int, ...], c: int, kmax: int) -> list[int]:
     for k in range(3, kmax + 1):
         values.append(-a1 * values[k - 1] - a2 * values[k - 2] - a3 * values[k - 3])
     return values
-
-
-def _int_matvec(matrix: list[list[int]], vector: list[int]) -> list[int]:
-    return [sum(row[j] * vector[j] for j in range(len(vector))) for row in matrix]
 
 
 def _fp_classes(c: int, classes, pmax: int) -> list[int]:
@@ -388,10 +187,10 @@ def _fp_classes(c: int, classes, pmax: int) -> list[int]:
     return values
 
 
-def _closed_neighbourhood(g: ThresholdGraph) -> list[list[int]]:
-    a = adjacency_matrix(g)
-    n = g.n
-    return [[u for u in range(n) if u == v or a[v, u]] for v in range(n)]
+def _closed_neighbourhoods(g: ThresholdGraph) -> list[list[int]]:
+    """Each vertex with its neighbours, in insertion order: u ~ v iff the later is type 1."""
+    bits, n = g.bits, g.n
+    return [[u for u in range(n) if u == v or bits[max(u, v)]] for v in range(n)]
 
 
 def _check_nonnegative(name: str, value: int) -> None:

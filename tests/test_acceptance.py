@@ -15,28 +15,26 @@ import numpy as np
 from threshold_spectra import (
     BzpSequence,
     FopSequence,
-    adjacency_matrix,
     bound_report,
-    count_walks_with_signature,
     enumerate_threshold_graphs,
     find_extremal,
-    fp_sequence,
-    fp_via_max_indices,
-    fp_via_min_products,
-    fp_via_one_overlap,
-    fp_via_zero_overlap,
     greatest_real_root,
-    inequality_polynomial,
-    lower_cubic_polynomial,
-    lw_bruteforce,
-    lw_double_prime,
-    lw_prime,
     lw_recurrence,
-    one_overlap_matrix,
     predict_maximizers,
     spectral_radius,
     to_bzp,
     to_fop,
+)
+from threshold_spectra.identities import (
+    count_walks_with_signature,
+    fp_via_max_indices,
+    fp_via_min_products,
+    fp_via_one_overlap,
+    fp_via_zero_overlap,
+    inequality_polynomial,
+    lower_cubic_polynomial,
+    lw_bruteforce,
+    one_overlap_matrix,
     upper_cubic_polynomial,
     zero_overlap_matrix,
 )
@@ -79,7 +77,7 @@ def test_criterion_2_fp_five_route_agreement():
         for g in connected_graphs(n):
             fop = to_fop(g)
             bzp = to_bzp(g)
-            seq = fp_sequence(bzp, 5)
+            seq = lw_recurrence(g, 0, pmax=5).fp
             for p in range(6):
                 checked += 1
                 values = {

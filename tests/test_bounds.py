@@ -14,12 +14,14 @@ from threshold_spectra import (
     from_composition,
     from_generating_sequence,
     greatest_real_root,
-    inequality_check,
-    inequality_polynomial,
-    lower_cubic_polynomial,
     parse_composition,
     spectral_radius,
     to_bzp,
+)
+from threshold_spectra.identities import (
+    inequality_check,
+    inequality_polynomial,
+    lower_cubic_polynomial,
     upper_cubic_polynomial,
 )
 from threshold_spectra.bounds import SANDWICH_TOL

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from threshold_spectra import (
-    adjacency_matrix,
     enumerate_threshold_graphs,
     find_extremal,
     from_bzp,
@@ -16,6 +15,7 @@ from threshold_spectra import (
     to_composition,
     verify_predictions,
 )
+from threshold_spectra.identities import adjacency_matrix
 from conftest import all_graphs, connected_graphs, graph
 
 

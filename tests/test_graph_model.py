@@ -12,7 +12,6 @@ from threshold_spectra import (
     BzpSequence,
     FopSequence,
     ParseError,
-    adjacency_matrix,
     degree_sequence,
     from_bzp,
     from_composition,
@@ -23,7 +22,8 @@ from threshold_spectra import (
     to_composition,
     to_fop,
 )
-from threshold_spectra.graph_model import canonical_vertex_order, to_json_dict
+from threshold_spectra.identities import adjacency_matrix, canonical_vertex_order
+from threshold_spectra.graph_model import to_json_dict
 
 
 @pytest.mark.parametrize(
@@ -200,6 +200,32 @@ def test_generating_sequence_validation():
         from_generating_sequence([])
     with pytest.raises(ValueError):
         from_generating_sequence([1, 2])
+
+
+# An int() cast would truncate each of these to a valid but different graph.
+
+
+def test_from_bzp_rejects_non_integral_entries():
+    with pytest.raises(ValueError, match="b entry must be an integer, got 1.9"):
+        from_bzp(3, [1.9])
+    assert from_bzp(3.0, [2.0, 1]) == graph("10101")
+
+
+def test_from_fop_rejects_non_integral_entries():
+    with pytest.raises(ValueError, match="f entry must be an integer, got 0.5"):
+        from_fop([0, 0.5, 1], 4)
+    with pytest.raises(ValueError, match=r"f\[1\] = 0.5 is not an integer"):
+        FopSequence((0, 0.5, 1), 4)
+
+
+def test_from_composition_rejects_non_integral_blocks():
+    with pytest.raises(ValueError, match="block must be an integer, got 1.5"):
+        from_composition([1.5, 2])
+
+
+def test_from_generating_sequence_rejects_non_integral_bits():
+    with pytest.raises(ValueError, match="must be 0/1 valued"):
+        from_generating_sequence([1, 0.7, 1])
 
 
 def test_degree_sequence_structure():

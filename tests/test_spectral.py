@@ -12,12 +12,7 @@ from hypothesis import strategies as st
 from threshold_spectra import (
     ConvergenceError,
     Polynomial,
-    adjacency_matrix,
     enumerate_threshold_graphs,
-    fp_spectral_bzp,
-    fp_spectral_fop,
-    fp_via_min_products,
-    fp_via_one_overlap,
     from_generating_sequence,
     greatest_real_root,
     perron_vector,
@@ -25,6 +20,13 @@ from threshold_spectra import (
     spectral_radius,
     to_bzp,
     to_fop,
+)
+from threshold_spectra.identities import (
+    adjacency_matrix,
+    fp_spectral_bzp,
+    fp_spectral_fop,
+    fp_via_min_products,
+    fp_via_one_overlap,
 )
 from threshold_spectra import spectral
 from conftest import bisection_root, connected_graphs, graph, proves_greatest_root

@@ -10,23 +10,23 @@ from hypothesis import strategies as st
 
 from threshold_spectra import (
     BzpSequence,
+    from_bzp,
+    from_composition,
+    from_generating_sequence,
+    lw_recurrence,
+    spectral_radius,
+    to_bzp,
+    to_fop,
+)
+from threshold_spectra.identities import (
     count_walks_with_signature,
-    fp_sequence,
     fp_via_max_indices,
     fp_via_min_products,
     fp_via_one_overlap,
     fp_via_zero_overlap,
-    from_composition,
-    from_generating_sequence,
     growth_estimate,
     lw_bruteforce,
-    lw_double_prime,
-    lw_prime,
-    lw_recurrence,
     one_overlap_matrix,
-    spectral_radius,
-    to_bzp,
-    to_fop,
     zero_overlap_matrix,
 )
 
@@ -68,8 +68,8 @@ def test_fp_reference_values(c, b, p, expected):
 
 
 def test_fp_sequence_example():
-    assert fp_sequence(BzpSequence(3, (2, 1)), 4) == [3, 5, 13, 34, 89]
-    assert fp_sequence(BzpSequence(4, ()), 3) == [4, 0, 0, 0]
+    assert lw_recurrence(from_bzp(3, (2, 1)), 0, 4).fp == (3, 5, 13, 34, 89)
+    assert lw_recurrence(from_bzp(4, ()), 0, 3).fp == (4, 0, 0, 0)
 
 
 def test_overlap_matrices():
@@ -87,8 +87,7 @@ def test_all_fp_routes_agree():
         for g in connected_graphs(n):
             fop = to_fop(g)
             bzp = to_bzp(g)
-            seq = fp_sequence(bzp, 4)
-            assert lw_recurrence(g, 0, pmax=4).fp == tuple(seq)
+            seq = lw_recurrence(g, 0, pmax=4).fp
             for p in range(5):
                 reference = seq[p]
                 assert fp_via_min_products(bzp, p) == reference
@@ -129,8 +128,6 @@ def test_bracketing_sequences():
     for n in range(2, 8):
         for g in connected_graphs(n):
             table = lw_recurrence(g, 14)
-            assert list(table.lw_prime) == lw_prime(g, 14)
-            assert list(table.lw_double_prime) == lw_double_prime(g, 14)
             for lo, mid, hi in zip(table.lw_prime, table.lw, table.lw_double_prime):
                 assert lo <= mid <= hi
             # the first altered term (an F_2 contribution) enters at k = 5,
@@ -150,8 +147,8 @@ def test_bracket_recurrences_are_order_three():
         for g in connected_graphs(n):
             b = to_bzp(g).b
             c, sb, f1 = g.c, sum(b), sum(x * x for x in b)
-            lo = lw_prime(g, 12)
-            hi = lw_double_prime(g, 12)
+            table = lw_recurrence(g, 12)
+            lo, hi = table.lw_prime, table.lw_double_prime
             for k in range(3, 13):
                 assert lo[k] == (c + 1) * lo[k - 1] - c * lo[k - 2] + f1 * lo[k - 3]
                 assert hi[k] == (
@@ -195,8 +192,6 @@ def test_walks_require_connected():
     [
         ("lw_recurrence", lambda g: lw_recurrence(g, 3)),
         ("lw_bruteforce", lambda g: lw_bruteforce(g, 3)),
-        ("lw_prime", lambda g: lw_prime(g, 3)),
-        ("lw_double_prime", lambda g: lw_double_prime(g, 3)),
         ("count_walks_with_signature", lambda g: count_walks_with_signature(g, (1, 0, 1))),
     ],
 )
@@ -220,7 +215,7 @@ def test_lw_double_prime_matches_its_convolution_definition():
                         comb(slack - q, q) * f1 * sb**q for q in range(slack // 2 + 1)
                     )
                 expected.append(total)
-            assert lw_double_prime(g, 20) == expected
+            assert list(lw_recurrence(g, 20).lw_double_prime) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +226,8 @@ def test_lw_double_prime_matches_its_convolution_definition():
 def lw_seed_convolution(g, kmax):
     """LW by the convolution with the closing sum recomputed for every (k, r).
 
-    F comes from the zero-overlap matrix identity, so neither
-    ``fp_sequence`` nor the hoisted closing series is on this path.
+    F comes from the zero-overlap matrix identity, so neither the
+    twin-class F step nor the hoisted closing series is on this path.
     """
     if g.z:
         bzp = to_bzp(g)
@@ -261,8 +256,8 @@ def lw_hoisted_convolution(g, kmax):
     signatures with s units of slack, and ``LW_k = c LW_{k-1} +
     sum_{r<=k-3} LW_r closing[k-3-r]``: O(kmax^2) big-integer products.
     F comes from applying the zero-overlap matrix per type-0 vertex by
-    one prefix and one suffix pass, so neither the twin-class step nor
-    ``fp_sequence`` is on this path.
+    one prefix and one suffix pass, so neither twin-class step (for LW
+    or for F) is on this path.
     """
     b = list(to_bzp(g).b)
     vector, tail = b[:], []
@@ -352,11 +347,11 @@ nonincreasing_bzp = st.integers(2, 12).flatmap(
 @example(BzpSequence(5, (4, 4, 4, 1)), 12)
 def test_fp_sequence_matches_zero_overlap_identity(bzp, pmax):
     expected = [bzp.c] + [fp_via_zero_overlap(bzp, p) for p in range(1, pmax + 1)]
-    assert fp_sequence(bzp, pmax) == expected
+    assert list(lw_recurrence(from_bzp(bzp.c, bzp.b), 0, pmax).fp) == expected
 
 
 def test_fp_sequence_without_type_zero_vertices():
-    assert fp_sequence(BzpSequence(5, ()), 12) == [5] + [0] * 12
+    assert list(lw_recurrence(from_bzp(5, ()), 0, 12).fp) == [5] + [0] * 12
 
 
 def test_long_walk_growth_ratio_is_one_plus_rho():
