@@ -15,7 +15,6 @@ which this package does not import.
 
 from .graph_model import (
     BzpSequence,
-    CompositionSpec,
     FopSequence,
     ParseError,
     ThresholdGraph,
@@ -24,7 +23,6 @@ from .graph_model import (
     from_composition,
     from_fop,
     from_generating_sequence,
-    parse_composition,
     to_bzp,
     to_composition,
     to_fop,
@@ -53,7 +51,6 @@ from .extremal import (
 
 __all__ = [
     "BzpSequence",
-    "CompositionSpec",
     "FopSequence",
     "ParseError",
     "ThresholdGraph",
@@ -62,7 +59,6 @@ __all__ = [
     "from_composition",
     "from_fop",
     "from_generating_sequence",
-    "parse_composition",
     "to_bzp",
     "to_composition",
     "to_fop",

@@ -29,8 +29,8 @@ inequality evaluated at a given rho, are test oracles in
 A census runs as one batch.  At fixed (n, m) and c, both z = n - c and
 sum b = m - C(c, 2) are fixed, so every bound depends on (c, F_1)
 alone; :func:`bound_reports` takes rho for the whole list from one
-:func:`~threshold_spectra.spectral.spectral_radii` call, evaluates the
-bounds once per (c, F_1) class and certifies each coefficient tuple once.
+:func:`~threshold_spectra.spectral.spectral_radii` call and evaluates
+the bounds, with their three root certificates, once per (c, F_1) class.
 
 The bounds assume n >= 4, c >= 3, z >= 1, and n - 1 < m < C(n, 2);
 outside that range they raise :class:`PreconditionError`, or are marked
@@ -89,12 +89,12 @@ class _Inputs(NamedTuple):
 
 def _bound_inputs(g: ThresholdGraph) -> _Inputs:
     """The bound inputs, after checking the standing assumptions."""
-    require_applicable(g)
+    _require_applicable(g)
     _, sb, f1 = _zero_classes(g)
     return _Inputs(c=g.c, z=g.z, n=g.n, sb=sb, f1=f1)
 
 
-def require_applicable(g: ThresholdGraph) -> None:
+def _require_applicable(g: ThresholdGraph) -> None:
     if not g.is_connected:
         raise PreconditionError("bounds require a connected graph")
     if g.n < 4:
@@ -154,20 +154,13 @@ def bound_reports(graphs, allow_inapplicable: bool = False) -> list[BoundReport]
     c < 3): rho is still reported and every bound is None.  Otherwise
     such graphs raise :class:`PreconditionError`.
 
-    The bounds are evaluated once per distinct :class:`_Inputs` and each
-    coefficient tuple is certified once, in dicts that live as long as
-    the call; ``greatest_real_root`` is deterministic, so a shared value
-    is exactly the one a graph would get alone.
+    The bounds are evaluated once per distinct :class:`_Inputs`, in a
+    dict that lives as long as the call; ``greatest_real_root`` is
+    deterministic, so a shared value is exactly the one a graph would
+    get alone.
     """
     graphs = list(graphs)
-    roots: dict[tuple[int, ...], float] = {}
     bounds: dict[_Inputs, tuple[float, ...]] = {}
-
-    def root(coefficients: tuple[int, ...]) -> float:
-        if coefficients not in roots:
-            roots[coefficients] = greatest_real_root(Polynomial(coefficients)).value
-        return roots[coefficients]
-
     reports = []
     for g, rho in zip(graphs, spectral_radii(graphs)):
         try:
@@ -179,21 +172,21 @@ def bound_reports(graphs, allow_inapplicable: bool = False) -> list[BoundReport]
             reports.append(BoundReport(rho, *(None,) * 7, applicable=False))
             continue
         if inputs not in bounds:
-            bounds[inputs] = _bounds(inputs, root)
+            bounds[inputs] = _bounds(inputs)
         reports.append(_report(rho, bounds[inputs]))
     return reports
 
 
-def _bounds(inputs: _Inputs, root) -> tuple[float, ...]:
-    """The five bound values in field order, given a function from coefficients to the root."""
+def _bounds(inputs: _Inputs) -> tuple[float, ...]:
+    """The five bound values in field order."""
     c, f1 = inputs.c, inputs.f1
     lower, upper = bracket_cubics(c, inputs.sb, f1)
     return (
-        root(lower) - 1.0,
+        greatest_real_root(Polynomial(lower)).value - 1.0,
         c - 1.0 + f1 / float(inputs.n * inputs.n),
         (c - 2.0 + sqrt(c * c + 4.0 * f1 / (c - 1.0))) / 2.0,
-        root(upper) - 1.0,
-        root(_inequality_coefficients(inputs)),
+        greatest_real_root(Polynomial(upper)).value - 1.0,
+        greatest_real_root(Polynomial(_inequality_coefficients(inputs))).value,
     )
 
 

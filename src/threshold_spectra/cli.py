@@ -26,14 +26,13 @@ from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
 
 from .bounds import PreconditionError, bound_report, bound_reports
-from .extremal import enumerate_threshold_graphs, verify_predictions
+from .extremal import TIE_TOL, enumerate_threshold_graphs, verify_predictions
 from .graph_model import (
     ParseError,
     ThresholdGraph,
     from_bzp,
     from_composition,
     from_generating_sequence,
-    parse_composition,
     to_composition,
     to_json_dict,
 )
@@ -44,7 +43,7 @@ __all__ = ["main", "parse_graph_spec", "run"]
 
 
 def parse_graph_spec(text: str) -> ThresholdGraph:
-    """Parse one of the three graph spec forms."""
+    """Parse one of the three graph spec forms; error positions index ``text``."""
     if text.startswith("gen:"):
         body = text[4:]
         if not body:
@@ -54,25 +53,45 @@ def parse_graph_spec(text: str) -> ThresholdGraph:
                 raise ParseError(f"generating sequence must be 0/1, got {ch!r}", 4 + i)
         return from_generating_sequence(int(ch) for ch in body)
     if text.startswith("comp:"):
-        try:
-            return from_composition(parse_composition(text[5:]))
-        except ParseError as exc:
-            raise ParseError(str(exc).rsplit(" (position", 1)[0], 5 + exc.position) from exc
+        if not text.startswith("comp:G{"):
+            raise ParseError("expected composition to start with 'G{'", 5)
+        if not text.endswith("}"):
+            raise ParseError("expected composition to end with '}'", len(text))
+        body = text[7:-1]
+        if not body:
+            raise ParseError("composition needs at least one block", 7)
+        blocks = []
+        for pos, value in _integers(body, 7, "a positive integer block"):
+            if value < 1:
+                raise ParseError(f"blocks must be >= 1, got {value}", pos)
+            blocks.append(value)
+        return from_composition(blocks)
     if text.startswith("bzp:"):
-        body = text[4:]
-        head, _, tail = body.partition(":")
-        if not head.isdigit():
+        head, _, tail = text[4:].partition(":")
+        if not _is_decimal(head):
             raise ParseError(f"expected an integer c after 'bzp:', got {head!r}", 4)
-        parts: list[int] = []
-        pos = 5 + len(head)
-        if tail:
-            for piece in tail.split(","):
-                if not piece.isdigit():
-                    raise ParseError(f"expected an integer b entry, got {piece!r}", pos)
-                parts.append(int(piece))
-                pos += len(piece) + 1
-        return from_bzp(int(head), parts)
+        entries = _integers(tail, 5 + len(head), "an integer b entry") if tail else ()
+        return from_bzp(int(head), [value for _, value in entries])
     raise ParseError("graph spec must start with 'gen:', 'comp:', or 'bzp:'", 0)
+
+
+def _is_decimal(piece: str) -> bool:
+    """ASCII digits only.
+
+    ``str.isdigit`` alone also passes superscripts, which ``int`` rejects,
+    and the digits of other scripts, which it reads as numbers.
+    """
+    return piece.isascii() and piece.isdigit()
+
+
+def _integers(body: str, start: int, what: str):
+    """``(position, value)`` per comma-separated integer of ``body``, which begins at ``start``."""
+    pos = start
+    for piece in body.split(","):
+        if not _is_decimal(piece):
+            raise ParseError(f"expected {what}, got {piece!r}", pos)
+        yield pos, int(piece)
+        pos += len(piece) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +251,7 @@ def _cmd_analyze(args) -> str:
     info = to_json_dict(g)
     lines = [
         f"graph        {g.generating_string}  (n={g.n}, m={g.m}, c={g.c}, z={g.z})",
-        f"composition  {to_composition(g).format()}",
+        f"composition  {to_composition(g)}",
         f"bzp          {info['bzp']}",
         f"fop          {info['fop']}",
         f"degrees      {info['degrees']}",
@@ -313,7 +332,7 @@ def _cmd_enumerate(args) -> str:
                 _csv_line([g.generating_string, g.c, g.z, g.m, *_bound_cells(report), is_max])
             )
         return "\n".join(lines) + "\n"
-    compositions = [to_composition(g).format() for g in census]
+    compositions = [to_composition(g) for g in census]
     maximizers = [text for text, is_max in zip(compositions, flags) if is_max]
     if args.json:
         envelope = {
@@ -358,8 +377,8 @@ def _cmd_verify(args) -> str:
                 "m": row.m,
                 "kind": row.kind,
                 "rule": row.rule,
-                "predicted": [to_composition(g).format() for g in row.predicted],
-                "maximizers": [to_composition(g).format() for g in row.maximizers],
+                "predicted": [to_composition(g) for g in row.predicted],
+                "maximizers": [to_composition(g) for g in row.maximizers],
                 "ok": row.ok,
                 "note": row.note,
             }
@@ -456,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--n", type=_int_at_least(1), required=True)
     # m above C(n, 2) is a domain error (exit 1): that limit depends on n
     p_enum.add_argument("--m", type=_int_at_least(0), required=True)
-    p_enum.add_argument("--tie-tol", type=_nonnegative_float, default=1e-9, dest="tie_tol")
+    p_enum.add_argument("--tie-tol", type=_nonnegative_float, default=TIE_TOL, dest="tie_tol")
     _add_format_flags(p_enum)
     p_enum.set_defaults(handler=_cmd_enumerate)
 

@@ -9,9 +9,13 @@ partition (Brouwer & Haemers, *Spectra of Graphs* 2.3), and a graph is
 held as its run lengths alone.  Every other representation handled here
 is read from one table of those twin classes:
 
-* composition blocks ``G{p1,...,pk}``: the run lengths themselves.
+* composition ``G{p1,...,pk}``: the run lengths themselves, so
+  :func:`to_composition` only spells out ``runs`` (always an odd number
+  of blocks) and :func:`from_composition` takes plain block lengths.
   The last block always consists of type-1 symbols; an odd number of
   blocks starts with a run of ones, an even number with a run of zeros.
+  The text grammar of all three spec forms is
+  :func:`threshold_spectra.cli.parse_graph_spec`.
 * bzp sequence (backward zero positions): for the i-th type-0 vertex,
   the count ``b[i]`` of type-1 vertices inserted after it.  This equals
   that vertex's degree, the list is nonincreasing, and together with the
@@ -42,7 +46,6 @@ from math import comb
 
 __all__ = [
     "BzpSequence",
-    "CompositionSpec",
     "FopSequence",
     "ParseError",
     "ThresholdGraph",
@@ -51,7 +54,6 @@ __all__ = [
     "from_composition",
     "from_fop",
     "from_generating_sequence",
-    "parse_composition",
     "to_bzp",
     "to_composition",
     "to_fop",
@@ -65,32 +67,6 @@ class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (position {position})")
         self.position = position
-
-
-@dataclass(frozen=True)
-class CompositionSpec:
-    """Run-length blocks ``p1, ..., pk`` of a generating sequence.
-
-    With k odd the expansion is ``1^p1 0^p2 1^p3 ... 1^pk``; with k even
-    it is ``0^p1 1^p2 ... 1^pk``.  Either way the final block is a run
-    of type-1 symbols, so every composition describes a connected graph.
-    """
-
-    blocks: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.blocks:
-            raise ValueError("composition needs at least one block")
-        for i, p in enumerate(self.blocks):
-            if not isinstance(p, int) or p < 1:
-                raise ValueError(f"block {i + 1} must be a positive integer, got {p!r}")
-
-    @property
-    def order(self) -> int:
-        return sum(self.blocks)
-
-    def format(self) -> str:
-        return "G{" + ",".join(map(str, self.blocks)) + "}"
 
 
 @dataclass(frozen=True)
@@ -271,15 +247,21 @@ def from_generating_sequence(bits) -> ThresholdGraph:
     return _from_runs((int(bit), len(list(run))) for bit, run in groupby(seq))
 
 
-def from_composition(spec) -> ThresholdGraph:
-    """Expand composition blocks into a graph.
+def from_composition(blocks) -> ThresholdGraph:
+    """Expand composition blocks ``p1, ..., pk`` into a graph.
 
-    Accepts a :class:`CompositionSpec` or a plain iterable of block
-    lengths.
+    With k odd the expansion is ``1^p1 0^p2 1^p3 ... 1^pk``; with k even
+    it is ``0^p1 1^p2 ... 1^pk``.  Either way the final block is a run
+    of type-1 symbols, so every composition describes a connected graph.
+    ``blocks`` is a nonempty iterable of positive integers.
     """
-    if not isinstance(spec, CompositionSpec):
-        spec = CompositionSpec(tuple(_integral(p, "block") for p in spec))
-    return _from_runs(_block_runs(spec.blocks))
+    blocks = [_integral(p, "block") for p in blocks]
+    if not blocks:
+        raise ValueError("composition needs at least one block")
+    for i, p in enumerate(blocks, start=1):
+        if p < 1:
+            raise ValueError(f"block {i} must be a positive integer, got {p!r}")
+    return _from_runs(_block_runs(blocks))
 
 
 def _block_runs(blocks) -> list[tuple[int, int]]:
@@ -288,36 +270,14 @@ def _block_runs(blocks) -> list[tuple[int, int]]:
     return [(1 - (k - j) % 2, p) for j, p in enumerate(blocks, start=1)]
 
 
-def parse_composition(text: str) -> CompositionSpec:
-    """Parse ``G{p1,p2,...,pk}`` with positive decimal blocks."""
-    if not text.startswith("G{"):
-        raise ParseError("expected composition to start with 'G{'", 0)
-    if not text.endswith("}"):
-        raise ParseError("expected composition to end with '}'", len(text))
-    body = text[2:-1]
-    if not body:
-        raise ParseError("composition needs at least one block", 2)
-    blocks: list[int] = []
-    pos = 2
-    for piece in body.split(","):
-        if not piece.isdigit():
-            raise ParseError(f"expected a positive integer block, got {piece!r}", pos)
-        value = int(piece)
-        if value < 1:
-            raise ParseError(f"blocks must be >= 1, got {value}", pos)
-        blocks.append(value)
-        pos += len(piece) + 1
-    return CompositionSpec(tuple(blocks))
-
-
-def to_composition(g: ThresholdGraph) -> CompositionSpec:
-    """The runs as composition blocks.
+def to_composition(g: ThresholdGraph) -> str:
+    """The runs spelled ``G{p1,...,pk}``.
 
     Only defined for connected graphs: the notation cannot end in a run
     of zeros, because the final block is a run of ones by definition.
     """
     _require_connected(g, "composition notation")
-    return CompositionSpec(g.runs)
+    return "G{" + ",".join(map(str, g.runs)) + "}"
 
 
 def to_bzp(g: ThresholdGraph) -> BzpSequence:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_model import CompositionSpec, ThresholdGraph, _classes, _require_connected
+from .graph_model import ThresholdGraph, _classes, _require_connected, to_composition
 
 __all__ = [
     "ConvergenceError",
@@ -153,7 +153,7 @@ def _quotient_eigenpairs(graphs, routine: str):
     failing = np.flatnonzero(~(residuals <= bounds))
     if failing.size:
         i = failing[0]
-        spec = CompositionSpec(graphs[i].runs).format()
+        spec = to_composition(graphs[i])
         message = f"{routine}: quotient residual above {float(bounds[i])!r} for comp:{spec}"
         raise ConvergenceError(message, float(thetas[i]), float(residuals[i]))
     return thetas.tolist(), vectors

@@ -11,10 +11,8 @@ from threshold_spectra import (
     bound_report,
     bound_reports,
     enumerate_threshold_graphs,
-    from_composition,
     from_generating_sequence,
     greatest_real_root,
-    parse_composition,
     spectral_radius,
     to_bzp,
 )
@@ -25,6 +23,7 @@ from threshold_spectra.identities import (
     upper_cubic_polynomial,
 )
 from threshold_spectra.bounds import SANDWICH_TOL
+from threshold_spectra.cli import parse_graph_spec
 from threshold_spectra.graph_model import _zero_classes
 from conftest import (
     bisection_root,
@@ -173,7 +172,7 @@ def test_sandwich_on_every_graph_up_to_14_vertices():
     ],
 )
 def test_sandwich_and_certificates_at_scale(blocks):
-    g = from_composition(parse_composition(blocks))
+    g = parse_graph_spec("comp:" + blocks)
     assert 1990 <= g.n <= 2010 and g.c >= 3 and g.z >= 1
     _assert_sandwich_and_certificates(g)
 

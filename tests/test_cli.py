@@ -57,6 +57,26 @@ def test_parse_graph_spec_positions():
     assert info.value.position == 9
 
 
+# str.isdigit passes these, but a spec integer is ASCII decimal digits only
+@pytest.mark.parametrize(
+    "spec, position",
+    [
+        pytest.param("bzp:\u00b2:1", 4, id="bzp-c-superscript-two"),
+        pytest.param("bzp:3:\u00b2", 6, id="bzp-b-superscript-two"),
+        pytest.param("comp:G{\u00b2}", 7, id="comp-superscript-two"),
+        pytest.param("bzp:\u0663:1", 4, id="bzp-c-arabic-indic-three"),
+        pytest.param("bzp:3:\u0661", 6, id="bzp-b-arabic-indic-one"),
+        pytest.param("comp:G{2,\u0663}", 9, id="comp-arabic-indic-three"),
+    ],
+)
+def test_parse_graph_spec_takes_only_ascii_digits(spec, position, capsys):
+    with pytest.raises(ParseError) as info:
+        parse_graph_spec(spec)
+    assert info.value.position == position
+    assert run(["analyze", spec]) == 2
+    assert capsys.readouterr().err == f"error: {info.value}\n"
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
@@ -273,7 +293,7 @@ def _census_payload(n, m, tie_tol, census, reports):
     rows = [
         {
             "generating": g.generating_string,
-            "composition": to_composition(g).format(),
+            "composition": to_composition(g),
             "c": g.c,
             "z": g.z,
             "m": g.m,

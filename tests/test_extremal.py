@@ -20,7 +20,7 @@ from conftest import all_graphs, connected_graphs, graph
 
 
 def comps(graphs):
-    return [to_composition(g).format() for g in graphs]
+    return [to_composition(g) for g in graphs]
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +183,10 @@ def test_intermediate_size_records_candidates():
     prediction = predict_maximizers(12, 15)
     assert prediction.rule is None
     assert prediction.asserted == ()
-    assert to_composition(prediction.large_n).format() == "G{1,3,1,6,1}"
+    assert to_composition(prediction.large_n) == "G{1,3,1,6,1}"
     pair = prediction.conjecture
     assert (pair.k, pair.t) == (3, 1)
-    assert to_composition(pair.candidate_a).format() == "G{2,1,1,7,1}"
+    assert to_composition(pair.candidate_a) == "G{2,1,1,7,1}"
     assert pair.candidate_b == prediction.large_n
 
 

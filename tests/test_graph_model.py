@@ -17,11 +17,11 @@ from threshold_spectra import (
     from_composition,
     from_fop,
     from_generating_sequence,
-    parse_composition,
     to_bzp,
     to_composition,
     to_fop,
 )
+from threshold_spectra.cli import parse_graph_spec
 from threshold_spectra.identities import adjacency_matrix, canonical_vertex_order
 from threshold_spectra.graph_model import to_json_dict
 
@@ -91,17 +91,44 @@ def test_connectivity_is_last_bit():
     ],
 )
 def test_composition_construction(text, bits):
-    assert from_composition(parse_composition(text)) == graph(bits)
+    assert parse_graph_spec("comp:" + text) == graph(bits)
 
 
 def test_composition_round_trip():
     for n in range(1, 10):
         for g in connected_graphs(n):
-            spec = to_composition(g)
-            assert from_composition(spec) == g
-            assert parse_composition(spec.format()) == spec
+            text = to_composition(g)
+            assert text == "G{" + ",".join(map(str, g.runs)) + "}"
+            assert from_composition(g.runs) == g
+            assert parse_graph_spec("comp:" + text) == g
             # canonical sequences start with a one, so the block count is odd
-            assert len(spec.blocks) % 2 == 1
+            assert len(g.runs) % 2 == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 300), min_size=1, max_size=12))
+def test_composition_blocks_expand_to_their_runs(blocks):
+    g = from_composition(blocks)
+    # the last block is ones and the symbols alternate backwards from it
+    bits = []
+    for symbol, p in zip(itertools.cycle([1, 0]), reversed(blocks)):
+        bits[:0] = [symbol] * p
+    assert g == from_generating_sequence(bits)
+    assert parse_graph_spec("comp:" + to_composition(g)) == g
+    assert parse_graph_spec("comp:G{" + ",".join(map(str, blocks)) + "}") == g
+
+
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        ([], "composition needs at least one block"),
+        ([0], "block 1 must be a positive integer, got 0"),
+        ([2, 3, -1], "block 3 must be a positive integer, got -1"),
+    ],
+)
+def test_from_composition_validation(blocks, message):
+    with pytest.raises(ValueError, match=message):
+        from_composition(blocks)
 
 
 def test_composition_of_disconnected_raises():
@@ -121,9 +148,10 @@ def test_composition_of_disconnected_raises():
     ],
 )
 def test_parse_composition_errors(text, position):
+    # ``position`` counts from the G; in the spec it comes after "comp:"
     with pytest.raises(ParseError) as err:
-        parse_composition(text)
-    assert err.value.position == position
+        parse_graph_spec("comp:" + text)
+    assert err.value.position == 5 + position
 
 
 def test_bzp_examples():
@@ -344,7 +372,8 @@ def _check_against_bits(raw):
     assert degree_sequence(g) == tuple(int(degrees[v]) for v in order)
     assert to_bzp(g) == BzpSequence(g.c, _bzp_from_bits(bits))
     assert to_fop(g) == FopSequence(_fop_from_bits(bits), g.n)
-    assert from_composition(to_composition(g)) == g
+    assert parse_graph_spec("comp:" + to_composition(g)) == g
+    assert from_composition(g.runs) == g
     assert from_bzp(g.c, to_bzp(g).b) == g
     assert from_fop(to_fop(g).f, g.n) == g
 
