@@ -14,8 +14,6 @@ which this package does not import.
 """
 
 from .graph_model import (
-    BzpSequence,
-    FopSequence,
     ParseError,
     ThresholdGraph,
     degree_sequence,
@@ -50,8 +48,6 @@ from .extremal import (
 )
 
 __all__ = [
-    "BzpSequence",
-    "FopSequence",
     "ParseError",
     "ThresholdGraph",
     "degree_sequence",

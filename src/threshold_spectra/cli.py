@@ -5,7 +5,7 @@ tables), ``enumerate`` (census with per-graph bounds at fixed n, m),
 ``verify`` (reconcile literature predictions against enumeration).
 
 Graphs are given as ``gen:<bits>``, ``comp:G{p1,...,pk}``, or
-``bzp:<c>:<b1>,...,<bz>``.  Output is a human table by default, or
+``bzp:<c>:<b1>,...,<bz>``, with at most ``MAX_VERTICES`` vertices.  Output is a human table by default, or
 ``--json`` / ``--csv`` (``verify`` has no CSV form); identical
 invocations produce identical bytes.
 Exit codes: 0 success, 1 domain errors, 2 usage errors.
@@ -42,12 +42,20 @@ from .walks import lw_recurrence
 __all__ = ["main", "parse_graph_spec", "run"]
 
 
+# analyze and walks spell out n-long bzp, fop and degree lists, so a spec's n is capped
+MAX_VERTICES = 10**6
+
+
 def parse_graph_spec(text: str) -> ThresholdGraph:
-    """Parse one of the three graph spec forms; error positions index ``text``."""
+    """Parse one of the three graph spec forms; error positions index ``text``.
+
+    Every integer, and the graph's vertex count, is at most ``MAX_VERTICES``.
+    """
     if text.startswith("gen:"):
         body = text[4:]
         if not body:
             raise ParseError("empty generating sequence", 4)
+        _check_order(len(body), 4 + MAX_VERTICES)
         for i, ch in enumerate(body):
             if ch not in "01":
                 raise ParseError(f"generating sequence must be 0/1, got {ch!r}", 4 + i)
@@ -60,38 +68,52 @@ def parse_graph_spec(text: str) -> ThresholdGraph:
         body = text[7:-1]
         if not body:
             raise ParseError("composition needs at least one block", 7)
-        blocks = []
+        blocks, n = [], 0
         for pos, value in _integers(body, 7, "a positive integer block"):
             if value < 1:
                 raise ParseError(f"blocks must be >= 1, got {value}", pos)
             blocks.append(value)
+            n += value
+            _check_order(n, pos)
         return from_composition(blocks)
     if text.startswith("bzp:"):
         head, _, tail = text[4:].partition(":")
-        if not _is_decimal(head):
-            raise ParseError(f"expected an integer c after 'bzp:', got {head!r}", 4)
-        entries = _integers(tail, 5 + len(head), "an integer b entry") if tail else ()
-        return from_bzp(int(head), [value for _, value in entries])
+        c = _integer(head, 4, "an integer c after 'bzp:'")
+        b = []
+        for pos, value in _integers(tail, 5 + len(head), "an integer b entry") if tail else ():
+            b.append(value)
+            _check_order(c + len(b), pos)
+        return from_bzp(c, b)
     raise ParseError("graph spec must start with 'gen:', 'comp:', or 'bzp:'", 0)
 
 
-def _is_decimal(piece: str) -> bool:
-    """ASCII digits only.
+def _integer(piece: str, pos: int, what: str) -> int:
+    """The ASCII decimal ``piece`` at ``pos``, at most ``MAX_VERTICES``.
 
+    Its length is checked before ``int`` reads it: ``int`` refuses more
+    than 4,300 digits with a message that has no position.
     ``str.isdigit`` alone also passes superscripts, which ``int`` rejects,
     and the digits of other scripts, which it reads as numbers.
     """
-    return piece.isascii() and piece.isdigit()
+    if not (piece.isascii() and piece.isdigit()):
+        raise ParseError(f"expected {what}, got {piece!r}", pos)
+    digits = piece.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_VERTICES)) or int(digits) > MAX_VERTICES:
+        raise ParseError(f"integer exceeds the vertex limit {MAX_VERTICES}", pos)
+    return int(digits)
 
 
 def _integers(body: str, start: int, what: str):
     """``(position, value)`` per comma-separated integer of ``body``, which begins at ``start``."""
     pos = start
     for piece in body.split(","):
-        if not _is_decimal(piece):
-            raise ParseError(f"expected {what}, got {piece!r}", pos)
-        yield pos, int(piece)
+        yield pos, _integer(piece, pos, what)
         pos += len(piece) + 1
+
+
+def _check_order(n: int, pos: int) -> None:
+    if n > MAX_VERTICES:
+        raise ParseError(f"graph exceeds the vertex limit {MAX_VERTICES}", pos)
 
 
 # ---------------------------------------------------------------------------

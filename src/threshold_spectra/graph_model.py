@@ -15,14 +15,22 @@ is read from one table of those twin classes:
   The last block always consists of type-1 symbols; an odd number of
   blocks starts with a run of ones, an even number with a run of zeros.
   The text grammar of all three spec forms is
-  :func:`threshold_spectra.cli.parse_graph_spec`.
+  :func:`threshold_spectra.cli.parse_graph_spec`, which also caps the
+  number of vertices a spec may give.
 * bzp sequence (backward zero positions): for the i-th type-0 vertex,
   the count ``b[i]`` of type-1 vertices inserted after it.  This equals
   that vertex's degree, the list is nonincreasing, and together with the
   number of ones ``c`` it identifies the graph up to isomorphism.
+  :func:`to_bzp` returns the tuple b (c is ``g.c``) and
+  :func:`from_bzp` takes c and b.
 * fop sequence (forward one positions): for the i-th type-1 vertex, the
   count ``f[i]`` of type-0 vertices inserted before it, i.e. its number
-  of type-0 neighbours.  Nondecreasing, starts at 0, ends at ``z``.
+  of type-0 neighbours.  Nondecreasing, starts at 0, ends at ``z``, so
+  f alone fixes the graph: :func:`to_fop` returns the tuple f and
+  :func:`from_fop` takes f, with ``n = len(f) + f[-1]``.
+
+Both builders check every rule of their sequence and raise
+``ValueError`` at the first one broken.
 
 The first bit of a generating sequence never affects the graph, so it is
 stored canonically as 1: the first run is ones and the runs alternate.
@@ -45,8 +53,6 @@ from itertools import accumulate, groupby
 from math import comb
 
 __all__ = [
-    "BzpSequence",
-    "FopSequence",
     "ParseError",
     "ThresholdGraph",
     "degree_sequence",
@@ -67,70 +73,6 @@ class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (position {position})")
         self.position = position
-
-
-@dataclass(frozen=True)
-class BzpSequence:
-    """Per-type-0-vertex counts of later type-1 vertices, nonincreasing."""
-
-    c: int
-    b: tuple[int, ...]
-
-    def __post_init__(self):
-        if not isinstance(self.c, int) or self.c < 1:
-            raise ValueError(f"c must be a positive integer, got {self.c!r}")
-        for i, bi in enumerate(self.b):
-            if not isinstance(bi, int) or not 1 <= bi <= self.c - 1:
-                raise ValueError(
-                    f"b[{i}] = {bi!r} out of range [1, c-1] = [1, {self.c - 1}]"
-                )
-        if any(self.b[i] < self.b[i + 1] for i in range(len(self.b) - 1)):
-            raise ValueError(f"b must be nonincreasing, got {self.b}")
-
-    @property
-    def z(self) -> int:
-        return len(self.b)
-
-    @property
-    def size(self) -> int:
-        """Number of edges: every pair of ones, plus b[i] edges per zero."""
-        return comb(self.c, 2) + sum(self.b)
-
-
-@dataclass(frozen=True)
-class FopSequence:
-    """Per-type-1-vertex counts of earlier type-0 vertices, nondecreasing."""
-
-    f: tuple[int, ...]
-    n: int
-
-    def __post_init__(self):
-        if not self.f:
-            raise ValueError("f must be nonempty")
-        if not isinstance(self.n, int):
-            raise ValueError(f"n must be an integer, got {self.n!r}")
-        for i, fi in enumerate(self.f):
-            if not isinstance(fi, int):
-                raise ValueError(f"f[{i}] = {fi!r} is not an integer")
-        if self.f[0] != 0:
-            raise ValueError(f"f[0] must be 0 (the first vertex is type 1), got {self.f[0]}")
-        if any(self.f[i] > self.f[i + 1] for i in range(len(self.f) - 1)):
-            raise ValueError(f"f must be nondecreasing, got {self.f}")
-        z = self.n - len(self.f)
-        if z < 0:
-            raise ValueError(f"n = {self.n} smaller than the number of ones {len(self.f)}")
-        if self.f[-1] != z:
-            raise ValueError(
-                f"f must end at z = n - c = {z} (all zeros precede the last one), got {self.f[-1]}"
-            )
-
-    @property
-    def c(self) -> int:
-        return len(self.f)
-
-    @property
-    def z(self) -> int:
-        return self.n - len(self.f)
 
 
 @dataclass(frozen=True)
@@ -280,14 +222,14 @@ def to_composition(g: ThresholdGraph) -> str:
     return "G{" + ",".join(map(str, g.runs)) + "}"
 
 
-def to_bzp(g: ThresholdGraph) -> BzpSequence:
+def to_bzp(g: ThresholdGraph) -> tuple[int, ...]:
     """Count, for each type-0 vertex in insertion order, the later ones.
 
     That count is the vertex's degree.  A complete graph has no type-0
-    vertex and encodes as ``BzpSequence(c, ())``.
+    vertex and encodes as ``()``.
     """
     _require_connected(g, "bzp encoding")
-    return BzpSequence(c=g.c, b=tuple(_vertex_lists(g)[0]))
+    return tuple(_vertex_lists(g)[0])
 
 
 def from_bzp(c: int, b) -> ThresholdGraph:
@@ -297,29 +239,47 @@ def from_bzp(c: int, b) -> ThresholdGraph:
     type-0 vertex is attached to ``b[i]`` clique vertices; in sequence
     terms it is placed so that exactly ``b[i]`` ones follow it.
     """
-    seq = BzpSequence(c=_integral(c, "c"), b=tuple(_integral(bi, "b entry") for bi in b))
-    pairs, later_ones = [], seq.c
-    for value, run in groupby(seq.b):
+    c = _integral(c, "c")
+    b = tuple(_integral(bi, "b entry") for bi in b)
+    if c < 1:
+        raise ValueError(f"c must be a positive integer, got {c!r}")
+    for i, bi in enumerate(b):
+        if not 1 <= bi <= c - 1:
+            raise ValueError(f"b[{i}] = {bi!r} out of range [1, c-1] = [1, {c - 1}]")
+    if any(x < y for x, y in zip(b, b[1:])):
+        raise ValueError(f"b must be nonincreasing, got {b}")
+    pairs, later_ones = [], c
+    for value, run in groupby(b):
         # the zeros wanting `value` later ones sit right after the (c - value)-th one
         pairs += [(1, later_ones - value), (0, len(list(run)))]
         later_ones = value
     return _from_runs(pairs + [(1, later_ones)])
 
 
-def to_fop(g: ThresholdGraph) -> FopSequence:
+def to_fop(g: ThresholdGraph) -> tuple[int, ...]:
     """Count, for each type-1 vertex in insertion order, the earlier zeros.
 
     A type-1 vertex of degree d has d - (c - 1) of them.
     """
     _require_connected(g, "fop encoding")
-    return FopSequence(f=tuple(_vertex_lists(g)[1]), n=g.n)
+    return tuple(_vertex_lists(g)[1])
 
 
-def from_fop(f, n: int) -> ThresholdGraph:
-    """Rebuild the graph whose i-th type-1 vertex has ``f[i]`` earlier zeros."""
-    seq = FopSequence(f=tuple(_integral(fi, "f entry") for fi in f), n=_integral(n, "n"))
+def from_fop(f) -> ThresholdGraph:
+    """Rebuild the graph whose i-th type-1 vertex has ``f[i]`` earlier zeros.
+
+    Every zero precedes the last one, so the graph has ``len(f) + f[-1]``
+    vertices.
+    """
+    f = tuple(_integral(fi, "f entry") for fi in f)
+    if not f:
+        raise ValueError("f must be nonempty")
+    if f[0] != 0:
+        raise ValueError(f"f[0] must be 0 (the first vertex is type 1), got {f[0]}")
+    if any(x > y for x, y in zip(f, f[1:])):
+        raise ValueError(f"f must be nondecreasing, got {f}")
     pairs, earlier_zeros = [], 0
-    for value, run in groupby(seq.f):
+    for value, run in groupby(f):
         pairs += [(0, value - earlier_zeros), (1, len(list(run)))]
         earlier_zeros = value
     return _from_runs(pairs)

@@ -33,12 +33,12 @@ import numpy as np
 
 from .bounds import _bound_inputs, _inequality_coefficients
 from .graph_model import (
-    BzpSequence,
-    FopSequence,
     ThresholdGraph,
     _classes,
     _require_connected,
     _zero_classes,
+    to_bzp,
+    to_fop,
 )
 from .spectral import Polynomial
 from .walks import _check_nonnegative, _closed_neighbourhoods, bracket_cubics, lw_bruteforce
@@ -103,7 +103,7 @@ def adjacency_matrix(g: ThresholdGraph) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def fp_via_min_products(bzp: BzpSequence, p: int) -> int:
+def fp_via_min_products(g: ThresholdGraph, p: int) -> int:
     """F_p as the p-fold sum of pairwise-minimum products.
 
     For p >= 2 this enumerates all index tuples (i1, ..., ip) over the
@@ -113,9 +113,9 @@ def fp_via_min_products(bzp: BzpSequence, p: int) -> int:
     z^p time, so it is only suitable as a small-case oracle.
     """
     _check_nonnegative("p", p)
+    b = to_bzp(g)
     if p == 0:
-        return bzp.c
-    b = bzp.b
+        return g.c
     if p == 1:
         return sum(bi * bi for bi in b)
     total = 0
@@ -127,16 +127,16 @@ def fp_via_min_products(bzp: BzpSequence, p: int) -> int:
     return total
 
 
-def fp_via_max_indices(bzp: BzpSequence, p: int) -> int:
+def fp_via_max_indices(g: ThresholdGraph, p: int) -> int:
     """F_p with minima replaced by ``b[max(i, j)]``.
 
     Because b is nonincreasing, ``min(b[i], b[j]) = b[max(i, j)]``, so
     this must agree with :func:`fp_via_min_products` term by term.
     """
     _check_nonnegative("p", p)
+    b = to_bzp(g)
     if p == 0:
-        return bzp.c
-    b = bzp.b
+        return g.c
     if p == 1:
         return sum(bi * bi for bi in b)
     total = 0
@@ -148,70 +148,71 @@ def fp_via_max_indices(bzp: BzpSequence, p: int) -> int:
     return total
 
 
-def zero_overlap_matrix(bzp: BzpSequence) -> list[list[int]]:
+def zero_overlap_matrix(g: ThresholdGraph) -> list[list[int]]:
     """Common-neighbour counts between type-0 vertices: ``b[max(i, j)]``.
 
     Entry (i, j) counts the type-1 vertices adjacent to both the i-th
     and the j-th type-0 vertex; the diagonal is b itself.  Symmetric and
     positive semidefinite.
     """
-    b = bzp.b
+    b = to_bzp(g)
     z = len(b)
     return [[b[max(i, j)] for j in range(z)] for i in range(z)]
 
 
-def one_overlap_matrix(fop: FopSequence) -> list[list[int]]:
+def one_overlap_matrix(g: ThresholdGraph) -> list[list[int]]:
     """Common type-0 neighbour counts between type-1 vertices: ``f[min(i, j)]``.
 
     Entry (i, j) counts the type-0 vertices inserted before both the
     i-th and the j-th type-1 vertex.  Symmetric and positive
     semidefinite.
     """
-    f = fop.f
+    f = to_fop(g)
     c = len(f)
     return [[f[min(i, j)] for j in range(c)] for i in range(c)]
 
 
-def fp_via_zero_overlap(bzp: BzpSequence, p: int) -> int:
+def fp_via_zero_overlap(g: ThresholdGraph, p: int) -> int:
     """F_p = b^T * Z^(p-1) * b for the zero-overlap matrix Z, p >= 1."""
     if p < 1:
         raise ValueError(f"the zero-overlap identity needs p >= 1, got {p}")
-    if bzp.z == 0:
+    if g.z == 0:
         raise ValueError("the zero-overlap identity needs z >= 1")
-    matrix = zero_overlap_matrix(bzp)
-    vector = list(bzp.b)
+    b = to_bzp(g)
+    matrix = zero_overlap_matrix(g)
+    vector = list(b)
     for _ in range(p - 1):
         vector = _int_matvec(matrix, vector)
-    return sum(bi * vi for bi, vi in zip(bzp.b, vector))
+    return sum(bi * vi for bi, vi in zip(b, vector))
 
 
-def fp_via_one_overlap(fop: FopSequence, p: int) -> int:
+def fp_via_one_overlap(g: ThresholdGraph, p: int) -> int:
     """F_p = 1^T * Phi^p * 1 for the one-overlap matrix Phi, p >= 0."""
     _check_nonnegative("p", p)
-    matrix = one_overlap_matrix(fop)
-    vector = [1] * fop.c
+    matrix = one_overlap_matrix(g)
+    vector = [1] * g.c
     for _ in range(p):
         vector = _int_matvec(matrix, vector)
     return sum(vector)
 
 
-def fp_spectral_bzp(bzp: BzpSequence, p: int) -> float:
+def fp_spectral_bzp(g: ThresholdGraph, p: int) -> float:
     """F_p as sum_i (b . x_i)^2 * lambda_i^(p-1) over the zero-overlap spectrum."""
     if p < 1:
         raise ValueError(f"the zero-overlap identity needs p >= 1, got {p}")
-    if bzp.z == 0:
+    if g.z == 0:
         return 0.0
-    values, vectors = np.linalg.eigh(np.array(zero_overlap_matrix(bzp), dtype=float))
-    weights = vectors.T @ np.array(bzp.b, dtype=float)
+    values, vectors = np.linalg.eigh(np.array(zero_overlap_matrix(g), dtype=float))
+    weights = vectors.T @ np.array(to_bzp(g), dtype=float)
     return float(np.sum(weights**2 * values ** (p - 1)))
 
 
-def fp_spectral_fop(fop: FopSequence, p: int) -> float:
+def fp_spectral_fop(g: ThresholdGraph, p: int) -> float:
     """F_p as sum_i (1 . x_i)^2 * lambda_i^p over the one-overlap spectrum."""
     if p < 0:
         raise ValueError(f"p must be >= 0, got {p}")
-    values, vectors = np.linalg.eigh(np.array(one_overlap_matrix(fop), dtype=float))
-    weights = vectors.T @ np.ones(fop.c)
+    values, vectors = np.linalg.eigh(np.array(one_overlap_matrix(g), dtype=float))
+    weights = vectors.T @ np.ones(g.c)
     return float(np.sum(weights**2 * values**p))
 
 

@@ -13,17 +13,16 @@ from math import comb
 import numpy as np
 
 from threshold_spectra import (
-    BzpSequence,
-    FopSequence,
     bound_report,
     enumerate_threshold_graphs,
     find_extremal,
+    from_bzp,
+    from_fop,
     greatest_real_root,
     lw_recurrence,
     predict_maximizers,
     spectral_radius,
     to_bzp,
-    to_fop,
 )
 from threshold_spectra.identities import (
     count_walks_with_signature,
@@ -75,18 +74,16 @@ def test_criterion_2_fp_five_route_agreement():
     checked = 0
     for n in range(2, 8):
         for g in connected_graphs(n):
-            fop = to_fop(g)
-            bzp = to_bzp(g)
             seq = lw_recurrence(g, 0, pmax=5).fp
             for p in range(6):
                 checked += 1
                 values = {
-                    "min": fp_via_min_products(bzp, p),
-                    "max": fp_via_max_indices(bzp, p),
-                    "fop": fp_via_one_overlap(fop, p),
+                    "min": fp_via_min_products(g, p),
+                    "max": fp_via_max_indices(g, p),
+                    "fop": fp_via_one_overlap(g, p),
                 }
                 if p >= 1 and g.z >= 1:
-                    values["bzp"] = fp_via_zero_overlap(bzp, p)
+                    values["bzp"] = fp_via_zero_overlap(g, p)
                 for width in (1, 2):
                     signature = (1,) + ((0,) * width + (1,)) * p
                     values[f"sig{width}"] = count_walks_with_signature(g, signature)
@@ -142,7 +139,7 @@ def test_criterion_4_bracketing_and_order3_recurrences():
             if not all(a <= b <= c for a, b, c in zip(lo, mid, hi)):
                 failures.append((g.generating_string, "bracket"))
                 continue
-            b = to_bzp(g).b
+            b = to_bzp(g)
             c_, sb, f1 = g.c, sum(b), sum(x * x for x in b)
             for k in range(3, 21):
                 if lo[k] != (c_ + 1) * lo[k - 1] - c_ * lo[k - 2] + f1 * lo[k - 3]:
@@ -226,15 +223,13 @@ def test_criterion_8_psd_and_root_certificates():
         z = rng.randint(1, 12)
         c = rng.randint(2, 15)
         b = tuple(sorted((rng.randint(1, c - 1) for _ in range(z)), reverse=True))
-        bzp = BzpSequence(c, b)
-        eigen_b = np.linalg.eigvalsh(np.array(zero_overlap_matrix(bzp), float))
+        eigen_b = np.linalg.eigvalsh(np.array(zero_overlap_matrix(from_bzp(c, b)), float))
         if float(np.min(eigen_b)) < -1e-9:
             failures.append(("B", index, b))
         fc = rng.randint(2, 13)
         fz = rng.randint(0, 12)
         f = tuple(sorted([0] + [rng.randint(0, fz) for _ in range(fc - 2)] + [fz]))
-        fop = FopSequence(f, fc + fz)
-        eigen_f = np.linalg.eigvalsh(np.array(one_overlap_matrix(fop), float))
+        eigen_f = np.linalg.eigvalsh(np.array(one_overlap_matrix(from_fop(f)), float))
         if float(np.min(eigen_f)) < -1e-9:
             failures.append(("Phi", index, f))
 

@@ -251,7 +251,7 @@ def test_equality_exactly_when_blocks_are_extreme():
         poly = inequality_polynomial(g)
         value = poly(rho)
         assert value >= -1e-8 * magnitude_scale(poly, rho)
-        is_equality_family = all(bi in (1, g.c - 1) for bi in to_bzp(g).b)
+        is_equality_family = all(bi in (1, g.c - 1) for bi in to_bzp(g))
         is_zero_at_rho = abs(value) <= 1e-8 * magnitude_scale(poly, rho)
         assert is_zero_at_rho == is_equality_family
 

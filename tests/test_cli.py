@@ -77,6 +77,42 @@ def test_parse_graph_spec_takes_only_ascii_digits(spec, position, capsys):
     assert capsys.readouterr().err == f"error: {info.value}\n"
 
 
+_LONG = "1" * 4301  # one digit more than int() reads from a string
+
+
+# a spec gives at most MAX_VERTICES = 10**6 vertices; int() never sees a longer integer
+@pytest.mark.parametrize(
+    "spec, position, message",
+    [
+        pytest.param("comp:G{3," + _LONG + ",1}", 9, "integer exceeds", id="comp-4301-digits"),
+        pytest.param("bzp:" + _LONG + ":1", 4, "integer exceeds", id="bzp-c-4301-digits"),
+        pytest.param("bzp:3:" + _LONG, 6, "integer exceeds", id="bzp-b-4301-digits"),
+        pytest.param("comp:G{3,1000001,1}", 9, "integer exceeds", id="comp-block-over"),
+        pytest.param("comp:G{3,999997,1}", 16, "graph exceeds", id="comp-n-over"),
+        pytest.param("bzp:999999:1,1", 13, "graph exceeds", id="bzp-n-over"),
+        pytest.param("gen:1" + "0" * 10**6, 4 + 10**6, "graph exceeds", id="gen-n-over"),
+    ],
+)
+def test_oversize_spec_is_a_usage_error(spec, position, message, capsys):
+    with pytest.raises(ParseError, match=message) as info:
+        parse_graph_spec(spec)
+    assert info.value.position == position
+    assert run(["analyze", spec]) == 2
+    assert capsys.readouterr().err == f"error: {info.value}\n"
+
+
+def test_spec_at_the_vertex_limit_is_accepted():
+    assert cli.MAX_VERTICES == 10**6
+    assert parse_graph_spec("comp:G{3,999996,1}").n == 10**6
+    assert parse_graph_spec("comp:G{3,0000999996,1}").n == 10**6  # leading zeros are free
+    assert parse_graph_spec("bzp:999999:1").n == 10**6
+
+
+def test_bzp_range_error_names_the_entry(capsys):
+    assert run(["analyze", "bzp:3:5"]) == 1
+    assert capsys.readouterr().err == "error: b[0] = 5 out of range [1, c-1] = [1, 2]\n"
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Encodings, conversions, and structural invariants of the graph model."""
 
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
@@ -9,8 +10,6 @@ from hypothesis import strategies as st
 from conftest import all_graphs, connected_graphs, graph
 
 from threshold_spectra import (
-    BzpSequence,
-    FopSequence,
     ParseError,
     degree_sequence,
     from_bzp,
@@ -155,20 +154,21 @@ def test_parse_composition_errors(text, position):
 
 
 def test_bzp_examples():
-    assert to_bzp(graph("1101")) == BzpSequence(3, (1,))
-    assert to_bzp(graph("10101")) == BzpSequence(3, (2, 1))
-    assert to_bzp(graph("11011")) == BzpSequence(4, (2,))
+    assert to_bzp(graph("1101")) == (1,)
+    assert to_bzp(graph("10101")) == (2, 1)
+    assert to_bzp(graph("11011")) == (2,)
     assert from_bzp(3, [2, 1]) == graph("10101")
 
 
 def test_bzp_round_trip_and_size():
     for n in range(1, 11):
         for g in connected_graphs(n):
-            seq = to_bzp(g)
-            assert from_bzp(seq.c, seq.b) == g
-            assert seq.size == g.m
-            assert all(1 <= b <= seq.c - 1 for b in seq.b)
-            assert all(a >= b for a, b in zip(seq.b, seq.b[1:]))
+            b = to_bzp(g)
+            assert from_bzp(g.c, b) == g
+            assert comb(g.c, 2) + sum(b) == g.m
+            assert len(b) == g.z
+            assert all(1 <= bi <= g.c - 1 for bi in b)
+            assert all(x >= y for x, y in zip(b, b[1:]))
 
 
 @pytest.mark.parametrize(
@@ -182,45 +182,72 @@ def test_bzp_round_trip_and_size():
 )
 def test_bzp_validation(c, b):
     with pytest.raises(ValueError):
-        BzpSequence(c, b)
+        from_bzp(c, b)
 
 
 def test_bzp_requires_connected_and_z():
     with pytest.raises(ValueError):
         to_bzp(graph("1010"))
     # a complete graph (z = 0) encodes as the empty b
-    assert to_bzp(graph("111")) == BzpSequence(3, ())
+    assert to_bzp(graph("111")) == ()
+    assert from_bzp(3, ()) == graph("111")
 
 
 def test_fop_examples():
-    assert to_fop(graph("10101")) == FopSequence((0, 1, 2), 5)
-    assert to_fop(graph("1001")) == FopSequence((0, 2), 4)
-    assert to_fop(graph("11011")) == FopSequence((0, 0, 1, 1), 5)
-    assert from_fop([0, 1, 2], 5) == graph("10101")
+    assert to_fop(graph("10101")) == (0, 1, 2)
+    assert to_fop(graph("1001")) == (0, 2)
+    assert to_fop(graph("11011")) == (0, 0, 1, 1)
+    assert from_fop([0, 1, 2]) == graph("10101")
+    # n = len(f) + f[-1]: every zero precedes the last one
+    assert from_fop([0, 2]).n == 4
 
 
 def test_fop_round_trip():
     for n in range(1, 11):
         for g in connected_graphs(n):
-            seq = to_fop(g)
-            assert from_fop(seq.f, seq.n) == g
-            assert seq.f[0] == 0
-            assert seq.f[-1] == g.z
-            assert seq.c == g.c
+            f = to_fop(g)
+            assert from_fop(f) == g
+            assert f[0] == 0
+            assert f[-1] == g.z
+            assert len(f) == g.c
 
 
 @pytest.mark.parametrize(
-    "f, n",
+    "f",
     [
-        ((1, 1), 4),    # must start at zero
-        ((0, 2, 1), 5), # not nondecreasing
-        ((0, 2), 3),    # last entry must equal n - c
-        ((), 1),        # empty
+        (1, 1),         # must start at zero
+        (0, 2, 1),      # not nondecreasing
+        (),             # empty
     ],
 )
-def test_fop_validation(f, n):
+def test_fop_validation(f):
+    # n is len(f) + f[-1], so no f can disagree with it
     with pytest.raises(ValueError):
-        FopSequence(f, n)
+        from_fop(f)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 40).flatmap(
+        lambda c: st.tuples(
+            st.just(c), st.lists(st.integers(1, c - 1), max_size=30) if c > 1 else st.just([])
+        )
+    )
+)
+def test_bzp_builder_round_trip(cb):
+    c, b = cb[0], tuple(sorted(cb[1], reverse=True))
+    g = from_bzp(c, b)
+    assert to_bzp(g) == b
+    assert (g.c, g.z) == (c, len(b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 40), max_size=30))
+def test_fop_builder_round_trip(steps):
+    f = tuple(itertools.accumulate([0, *steps]))
+    g = from_fop(f)
+    assert to_fop(g) == f
+    assert (g.n, g.c) == (len(f) + f[-1], len(f))
 
 
 def test_generating_sequence_validation():
@@ -241,9 +268,8 @@ def test_from_bzp_rejects_non_integral_entries():
 
 def test_from_fop_rejects_non_integral_entries():
     with pytest.raises(ValueError, match="f entry must be an integer, got 0.5"):
-        from_fop([0, 0.5, 1], 4)
-    with pytest.raises(ValueError, match=r"f\[1\] = 0.5 is not an integer"):
-        FopSequence((0, 0.5, 1), 4)
+        from_fop([0, 0.5, 1])
+    assert from_fop([0.0, 1, 2.0]) == graph("10101")
 
 
 def test_from_composition_rejects_non_integral_blocks():
@@ -265,7 +291,7 @@ def test_degree_sequence_structure():
             assert sum(degs) == 2 * g.m
             assert all(a >= b for a, b in zip(degs, degs[1:]))
             assert degs[g.c - 1] == g.c - 1
-            assert degs[g.c:] == to_bzp(g).b
+            assert degs[g.c:] == to_bzp(g)
             if n >= 2:
                 assert degs[0] == n - 1  # a dominating vertex exists
 
@@ -317,8 +343,8 @@ def test_json_dict_lists_equal_the_validated_encodings(blocks):
     # up to 9 blocks of at most 222: n <= 1998
     g = from_composition(blocks)
     d = to_json_dict(g)
-    assert d["bzp"] == list(to_bzp(g).b)
-    assert d["fop"] == list(to_fop(g).f)
+    assert d["bzp"] == list(to_bzp(g))
+    assert d["fop"] == list(to_fop(g))
     assert d["degrees"] == list(degree_sequence(g))
     assert (d["n"], d["m"], d["c"], d["z"]) == (g.n, g.m, g.c, g.z)
 
@@ -370,12 +396,12 @@ def _check_against_bits(raw):
     order = tuple(sorted(range(g.n), key=lambda v: (-degrees[v], bits[v] == 0)))
     assert canonical_vertex_order(g) == order
     assert degree_sequence(g) == tuple(int(degrees[v]) for v in order)
-    assert to_bzp(g) == BzpSequence(g.c, _bzp_from_bits(bits))
-    assert to_fop(g) == FopSequence(_fop_from_bits(bits), g.n)
+    assert to_bzp(g) == _bzp_from_bits(bits)
+    assert to_fop(g) == _fop_from_bits(bits)
     assert parse_graph_spec("comp:" + to_composition(g)) == g
     assert from_composition(g.runs) == g
-    assert from_bzp(g.c, to_bzp(g).b) == g
-    assert from_fop(to_fop(g).f, g.n) == g
+    assert from_bzp(g.c, to_bzp(g)) == g
+    assert from_fop(to_fop(g)) == g
 
 
 @settings(max_examples=300, deadline=None)

@@ -32,7 +32,7 @@ def test_package_all_resolves():
 
 
 def test_package_exports_only_the_core():
-    assert len(threshold_spectra.__all__) == 34
+    assert len(threshold_spectra.__all__) == 32
     assert not set(threshold_spectra.__all__) & set(threshold_spectra.identities.__all__)
 
 

@@ -13,13 +13,13 @@ from threshold_spectra import (
     ConvergenceError,
     Polynomial,
     enumerate_threshold_graphs,
+    from_bzp,
     from_generating_sequence,
     greatest_real_root,
     perron_vector,
     spectral_radii,
     spectral_radius,
     to_bzp,
-    to_fop,
 )
 from threshold_spectra.identities import (
     adjacency_matrix,
@@ -326,39 +326,35 @@ def _assert_certificate(poly, res):
 def test_spectral_fp_matches_integer_routes():
     for n in range(2, 7):
         for g in connected_graphs(n):
-            fop = to_fop(g)
             for p in range(0, 5):
-                exact = fp_via_one_overlap(fop, p)
-                approx = fp_spectral_fop(fop, p)
+                exact = fp_via_one_overlap(g, p)
+                approx = fp_spectral_fop(g, p)
                 assert approx == pytest.approx(exact, rel=1e-6, abs=1e-6)
-            bzp = to_bzp(g)
             for p in range(1, 5):
-                exact = fp_via_min_products(bzp, p)
-                assert fp_spectral_bzp(bzp, p) == pytest.approx(exact, rel=1e-6, abs=1e-6)
+                exact = fp_via_min_products(g, p)
+                assert fp_spectral_bzp(g, p) == pytest.approx(exact, rel=1e-6, abs=1e-6)
 
 
 def test_spectral_fp_reference_case():
-    bzp = to_bzp(graph("110101"))
-    assert bzp.b == (2, 1)
-    assert fp_spectral_bzp(bzp, 3) == pytest.approx(34.0, rel=1e-9)
+    g = graph("110101")
+    assert to_bzp(g) == (2, 1)
+    assert fp_spectral_bzp(g, 3) == pytest.approx(34.0, rel=1e-9)
 
 
 def test_spectral_fp_zero_of_ones_count():
     # p = 0 counts single type-1 vertices regardless of structure
     for bits in ("1101", "10101", "1111", "11011"):
         g = graph(bits)
-        assert fp_spectral_fop(to_fop(g), 0) == pytest.approx(float(g.c), rel=1e-9)
+        assert fp_spectral_fop(g, 0) == pytest.approx(float(g.c), rel=1e-9)
 
 
 def test_spectral_fp_domain_errors():
     with pytest.raises(ValueError):
-        fp_spectral_bzp(to_bzp(graph("10101")), 0)
+        fp_spectral_bzp(graph("10101"), 0)
     with pytest.raises(ValueError):
-        fp_spectral_fop(to_fop(graph("10101")), -1)
+        fp_spectral_fop(graph("10101"), -1)
 
 
 def test_spectral_fp_without_type0_vertices_is_zero():
-    from threshold_spectra import BzpSequence
-
-    assert fp_spectral_bzp(BzpSequence(4, ()), 1) == 0.0
-    assert fp_spectral_bzp(BzpSequence(4, ()), 3) == 0.0
+    assert fp_spectral_bzp(from_bzp(4, ()), 1) == 0.0
+    assert fp_spectral_bzp(from_bzp(4, ()), 3) == 0.0

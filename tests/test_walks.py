@@ -9,14 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from threshold_spectra import (
-    BzpSequence,
     from_bzp,
     from_composition,
     from_generating_sequence,
     lw_recurrence,
     spectral_radius,
     to_bzp,
-    to_fop,
 )
 from threshold_spectra.identities import (
     count_walks_with_signature,
@@ -64,7 +62,7 @@ def test_10101_walk_table():
     ],
 )
 def test_fp_reference_values(c, b, p, expected):
-    assert fp_via_min_products(BzpSequence(c, b), p) == expected
+    assert fp_via_min_products(from_bzp(c, b), p) == expected
 
 
 def test_fp_sequence_example():
@@ -73,8 +71,8 @@ def test_fp_sequence_example():
 
 
 def test_overlap_matrices():
-    assert zero_overlap_matrix(BzpSequence(3, (2, 1))) == [[2, 1], [1, 1]]
-    assert one_overlap_matrix(to_fop(G10101)) == [
+    assert zero_overlap_matrix(from_bzp(3, (2, 1))) == [[2, 1], [1, 1]]
+    assert one_overlap_matrix(G10101) == [
         [0, 0, 0],
         [0, 1, 1],
         [0, 1, 2],
@@ -85,16 +83,14 @@ def test_all_fp_routes_agree():
     """Five independent computations of F_p coincide on the small corpus."""
     for n in range(2, 7):
         for g in connected_graphs(n):
-            fop = to_fop(g)
-            bzp = to_bzp(g)
             seq = lw_recurrence(g, 0, pmax=4).fp
             for p in range(5):
                 reference = seq[p]
-                assert fp_via_min_products(bzp, p) == reference
-                assert fp_via_max_indices(bzp, p) == reference
-                assert fp_via_one_overlap(fop, p) == reference
+                assert fp_via_min_products(g, p) == reference
+                assert fp_via_max_indices(g, p) == reference
+                assert fp_via_one_overlap(g, p) == reference
                 if p >= 1 and g.z >= 1:
-                    assert fp_via_zero_overlap(bzp, p) == reference
+                    assert fp_via_zero_overlap(g, p) == reference
                 signature = (1,) + (0, 1) * p
                 assert count_walks_with_signature(g, signature) == reference
 
@@ -145,7 +141,7 @@ def test_bracketing_sequences():
 def test_bracket_recurrences_are_order_three():
     for n in range(3, 8):
         for g in connected_graphs(n):
-            b = to_bzp(g).b
+            b = to_bzp(g)
             c, sb, f1 = g.c, sum(b), sum(x * x for x in b)
             table = lw_recurrence(g, 12)
             lo, hi = table.lw_prime, table.lw_double_prime
@@ -204,7 +200,7 @@ def test_lw_double_prime_matches_its_convolution_definition():
     # LW''_k = c LW''_{k-1} + sum_r LW''_r sum_q C(k-3-r-q, q) F_1 (sum b)^q
     for n in range(1, 10):
         for g in connected_graphs(n):
-            b = to_bzp(g).b
+            b = to_bzp(g)
             f1, sb = sum(bi * bi for bi in b), sum(b)
             expected = [1]
             for k in range(1, 21):
@@ -230,8 +226,7 @@ def lw_seed_convolution(g, kmax):
     twin-class F step nor the hoisted closing series is on this path.
     """
     if g.z:
-        bzp = to_bzp(g)
-        fp = [g.c] + [fp_via_zero_overlap(bzp, p) for p in range(1, kmax // 2 + 2)]
+        fp = [g.c] + [fp_via_zero_overlap(g, p) for p in range(1, kmax // 2 + 2)]
     else:
         fp = [g.c] + [0] * (kmax // 2 + 1)
     lw = [1]
@@ -259,7 +254,7 @@ def lw_hoisted_convolution(g, kmax):
     one prefix and one suffix pass, so neither twin-class step (for LW
     or for F) is on this path.
     """
-    b = list(to_bzp(g).b)
+    b = list(to_bzp(g))
     vector, tail = b[:], []
     for _ in range(max((kmax - 3) // 2 + 1, 1)):
         tail.append(sum(map(mul, b, vector)))
@@ -335,19 +330,19 @@ def test_short_tables(bits, expected, kmax):
     assert lw_bruteforce(g, kmax) == list(expected[: kmax + 1])
 
 
-nonincreasing_bzp = st.integers(2, 12).flatmap(
+bzp_graphs = st.integers(2, 12).flatmap(
     lambda c: st.lists(st.integers(1, c - 1), min_size=1, max_size=12).map(
-        lambda b: BzpSequence(c, tuple(sorted(b, reverse=True)))
+        lambda b: from_bzp(c, sorted(b, reverse=True))
     )
 )
 
 
 @settings(max_examples=150, deadline=None)
-@given(nonincreasing_bzp, st.integers(0, 12))
-@example(BzpSequence(5, (4, 4, 4, 1)), 12)
-def test_fp_sequence_matches_zero_overlap_identity(bzp, pmax):
-    expected = [bzp.c] + [fp_via_zero_overlap(bzp, p) for p in range(1, pmax + 1)]
-    assert list(lw_recurrence(from_bzp(bzp.c, bzp.b), 0, pmax).fp) == expected
+@given(bzp_graphs, st.integers(0, 12))
+@example(from_bzp(5, (4, 4, 4, 1)), 12)
+def test_fp_sequence_matches_zero_overlap_identity(g, pmax):
+    expected = [g.c] + [fp_via_zero_overlap(g, p) for p in range(1, pmax + 1)]
+    assert list(lw_recurrence(g, 0, pmax).fp) == expected
 
 
 def test_fp_sequence_without_type_zero_vertices():
