@@ -28,7 +28,6 @@ from .graph_model import (
 from .walks import WalkTable, bracket_cubics, lw_recurrence
 from .spectral import (
     ConvergenceError,
-    Polynomial,
     RootResult,
     greatest_real_root,
     perron_vector,
@@ -62,7 +61,6 @@ __all__ = [
     "bracket_cubics",
     "lw_recurrence",
     "ConvergenceError",
-    "Polynomial",
     "RootResult",
     "greatest_real_root",
     "perron_vector",

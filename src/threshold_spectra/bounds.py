@@ -20,10 +20,10 @@ the type-0 vertices, and F_1 = sum(b_i^2):
 
 The two cubics are the characteristic polynomials of the walk brackets,
 built by :func:`threshold_spectra.walks.bracket_cubics`.  All three
-polynomials have integer coefficients, and ``greatest_real_root`` proves
-a bracket a few ulps wide around each root.  The paper's polynomials as
-:class:`~threshold_spectra.spectral.Polynomial` objects, and the degree
-inequality evaluated at a given rho, are test oracles in
+polynomials are tuples of integer coefficients, in descending powers,
+and ``greatest_real_root`` proves a bracket a few ulps wide around each
+root.  The paper's polynomials of one graph, and the degree inequality
+evaluated at a given rho, are test oracles in
 :mod:`threshold_spectra.identities`.
 
 A census runs as one batch.  At fixed (n, m) and c, both z = n - c and
@@ -44,7 +44,7 @@ from math import comb, sqrt
 from typing import NamedTuple
 
 from .graph_model import ThresholdGraph, _zero_classes
-from .spectral import Polynomial, greatest_real_root, spectral_radii
+from .spectral import greatest_real_root, spectral_radii
 from .walks import bracket_cubics
 
 __all__ = [
@@ -182,11 +182,11 @@ def _bounds(inputs: _Inputs) -> tuple[float, ...]:
     c, f1 = inputs.c, inputs.f1
     lower, upper = bracket_cubics(c, inputs.sb, f1)
     return (
-        greatest_real_root(Polynomial(lower)).value - 1.0,
+        greatest_real_root(lower).value - 1.0,
         c - 1.0 + f1 / float(inputs.n * inputs.n),
         (c - 2.0 + sqrt(c * c + 4.0 * f1 / (c - 1.0))) / 2.0,
-        greatest_real_root(Polynomial(upper)).value - 1.0,
-        greatest_real_root(Polynomial(_inequality_coefficients(inputs))).value,
+        greatest_real_root(upper).value - 1.0,
+        greatest_real_root(_inequality_coefficients(inputs)).value,
     )
 
 

@@ -42,7 +42,8 @@ from .walks import lw_recurrence
 __all__ = ["main", "parse_graph_spec", "run"]
 
 
-# analyze and walks spell out n-long bzp, fop and degree lists, so a spec's n is capped
+# analyze and walks spell out n-long bzp, fop and degree lists, and enumerate n-long
+# generating strings, so a spec's n and the n flags of enumerate and verify are capped
 MAX_VERTICES = 10**6
 
 
@@ -459,6 +460,14 @@ def _int_at_least(low: int):
     return parse
 
 
+def _order(text: str) -> int:
+    """An n flag: an integer in [1, MAX_VERTICES], like the n of a spec."""
+    value = _int_at_least(1)(text)
+    if value > MAX_VERTICES:
+        raise argparse.ArgumentTypeError(f"exceeds the vertex limit {MAX_VERTICES}, got {text!r}")
+    return value
+
+
 def _add_format_flags(parser: argparse.ArgumentParser, csv: bool = True) -> None:
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--json", action="store_true", help="emit JSON")
@@ -494,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_walks.set_defaults(handler=_cmd_walks)
 
     p_enum = sub.add_parser("enumerate", help="census with bounds at fixed n, m")
-    p_enum.add_argument("--n", type=_int_at_least(1), required=True)
+    p_enum.add_argument("--n", type=_order, required=True)
     # m above C(n, 2) is a domain error (exit 1): that limit depends on n
     p_enum.add_argument("--m", type=_int_at_least(0), required=True)
     p_enum.add_argument("--tie-tol", type=_nonnegative_float, default=TIE_TOL, dest="tie_tol")
@@ -502,8 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.set_defaults(handler=_cmd_enumerate)
 
     p_verify = sub.add_parser("verify", help="reconcile predictions with enumeration")
-    p_verify.add_argument("--n-max", type=_int_at_least(1), required=True, dest="n_max")
-    p_verify.add_argument("--n-min", type=_int_at_least(1), default=4, dest="n_min")
+    p_verify.add_argument("--n-max", type=_order, required=True, dest="n_max")
+    p_verify.add_argument("--n-min", type=_order, default=4, dest="n_min")
     _add_format_flags(p_verify, csv=False)
     p_verify.set_defaults(handler=_cmd_verify)
 

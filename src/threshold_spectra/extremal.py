@@ -26,7 +26,7 @@ and ``verify_predictions`` reconciles them against the enumeration:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, isqrt
 from typing import Iterator
 
 from .graph_model import ThresholdGraph, _block_runs, _from_runs
@@ -229,28 +229,26 @@ def _family(n: int, m: int, blocks: tuple[int, ...]) -> ThresholdGraph | None:
     return g
 
 
+# the fixed small sizes, keyed by m - n: the rule and the family's blocks at n
+_SMALL_SIZES = {
+    -1: ("m=n-1", lambda n: (n - 1, 1)),
+    0: ("m=n", lambda n: (2, n - 3, 1)),
+    1: ("m=n+1", lambda n: (2, 1, n - 4, 1)),
+    2: ("m=n+2", lambda n: (3, n - 4, 1)),
+}
+
+
 def predict_maximizers(n: int, m: int) -> MaximizerPrediction:
     """Instantiate every literature family that speaks about (n, m)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     asserted: tuple[ThresholdGraph, ...] = ()
     rule: str | None = None
-    if m == n - 1:
-        star = _family(n, m, (n - 1, 1))
-        if star is not None:
-            asserted, rule = (star,), "m=n-1"
-    elif m == n:
-        g = _family(n, m, (2, n - 3, 1))
+    if m - n in _SMALL_SIZES:
+        name, blocks = _SMALL_SIZES[m - n]
+        g = _family(n, m, blocks(n))
         if g is not None:
-            asserted, rule = (g,), "m=n"
-    elif m == n + 1:
-        g = _family(n, m, (2, 1, n - 4, 1))
-        if g is not None:
-            asserted, rule = (g,), "m=n+1"
-    elif m == n + 2:
-        g = _family(n, m, (3, n - 4, 1))
-        if g is not None:
-            asserted, rule = (g,), "m=n+2"
+            asserted, rule = (g,), name
     else:
         k = _binomial_index(m - n + 1)
         if k is not None and k >= 4:
@@ -289,13 +287,16 @@ def predict_maximizers(n: int, m: int) -> MaximizerPrediction:
     )
 
 
+def _binomial_floor(value: int) -> int:
+    """The largest k >= 2 with C(k, 2) <= value, for value >= 1."""
+    return (1 + isqrt(1 + 8 * value)) // 2
+
+
 def _binomial_index(value: int) -> int | None:
     """k with C(k, 2) == value, if one exists (k >= 2)."""
     if value < 1:
         return None
-    k = 2
-    while comb(k, 2) < value:
-        k += 1
+    k = _binomial_floor(value)
     return k if comb(k, 2) == value else None
 
 
@@ -307,9 +308,7 @@ def _conjecture_indices(surplus: int) -> tuple[int, int] | None:
     """
     if surplus < 4:
         return None
-    k = 2
-    while comb(k + 1, 2) <= surplus:
-        k += 1
+    k = _binomial_floor(surplus)
     t = surplus - comb(k, 2)
     if 1 <= t <= k - 1:
         return k, t

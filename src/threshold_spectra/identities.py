@@ -15,8 +15,8 @@ loads it.
   (it lives in :mod:`threshold_spectra.walks` and is re-exported here),
   and :func:`growth_estimate` for its rate.
 * Bounds: the lower and upper bracket cubics and the degree quartic as
-  :class:`~threshold_spectra.spectral.Polynomial` objects, and the
-  degree inequality evaluated at a given rho.  The core is
+  tuples of integer coefficients in descending powers, and the degree
+  inequality evaluated at a given rho.  The core is
   :func:`~threshold_spectra.bounds.bound_reports`.
 * The graph: its dense adjacency matrix in the canonical vertex order.
 
@@ -40,7 +40,6 @@ from .graph_model import (
     to_bzp,
     to_fop,
 )
-from .spectral import Polynomial
 from .walks import _check_nonnegative, _closed_neighbourhoods, bracket_cubics, lw_bruteforce
 
 __all__ = [
@@ -266,21 +265,21 @@ def growth_estimate(sequence) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def lower_cubic_polynomial(g: ThresholdGraph) -> Polynomial:
+def lower_cubic_polynomial(g: ThresholdGraph) -> tuple[int, ...]:
     """Characteristic cubic of the lower walk bracket; its root minus one is ``lower_cubic``."""
     inputs = _bound_inputs(g)
-    return Polynomial(bracket_cubics(inputs.c, inputs.sb, inputs.f1)[0])
+    return bracket_cubics(inputs.c, inputs.sb, inputs.f1)[0]
 
 
-def upper_cubic_polynomial(g: ThresholdGraph) -> Polynomial:
+def upper_cubic_polynomial(g: ThresholdGraph) -> tuple[int, ...]:
     """Characteristic cubic of the upper walk bracket; its root minus one is ``upper_cubic``."""
     inputs = _bound_inputs(g)
-    return Polynomial(bracket_cubics(inputs.c, inputs.sb, inputs.f1)[1])
+    return bracket_cubics(inputs.c, inputs.sb, inputs.f1)[1]
 
 
-def inequality_polynomial(g: ThresholdGraph) -> Polynomial:
+def inequality_polynomial(g: ThresholdGraph) -> tuple[int, ...]:
     """The degree quartic h, with h(rho) >= 0; see ``bounds._inequality_coefficients``."""
-    return Polynomial(_inequality_coefficients(_bound_inputs(g)))
+    return _inequality_coefficients(_bound_inputs(g))
 
 
 def inequality_check(g: ThresholdGraph, rho: float) -> tuple[bool, float]:

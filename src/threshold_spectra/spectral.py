@@ -18,12 +18,12 @@ of all graphs with the same k and calls ``eigh`` once per stack, and
 :func:`spectral_radius` and :func:`perron_vector` are that kernel run
 on a list of one graph, so both give bitwise the same values.
 
-The bound polynomials have integer coefficients, so the greatest real
-root from float Newton is proven in exact integer arithmetic: p is
-negative just below it and p(t + high) has only positive Taylor
-coefficients just above it.  The spectral F_p routes over the overlap
-matrices live with the other identities, in
-:mod:`threshold_spectra.identities`.
+A bound polynomial is a plain tuple of integer coefficients in
+descending powers, so the greatest real root from float Newton is
+proven in exact integer arithmetic: p is negative just below it and
+p(t + high) has only positive Taylor coefficients just above it.  The
+spectral F_p routes over the overlap matrices live with the other
+identities, in :mod:`threshold_spectra.identities`.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .graph_model import ThresholdGraph, _classes, _require_connected, to_compos
 
 __all__ = [
     "ConvergenceError",
-    "Polynomial",
     "RootResult",
     "greatest_real_root",
     "perron_vector",
@@ -59,43 +58,6 @@ class ConvergenceError(RuntimeError):
         super().__init__(f"{message} (estimate {estimate!r}, residual {residual!r})")
         self.estimate = estimate
         self.residual = residual
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """Integer polynomial, coefficients in descending powers, leading > 0.
-
-    Degree at most 4, and every coefficient within float range: the root
-    search evaluates in floats before it certifies in integers.
-    """
-
-    coefficients: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.coefficients:
-            raise ValueError("polynomial needs at least one coefficient")
-        if len(self.coefficients) > 5:
-            raise ValueError("only degrees up to 4 are supported")
-        if not all(isinstance(a, int) for a in self.coefficients):
-            raise ValueError(f"coefficients must be integers, got {self.coefficients}")
-        for i, a in enumerate(self.coefficients):
-            if abs(a) > sys.float_info.max:
-                raise ValueError(
-                    f"coefficient {i} (of x^{len(self.coefficients) - 1 - i}) is beyond "
-                    f"float range: |a| > {sys.float_info.max!r}"
-                )
-        if self.coefficients[0] <= 0:
-            raise ValueError(f"leading coefficient must be positive, got {self.coefficients[0]}")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __call__(self, x: float) -> float:
-        value = 0.0
-        for coefficient in self.coefficients:
-            value = value * x + coefficient
-        return value
 
 
 @dataclass(frozen=True)
@@ -190,8 +152,13 @@ def perron_vector(g: ThresholdGraph) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def greatest_real_root(poly: Polynomial) -> RootResult:
+def greatest_real_root(coefficients: tuple[int, ...]) -> RootResult:
     """Greatest real root, inside a bracket proven in integer arithmetic.
+
+    The coefficients are integers in descending powers, the leading one
+    positive, at most five of them (degree at most 4), and each within
+    float range: the search evaluates in floats before it certifies in
+    integers.  Any other tuple raises ``ValueError``.
 
     Float Newton starts at the Fujiwara bound
     ``2 max(|a_1/a_0|, ..., |a_{d-1}/a_0|^(1/(d-1)), |a_d/(2 a_0)|^(1/d))``,
@@ -207,7 +174,20 @@ def greatest_real_root(poly: Polynomial) -> RootResult:
     iterate or the bracket beyond float range) it raises
     :class:`ConvergenceError` naming the coefficients.
     """
-    coefficients = poly.coefficients
+    if not coefficients:
+        raise ValueError("polynomial needs at least one coefficient")
+    if len(coefficients) > 5:
+        raise ValueError("only degrees up to 4 are supported")
+    if not all(isinstance(a, int) for a in coefficients):
+        raise ValueError(f"coefficients must be integers, got {coefficients}")
+    for i, a in enumerate(coefficients):
+        if abs(a) > sys.float_info.max:
+            raise ValueError(
+                f"coefficient {i} (of x^{len(coefficients) - 1 - i}) is beyond "
+                f"float range: |a| > {sys.float_info.max!r}"
+            )
+    if coefficients[0] <= 0:
+        raise ValueError(f"leading coefficient must be positive, got {coefficients[0]}")
     x = _fujiwara_bound(coefficients)
     steps = 0
     value, slope = _value_and_slope(coefficients, x)

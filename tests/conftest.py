@@ -35,11 +35,19 @@ def graph(bits):
     return from_generating_sequence(int(ch) for ch in bits)
 
 
-def magnitude_scale(poly, x):
-    """Sum of absolute term magnitudes of poly at x, at least 1; a residual scale."""
+def horner(coefficients, x):
+    """p(x) in floats, coefficients in descending powers."""
+    value = 0.0
+    for coefficient in coefficients:
+        value = value * x + coefficient
+    return value
+
+
+def magnitude_scale(coefficients, x):
+    """Sum of absolute term magnitudes of p at x, at least 1; a residual scale."""
     scale = 0.0
     power = 1.0
-    for coefficient in reversed(poly.coefficients):
+    for coefficient in reversed(coefficients):
         scale += abs(coefficient) * power
         power *= abs(x) if abs(x) > 1.0 else 1.0
     return max(scale, 1.0)

@@ -41,6 +41,7 @@ from conftest import (
     bisection_root,
     connected_graphs,
     graph,
+    horner,
     magnitude_scale,
     proves_greatest_root,
 )
@@ -115,7 +116,7 @@ def test_criterion_3_bound_sandwich():
                 and report.lower_quadratic <= rho + 1e-9
                 and rho <= report.upper_cubic + 1e-9
                 and report.inequality_root <= rho + 1e-9
-                and inequality_polynomial(g)(rho)
+                and horner(inequality_polynomial(g), rho)
                 >= -1e-9 * magnitude_scale(inequality_polynomial(g), rho)
                 and report.sandwich_ok
             )
@@ -248,11 +249,11 @@ def test_criterion_8_psd_and_root_certificates():
                 result = greatest_real_root(poly)
                 certified += 1
                 proven = result.bracket_low < result.value < result.bracket_high and (
-                    proves_greatest_root(poly.coefficients, result.bracket_low, result.bracket_high)
+                    proves_greatest_root(poly, result.bracket_low, result.bracket_high)
                 )
                 if not proven:
                     failures.append(("bracket", g.generating_string))
-                if abs(result.value - bisection_root(poly.coefficients, hint, cap)) > 1e-12:
+                if abs(result.value - bisection_root(poly, hint, cap)) > 1e-12:
                     failures.append(("bisection oracle", g.generating_string))
             if greatest_real_root(lower_cubic_polynomial(g)).value <= g.c:
                 failures.append(("root <= c", g.generating_string))

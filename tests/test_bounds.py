@@ -29,6 +29,7 @@ from conftest import (
     bisection_root,
     connected_graphs,
     graph,
+    horner,
     magnitude_scale,
     proves_greatest_root,
 )
@@ -66,11 +67,11 @@ def test_quadratic_reference_values():
 
 
 def test_cubic_coefficients():
-    assert lower_cubic_polynomial(PAW).coefficients == (1, -4, 3, -1)
-    assert upper_cubic_polynomial(PAW).coefficients == (1, -4, 2, 2)
-    assert lower_cubic_polynomial(G10101).coefficients == (1, -4, 3, -5)
-    assert upper_cubic_polynomial(G10101).coefficients == (1, -4, 0, 4)
-    assert all(type(a) is int for a in upper_cubic_polynomial(G10101).coefficients)
+    assert lower_cubic_polynomial(PAW) == (1, -4, 3, -1)
+    assert upper_cubic_polynomial(PAW) == (1, -4, 2, 2)
+    assert lower_cubic_polynomial(G10101) == (1, -4, 3, -5)
+    assert upper_cubic_polynomial(G10101) == (1, -4, 0, 4)
+    assert all(type(a) is int for a in upper_cubic_polynomial(G10101))
 
 
 def test_lower_cubic_root_exceeds_c():
@@ -139,8 +140,8 @@ def _assert_sandwich_and_certificates(g):
         result = greatest_real_root(poly)
         assert result.value == reported
         assert result.bracket_low < result.value < result.bracket_high
-        assert proves_greatest_root(poly.coefficients, result.bracket_low, result.bracket_high)
-        assert abs(result.value - bisection_root(poly.coefficients, hint, cap)) <= 1e-12
+        assert proves_greatest_root(poly, result.bracket_low, result.bracket_high)
+        assert abs(result.value - bisection_root(poly, hint, cap)) <= 1e-12
 
 
 @settings(max_examples=150, deadline=None)
@@ -183,8 +184,8 @@ def test_sandwich_and_certificates_at_scale(blocks):
 
 
 def test_quartic_coefficients():
-    assert inequality_polynomial(G10101).coefficients == (1, 0, -6, -4, 2)
-    assert inequality_polynomial(G11011).coefficients == (2, -2, -13, -8, 1)
+    assert inequality_polynomial(G10101) == (1, 0, -6, -4, 2)
+    assert inequality_polynomial(G11011) == (2, -2, -13, -8, 1)
 
 
 def test_quartic_closed_form_equals_tail_sums():
@@ -197,7 +198,7 @@ def test_quartic_closed_form_equals_tail_sums():
     for census in censuses(14):
         for g in census:
             try:
-                coefficients = inequality_polynomial(g).coefficients
+                coefficients = inequality_polynomial(g)
             except PreconditionError:
                 continue
             c, z = g.c, g.z
@@ -222,7 +223,7 @@ def test_quartic_agrees_with_direct_slack():
         poly = inequality_polynomial(g)
         for x in (0.5, 1.3, 2.0, 3.7, 5.1):
             _, slack = inequality_check(g, x)
-            assert poly(x) == pytest.approx(slack, abs=1e-8 * magnitude_scale(poly, x))
+            assert horner(poly, x) == pytest.approx(slack, abs=1e-8 * magnitude_scale(poly, x))
 
 
 def test_inequality_check_at_rho_and_shifts():
@@ -249,7 +250,7 @@ def test_equality_exactly_when_blocks_are_extreme():
     for g in applicable_graphs(range(4, 9)):
         rho = spectral_radius(g)
         poly = inequality_polynomial(g)
-        value = poly(rho)
+        value = horner(poly, rho)
         assert value >= -1e-8 * magnitude_scale(poly, rho)
         is_equality_family = all(bi in (1, g.c - 1) for bi in to_bzp(g))
         is_zero_at_rho = abs(value) <= 1e-8 * magnitude_scale(poly, rho)
@@ -359,9 +360,9 @@ def test_batched_reports_certify_each_polynomial_once(monkeypatch):
 
     calls = []
 
-    def counting_root(poly):
-        calls.append(poly.coefficients)
-        return greatest_real_root(poly)
+    def counting_root(coefficients):
+        calls.append(coefficients)
+        return greatest_real_root(coefficients)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("threshold_spectra") and hasattr(module, "greatest_real_root"):
@@ -370,7 +371,7 @@ def test_batched_reports_certify_each_polynomial_once(monkeypatch):
     reports = bound_reports(census, allow_inapplicable=True)
     applicable = [g for g, r in zip(census, reports) if r.applicable]
     distinct = {
-        make(g).coefficients
+        make(g)
         for g in applicable
         for make in (lower_cubic_polynomial, upper_cubic_polynomial, inequality_polynomial)
     }

@@ -108,6 +108,15 @@ def test_spec_at_the_vertex_limit_is_accepted():
     assert parse_graph_spec("bzp:999999:1").n == 10**6
 
 
+def test_n_flags_at_the_vertex_limit_are_accepted(capsys):
+    assert run(["enumerate", "--n", "1000000", "--m", "999999", "--json"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["graphs"]
+    assert row["composition"] == "G{1,999998,1}"
+    # verify runs the census at every n up to n_max, so only its parsing is checked here
+    args = cli._parser().parse_args(["verify", "--n-min", "1000000", "--n-max", "1000000"])
+    assert args.n_min == args.n_max == cli.MAX_VERTICES
+
+
 def test_bzp_range_error_names_the_entry(capsys):
     assert run(["analyze", "bzp:3:5"]) == 1
     assert capsys.readouterr().err == "error: b[0] = 5 out of range [1, c-1] = [1, 2]\n"
@@ -194,6 +203,22 @@ def test_exit_codes(argv, code, capsys):
         ),
         pytest.param(
             ["enumerate", "--n", "5", "--m", "-1"], "argument --m:", id="enumerate-m-negative"
+        ),
+        # the n flags stop at cli.MAX_VERTICES, like a spec
+        pytest.param(
+            ["enumerate", "--n", "1000001", "--m", "1000000"],
+            "argument --n: exceeds the vertex limit 1000000, got '1000001'",
+            id="enumerate-n-over",
+        ),
+        pytest.param(
+            ["verify", "--n-max", "1000001"],
+            "argument --n-max: exceeds the vertex limit 1000000, got '1000001'",
+            id="verify-n-max-over",
+        ),
+        pytest.param(
+            ["verify", "--n-min", "1000001", "--n-max", "5"],
+            "argument --n-min: exceeds the vertex limit 1000000, got '1000001'",
+            id="verify-n-min-over",
         ),
     ],
 )

@@ -15,6 +15,7 @@ from threshold_spectra import (
     to_composition,
     verify_predictions,
 )
+from threshold_spectra.extremal import _binomial_floor
 from threshold_spectra.identities import adjacency_matrix
 from conftest import all_graphs, connected_graphs, graph
 
@@ -188,6 +189,14 @@ def test_intermediate_size_records_candidates():
     assert (pair.k, pair.t) == (3, 1)
     assert to_composition(pair.candidate_a) == "G{2,1,1,7,1}"
     assert pair.candidate_b == prediction.large_n
+
+
+def test_binomial_floor_matches_the_counting_loop():
+    k = 2
+    for value in range(1, 10**5 + 1):
+        while comb(k + 1, 2) <= value:
+            k += 1
+        assert _binomial_floor(value) == k, value
 
 
 def test_prediction_validation():

@@ -32,7 +32,9 @@ def test_package_all_resolves():
 
 
 def test_package_exports_only_the_core():
-    assert len(threshold_spectra.__all__) == 32
+    assert len(threshold_spectra.__all__) == 31
+    for module in (threshold_spectra, threshold_spectra.spectral, threshold_spectra.identities):
+        assert not hasattr(module, "Polynomial")
     assert not set(threshold_spectra.__all__) & set(threshold_spectra.identities.__all__)
 
 

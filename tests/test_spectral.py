@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from threshold_spectra import (
     ConvergenceError,
-    Polynomial,
     enumerate_threshold_graphs,
     from_bzp,
     from_generating_sequence,
@@ -184,56 +183,45 @@ def test_perron_vector_complete_graph_is_uniform():
 
 
 # ---------------------------------------------------------------------------
-# Polynomial
+# greatest_real_root
 # ---------------------------------------------------------------------------
 
 
-def test_polynomial_evaluates_like_polyval():
-    rng = np.random.default_rng(7)
-    for degree in range(0, 5):
-        coeffs = [int(a) for a in rng.integers(-50, 51, size=degree + 1)]
-        coeffs[0] = abs(coeffs[0]) + 1
-        poly = Polynomial(tuple(coeffs))
-        assert poly.degree == degree
-        for x in rng.normal(scale=3.0, size=6):
-            assert poly(float(x)) == pytest.approx(
-                float(np.polyval(coeffs, x)), rel=1e-12, abs=1e-12
-            )
-
-
 @pytest.mark.parametrize(
-    "coeffs",
-    [(), (0, 1), (-1, 2), (1, 0, 0, 0, 0, 0), (1.0, -2.0)],
+    "coeffs, message",
+    [
+        ((), "polynomial needs at least one coefficient"),
+        ((0, 1), "leading coefficient must be positive, got 0"),
+        ((-1, 2), "leading coefficient must be positive, got -1"),
+        ((1, 0, 0, 0, 0, 0), "only degrees up to 4 are supported"),
+        ((1.0, -2.0), r"coefficients must be integers, got \(1\.0, -2\.0\)"),
+    ],
+    ids=[f"coeffs{i}" for i in range(5)],
 )
-def test_polynomial_rejects_bad_coefficients(coeffs):
-    with pytest.raises(ValueError):
-        Polynomial(coeffs)
+def test_polynomial_rejects_bad_coefficients(coeffs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        greatest_real_root(coeffs)
 
 
 @pytest.mark.parametrize("coeffs, index", [((1, -(10**400)), 1), ((10**400, -1), 0)])
 def test_polynomial_rejects_coefficients_beyond_float_range(coeffs, index):
     # Newton and the Fujiwara bound work in floats, which these overflow
     with pytest.raises(ValueError, match=f"^coefficient {index} .* beyond float range"):
-        greatest_real_root(Polynomial(coeffs))
-
-
-# ---------------------------------------------------------------------------
-# greatest_real_root
-# ---------------------------------------------------------------------------
+        greatest_real_root(coeffs)
 
 
 def test_root_of_cubic_with_complex_pair():
     # (x - 2)(x^2 + 1)
-    poly = Polynomial((1, -2, 1, -2))
-    res = greatest_real_root(poly)
+    coeffs = (1, -2, 1, -2)
+    res = greatest_real_root(coeffs)
     assert res.value == pytest.approx(2.0, abs=1e-9)
-    _assert_certificate(poly, res)
+    _assert_certificate(coeffs, res)
 
 
 def test_root_of_linear():
-    res = greatest_real_root(Polynomial((2, -7)))
+    res = greatest_real_root((2, -7))
     assert res.value == pytest.approx(3.5, abs=1e-9)
-    _assert_certificate(Polynomial((2, -7)), res)
+    _assert_certificate((2, -7), res)
 
 
 def test_rightmost_root_among_several():
@@ -244,10 +232,9 @@ def test_rightmost_root_among_several():
         ((1, 0, 0, 0), 0.0),
     ]
     for coeffs, root in cases:
-        poly = Polynomial(coeffs)
-        res = greatest_real_root(poly)
+        res = greatest_real_root(coeffs)
         assert res.value == pytest.approx(root, abs=1e-9)
-        _assert_certificate(poly, res)
+        _assert_certificate(coeffs, res)
 
 
 def test_hint_below_picks_root_above_hint():
@@ -264,12 +251,11 @@ def test_hint_below_picks_root_above_hint():
         ((1, -10, 35, -50, 24), 3.5, 4.0),
     ]
     for coeffs, hint, root in cases:
-        poly = Polynomial(coeffs)
-        res = greatest_real_root(poly)
+        res = greatest_real_root(coeffs)
         assert res.value == pytest.approx(root, abs=1e-9)
         assert res.value > hint
         assert abs(res.value - bisection_root(coeffs, hint)) <= 1e-12
-        _assert_certificate(poly, res)
+        _assert_certificate(coeffs, res)
 
 
 @pytest.mark.parametrize(
@@ -283,7 +269,7 @@ def test_hint_below_picks_root_above_hint():
 )
 def test_no_certified_root_fails_loudly(coeffs):
     with pytest.raises(ConvergenceError, match=r"greatest_real_root.*coefficients"):
-        greatest_real_root(Polynomial(coeffs))
+        greatest_real_root(coeffs)
 
 
 @pytest.mark.parametrize(
@@ -295,7 +281,7 @@ def test_no_certified_root_fails_loudly(coeffs):
 )
 def test_float_overflow_is_a_convergence_error(coeffs):
     with pytest.raises(ConvergenceError, match=rf"greatest_real_root: .*{re.escape(str(coeffs))}"):
-        greatest_real_root(Polynomial(coeffs))
+        greatest_real_root(coeffs)
 
 
 def test_certificate_agrees_with_bisection_oracle():
@@ -308,14 +294,14 @@ def test_certificate_agrees_with_bisection_oracle():
         ((1, -4, 4, -4, 3), 2.0, None),
         ((1, -10, 35, -50, 24), 1.5, None),
     ]:
-        res = greatest_real_root(Polynomial(coeffs))
+        res = greatest_real_root(coeffs)
         assert abs(res.value - bisection_root(coeffs, hint, cap)) <= 1e-12
 
 
-def _assert_certificate(poly, res):
+def _assert_certificate(coeffs, res):
     assert res.bracket_low < res.value < res.bracket_high
     assert res.bracket_high - res.bracket_low <= 1e-9 * max(1.0, abs(res.value))
-    assert proves_greatest_root(poly.coefficients, res.bracket_low, res.bracket_high)
+    assert proves_greatest_root(coeffs, res.bracket_low, res.bracket_high)
 
 
 # ---------------------------------------------------------------------------
