@@ -36,10 +36,7 @@ from .spectral import (
 )
 from .bounds import BoundReport, PreconditionError, bound_report, bound_reports
 from .extremal import (
-    ConjecturePair,
     ExtremalResult,
-    MaximizerPrediction,
-    VerificationReport,
     enumerate_threshold_graphs,
     find_extremal,
     predict_maximizers,
@@ -70,10 +67,7 @@ __all__ = [
     "PreconditionError",
     "bound_report",
     "bound_reports",
-    "ConjecturePair",
     "ExtremalResult",
-    "MaximizerPrediction",
-    "VerificationReport",
     "enumerate_threshold_graphs",
     "find_extremal",
     "predict_maximizers",

@@ -26,7 +26,7 @@ from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
 
 from .bounds import PreconditionError, bound_report, bound_reports
-from .extremal import TIE_TOL, enumerate_threshold_graphs, verify_predictions
+from .extremal import TIE_TOL, _nonempty_census, _rank, verify_predictions
 from .graph_model import (
     ParseError,
     ThresholdGraph,
@@ -342,12 +342,9 @@ def _cmd_walks(args) -> str:
 
 
 def _cmd_enumerate(args) -> str:
-    census = enumerate_threshold_graphs(args.n, args.m)
-    if not census:
-        raise ValueError(f"no connected threshold graph has n = {args.n}, m = {args.m}")
+    census = _nonempty_census(args.n, args.m)
     reports = bound_reports(census, allow_inapplicable=True)
-    rho_max = max(report.rho for report in reports)
-    flags = [rho_max - report.rho <= args.tie_tol for report in reports]
+    rho_max, flags = _rank([report.rho for report in reports], args.tie_tol)
     if args.csv:
         lines = [_csv_line(["generating", "c", "z", "m", *_BOUND_COLUMNS, "is_max"])]
         for g, report, is_max in zip(census, reports, flags):
@@ -391,9 +388,10 @@ def _cmd_enumerate(args) -> str:
 def _cmd_verify(args) -> str:
     if args.n_max < args.n_min:
         raise ValueError(f"--n-max must be >= --n-min, got {args.n_max} < {args.n_min}")
-    report = verify_predictions(range(args.n_min, args.n_max + 1))
+    verified = verify_predictions(range(args.n_min, args.n_max + 1))
+    mismatches = sum(row.ok is False for row in verified)
     rows = []
-    for row in report.rows:
+    for row in verified:
         rows.append(
             {
                 "n": row.n,
@@ -411,7 +409,7 @@ def _cmd_verify(args) -> str:
             {
                 "n_min": args.n_min,
                 "n_max": args.n_max,
-                "mismatch_count": len(report.mismatches),
+                "mismatch_count": mismatches,
                 "rows": rows,
             }
         )
@@ -419,14 +417,14 @@ def _cmd_verify(args) -> str:
     for row in rows:
         status = {True: "ok", False: "MISMATCH", None: "recorded"}[row["ok"]]
         lines.append(
-            f"n={row['n']:<3} m={row['m']:<4} {row['kind']:<10} {str(row['rule']):<16} "
+            f"n={row['n']:<3} m={row['m']:<4} {row['kind']:<10} {row['rule']:<16} "
             f"{status:<9} predicted={','.join(row['predicted'])} "
             f"maximizers={','.join(row['maximizers'])} ({row['note']})"
         )
     asserted = [row for row in rows if row["kind"] == "asserted"]
     lines.append("")
     lines.append(
-        f"checked {len(asserted)} asserted rows, {len(report.mismatches)} mismatch(es); "
+        f"checked {len(asserted)} asserted rows, {mismatches} mismatch(es); "
         f"{len(rows) - len(asserted)} evidence rows recorded"
     )
     return "\n".join(lines) + "\n"

@@ -6,20 +6,24 @@ vertices, the b entries form a nonincreasing tuple of length z = n - c
 with parts in [1, c-1] summing to m - C(c, 2).  That makes the census
 isomorphism-free by construction and cheap to walk exhaustively.
 
-``find_extremal`` ranks the census by spectral radius.  For several
-size ranges the literature pins down (or conjectures) the maximizing
-family; ``predict_maximizers`` instantiates those families at (n, m)
-and ``verify_predictions`` reconciles them against the enumeration:
+``find_extremal`` ranks the census by spectral radius under one tie
+rule: a graph is a maximizer when its rho is within ``TIE_TOL`` = 1e-9
+of the best (the default of ``enumerate --tie-tol``, which ranks by the
+same rule).  For several size ranges the literature pins down (or
+conjectures) the maximizing family; ``predict_maximizers`` instantiates
+those families at (n, m) as ``Prediction(kind, rule, graphs)`` rows and
+``verify_predictions`` reconciles them against the enumeration:
 
 * m = n - 1: the star.
 * m = n, n + 1, n + 2: one fixed small family each.
 * m = n + C(k, 2) - 1 (k >= 4): one or both of two families
   (the prediction is a set, maximizers must be a nonempty subset).
 * m = n + C(k, 2) - 2 with 2n <= m < C(n, 2) - 1: one family.
-* m = n + t (t >= 3): a family expected to win for large enough n;
-  recorded as evidence, never asserted.
+* m = n + t (t >= 3): a ``large-n`` family expected to win for large
+  enough n; recorded as evidence, never asserted.
 * the remaining sizes m = n - 1 + C(k, 2) + t (3 <= k <= n - 2,
-  1 <= t < k): two open-case candidates; the empirical winner is
+  1 <= t < k): a ``conjecture`` row of two open-case candidates,
+  candidate_a then candidate_b when it fits; the empirical winner is
   recorded, never asserted.
 """
 
@@ -33,10 +37,8 @@ from .graph_model import ThresholdGraph, _block_runs, _from_runs
 from .spectral import spectral_radii
 
 __all__ = [
-    "ConjecturePair",
     "ExtremalResult",
-    "MaximizerPrediction",
-    "VerificationReport",
+    "Prediction",
     "VerificationRow",
     "enumerate_threshold_graphs",
     "find_extremal",
@@ -45,7 +47,6 @@ __all__ = [
 ]
 
 TIE_TOL = 1e-9
-NEAR_TIE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -56,44 +57,21 @@ class ExtremalResult:
     m: int
     rho_max: float
     maximizers: tuple[ThresholdGraph, ...]
-    near_ties: tuple[tuple[ThresholdGraph, float], ...]
     census_size: int
 
 
 @dataclass(frozen=True)
-class ConjecturePair:
-    """The two open-case candidate maximizers at one intermediate size.
+class Prediction:
+    """Literature families instantiated at (n, m), one row per kind.
 
-    ``candidate_b`` is None when its family needs more room than n
-    vertices provide (the zeros-before-the-first-one block would be
-    negative).
+    ``kind`` is "asserted" (the maximizers must be a nonempty subset of
+    ``graphs``), "large-n" or "conjecture" (expectations to record, not
+    to assert); ``rule`` names the size range.
     """
 
-    k: int
-    t: int
-    candidate_a: ThresholdGraph
-    candidate_b: ThresholdGraph | None
-
-
-@dataclass(frozen=True)
-class MaximizerPrediction:
-    """Literature families instantiated at (n, m).
-
-    ``asserted`` lists graphs the maximizers must be a nonempty subset
-    of (``rule`` names the size range); ``large_n`` and ``conjecture``
-    are expectations to record, not to assert.
-    """
-
-    n: int
-    m: int
-    asserted: tuple[ThresholdGraph, ...]
-    rule: str | None
-    large_n: ThresholdGraph | None
-    conjecture: ConjecturePair | None
-
-    @property
-    def has_content(self) -> bool:
-        return bool(self.asserted) or self.large_n is not None or self.conjecture is not None
+    kind: str
+    rule: str
+    graphs: tuple[ThresholdGraph, ...]
 
 
 @dataclass(frozen=True)
@@ -103,20 +81,11 @@ class VerificationRow:
     n: int
     m: int
     kind: str  # "asserted", "large-n", or "conjecture"
-    rule: str | None
+    rule: str
     predicted: tuple[ThresholdGraph, ...]
     maximizers: tuple[ThresholdGraph, ...]
     ok: bool | None  # None for evidence-only rows
     note: str
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    rows: tuple[VerificationRow, ...]
-
-    @property
-    def mismatches(self) -> tuple[VerificationRow, ...]:
-        return tuple(row for row in self.rows if row.ok is False)
 
 
 # ---------------------------------------------------------------------------
@@ -168,43 +137,34 @@ def enumerate_threshold_graphs(n: int, m: int) -> list[ThresholdGraph]:
     return list(_connected_census(n, m))
 
 
+def _nonempty_census(n: int, m: int) -> list[ThresholdGraph]:
+    """``enumerate_threshold_graphs(n, m)``; an empty census is a ValueError."""
+    census = enumerate_threshold_graphs(n, m)
+    if not census:
+        raise ValueError(f"no connected threshold graph has n = {n}, m = {m}")
+    return census
+
+
+def _rank(radii, tie_tol: float) -> tuple[float, list[bool]]:
+    """The greatest radius, and per radius whether it is within ``tie_tol`` of it."""
+    rho_max = max(radii)
+    return rho_max, [rho_max - rho <= tie_tol for rho in radii]
+
+
 # ---------------------------------------------------------------------------
 # maximizer search
 # ---------------------------------------------------------------------------
 
 
-def find_extremal(
-    n: int, m: int, tie_tol: float = TIE_TOL, near_tie_tol: float = NEAR_TIE_TOL
-) -> ExtremalResult:
+def find_extremal(n: int, m: int) -> ExtremalResult:
     """Rank the connected census at (n, m) by spectral radius.
 
-    Graphs within ``tie_tol`` of the best value are maximizers; graphs
-    within ``near_tie_tol`` but not maximizers are reported separately
-    so silent photo-finishes stay visible.  Both tolerances must be
-    finite and >= 0.
+    Graphs within ``TIE_TOL`` of the best value are maximizers.
     """
-    for name, tol in (("tie_tol", tie_tol), ("near_tie_tol", near_tie_tol)):
-        if not 0.0 <= tol < float("inf"):
-            raise ValueError(f"{name} must be a finite number >= 0, got {tol!r}")
-    census = enumerate_threshold_graphs(n, m)
-    if not census:
-        raise ValueError(f"no connected threshold graph has n = {n}, m = {m}")
-    radii = spectral_radii(census)
-    rho_max = max(radii)
-    maximizers = tuple(g for g, rho in zip(census, radii) if rho_max - rho <= tie_tol)
-    near_ties = tuple(
-        (g, rho)
-        for g, rho in zip(census, radii)
-        if tie_tol < rho_max - rho <= near_tie_tol
-    )
-    return ExtremalResult(
-        n=n,
-        m=m,
-        rho_max=rho_max,
-        maximizers=maximizers,
-        near_ties=near_ties,
-        census_size=len(census),
-    )
+    census = _nonempty_census(n, m)
+    rho_max, flags = _rank(spectral_radii(census), TIE_TOL)
+    maximizers = tuple(g for g, is_max in zip(census, flags) if is_max)
+    return ExtremalResult(n, m, rho_max, maximizers, len(census))
 
 
 # ---------------------------------------------------------------------------
@@ -212,21 +172,23 @@ def find_extremal(
 # ---------------------------------------------------------------------------
 
 
-def _family(n: int, m: int, blocks: tuple[int, ...]) -> ThresholdGraph | None:
-    """Instantiate an alternating-block family, tolerating empty blocks.
+def _families(n: int, m: int, *families: tuple[int, ...]) -> tuple[ThresholdGraph, ...]:
+    """The alternating-block families that fit at (n, m), instantiated, in order.
 
     Families are written with symbolic block lengths; at small n some
     become 0 (the runs collapse) or negative (the family does not fit).
-    Returns None unless the expansion is a connected graph with exactly
+    A family fits when its expansion is a connected graph with exactly
     n vertices and m edges.
     """
-    runs = _block_runs(blocks)
-    if any(p < 0 for p in blocks) or not any(p for symbol, p in runs if symbol == 1):
-        return None
-    g = _from_runs(runs)
-    if g.n != n or g.m != m or not g.is_connected:
-        return None
-    return g
+    graphs = []
+    for blocks in families:
+        runs = _block_runs(blocks)
+        if any(p < 0 for p in blocks) or not any(p for symbol, p in runs if symbol == 1):
+            continue
+        g = _from_runs(runs)
+        if g.n == n and g.m == m and g.is_connected:
+            graphs.append(g)
+    return tuple(graphs)
 
 
 # the fixed small sizes, keyed by m - n: the rule and the family's blocks at n
@@ -238,53 +200,41 @@ _SMALL_SIZES = {
 }
 
 
-def predict_maximizers(n: int, m: int) -> MaximizerPrediction:
-    """Instantiate every literature family that speaks about (n, m)."""
+def predict_maximizers(n: int, m: int) -> tuple[Prediction, ...]:
+    """Instantiate every literature family that speaks about (n, m).
+
+    At most one row per kind, in the order asserted, large-n, conjecture.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     asserted: tuple[ThresholdGraph, ...] = ()
-    rule: str | None = None
     if m - n in _SMALL_SIZES:
-        name, blocks = _SMALL_SIZES[m - n]
-        g = _family(n, m, blocks(n))
-        if g is not None:
-            asserted, rule = (g,), name
+        rule, blocks = _SMALL_SIZES[m - n]
+        asserted = _families(n, m, blocks(n))
     else:
         k = _binomial_index(m - n + 1)
         if k is not None and k >= 4:
-            pair = (
-                _family(n, m, (k, n - 1 - k, 1)),
-                _family(n, m, (comb(k, 2), 1, n - 2 - comb(k, 2), 1)),
-            )
-            candidates = tuple(g for g in pair if g is not None)
-            if candidates:
-                asserted, rule = candidates, "m=n+C(k,2)-1"
-        if not asserted:
-            k = _binomial_index(m - n + 2)
-            if k is not None and 2 * n <= m < comb(n, 2) - 1:
-                g = _family(n, m, (2, k - 2, n - 1 - k, 1))
-                if g is not None:
-                    asserted, rule = (g,), "m=n+C(k,2)-2"
+            rule = "m=n+C(k,2)-1"
+            asserted = _families(n, m, (k, n - 1 - k, 1), (comb(k, 2), 1, n - 2 - comb(k, 2), 1))
+        k = _binomial_index(m - n + 2)
+        if not asserted and k is not None and 2 * n <= m < comb(n, 2) - 1:
+            rule = "m=n+C(k,2)-2"
+            asserted = _families(n, m, (2, k - 2, n - 1 - k, 1))
+    predictions = [Prediction("asserted", rule, asserted)] if asserted else []
 
-    large_n: ThresholdGraph | None = None
     t = m - n
-    if t >= 3:
-        large_n = _family(n, m, (t + 1, 1, n - 3 - t, 1))
+    large_n = _families(n, m, (t + 1, 1, n - 3 - t, 1)) if t >= 3 else ()
+    if large_n:
+        predictions.append(Prediction("large-n", "m=n+t", large_n))
 
-    conjecture: ConjecturePair | None = None
-    surplus = m - (n - 1)
-    decomposition = _conjecture_indices(surplus)
-    if decomposition is not None:
+    decomposition = _conjecture_indices(m - n + 1)
+    if decomposition is not None and 3 <= decomposition[0] <= n - 2:
         k, t = decomposition
-        if 3 <= k <= n - 2:
-            candidate_a = _family(n, m, (k - t, 1, t, n - 2 - k, 1))
-            candidate_b = _family(n, m, (comb(k, 2) + t, 1, n - 2 - comb(k, 2) - t, 1))
-            if candidate_a is not None:
-                conjecture = ConjecturePair(k=k, t=t, candidate_a=candidate_a, candidate_b=candidate_b)
-
-    return MaximizerPrediction(
-        n=n, m=m, asserted=asserted, rule=rule, large_n=large_n, conjecture=conjecture
-    )
+        candidate_a = _families(n, m, (k - t, 1, t, n - 2 - k, 1))
+        if candidate_a:
+            candidate_b = _families(n, m, (comb(k, 2) + t, 1, n - 2 - comb(k, 2) - t, 1))
+            predictions.append(Prediction("conjecture", "open case", candidate_a + candidate_b))
+    return tuple(predictions)
 
 
 def _binomial_floor(value: int) -> int:
@@ -315,46 +265,40 @@ def _conjecture_indices(surplus: int) -> tuple[int, int] | None:
     return None
 
 
-def verify_predictions(n_values) -> VerificationReport:
+def verify_predictions(n_values) -> tuple[VerificationRow, ...]:
     """Reconcile every applicable prediction against the enumeration.
 
     Asserted rows fail (ok is False) when the empirical maximizers are
-    not a nonempty subset of the predicted set.  Large-n and open-case
-    rows only record whether the empirical winner matches a candidate.
+    not a subset of the predicted set.  Large-n and open-case rows only
+    record whether the empirical winner matches a candidate.
     """
     rows: list[VerificationRow] = []
     for n in n_values:
         for m in range(max(n - 1, 0), comb(n, 2) + 1):
-            prediction = predict_maximizers(n, m)
-            if not prediction.has_content:
+            predictions = predict_maximizers(n, m)
+            if not predictions:
                 continue
-            result = find_extremal(n, m)
-            maximizers = set(result.maximizers)
-            entries = []
-            if prediction.asserted:
-                ok = bool(maximizers) and maximizers <= set(prediction.asserted)
-                note = "subset of predicted set" if ok else "maximizer outside predicted set"
-                entries.append(("asserted", prediction.rule, prediction.asserted, ok, note))
-            if prediction.large_n is not None:
-                hit = prediction.large_n in maximizers
-                note = "matches" if hit else "does not match at this n"
-                entries.append(("large-n", "m=n+t", (prediction.large_n,), None, note))
-            if prediction.conjecture is not None:
-                pair = prediction.conjecture
-                in_a = pair.candidate_a in maximizers
-                in_b = pair.candidate_b in maximizers if pair.candidate_b is not None else False
-                if in_a and in_b:
-                    note = "both candidates maximize"
-                elif in_a:
-                    note = "candidate_a maximizes"
-                elif in_b:
-                    note = "candidate_b maximizes"
+            maximizers = find_extremal(n, m).maximizers  # never empty
+            winners = set(maximizers)
+            for p in predictions:
+                ok = None
+                if p.kind == "asserted":
+                    ok = winners <= set(p.graphs)
+                    note = "subset of predicted set" if ok else "maximizer outside predicted set"
+                elif p.kind == "large-n":
+                    note = "matches" if p.graphs[0] in winners else "does not match at this n"
                 else:
-                    note = "neither candidate maximizes"
-                predicted = tuple(g for g in (pair.candidate_a, pair.candidate_b) if g is not None)
-                entries.append(("conjecture", "open case", predicted, None, note))
-            rows += [
-                VerificationRow(n, m, kind, rule, predicted, result.maximizers, ok, note)
-                for kind, rule, predicted, ok, note in entries
-            ]
-    return VerificationReport(rows=tuple(rows))
+                    in_a = p.graphs[0] in winners
+                    in_b = len(p.graphs) > 1 and p.graphs[1] in winners
+                    note = _CONJECTURE_NOTES[in_a, in_b]
+                rows.append(VerificationRow(n, m, p.kind, p.rule, p.graphs, maximizers, ok, note))
+    return tuple(rows)
+
+
+# by (candidate_a maximizes, candidate_b maximizes)
+_CONJECTURE_NOTES = {
+    (True, True): "both candidates maximize",
+    (True, False): "candidate_a maximizes",
+    (False, True): "candidate_b maximizes",
+    (False, False): "neither candidate maximizes",
+}

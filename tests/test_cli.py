@@ -16,6 +16,7 @@ from threshold_spectra import (
     bound_reports,
     cli,
     enumerate_threshold_graphs,
+    find_extremal,
     spectral,
     to_composition,
 )
@@ -403,6 +404,21 @@ def test_enumerate_json_is_json_dumps_of_the_row_dicts(tie_tol, capsys):
     assert maximizers == {1e-9: 130, 1.0: 512}[tie_tol]
 
 
+def test_library_and_cli_pick_the_same_maximizers(capsys):
+    cells = 0
+    for n in range(1, 11):
+        for m in range(math.comb(n, 2) + 1):
+            if not enumerate_threshold_graphs(n, m):
+                continue
+            assert run(["enumerate", "--n", str(n), "--m", str(m), "--json"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            result = find_extremal(n, m)
+            assert result.rho_max == payload["rho_max"]
+            assert [to_composition(g) for g in result.maximizers] == payload["maximizers"]
+            cells += 1
+    assert cells == 130
+
+
 def test_enumerate_json_spells_non_finite_floats_like_json_dumps(monkeypatch, capsys):
     real = cli.bound_reports
 
@@ -466,6 +482,13 @@ def test_verify_human_summary(capsys):
     assert run(["verify", "--n-max", "5"]) == 0
     out = capsys.readouterr().out
     assert "0 mismatch(es)" in out
+
+
+def test_verify_rejects_an_empty_range(capsys):
+    assert run(["verify", "--n-min", "9", "--n-max", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --n-max must be >= --n-min, got 5 < 9\n"
 
 
 # ---------------------------------------------------------------------------

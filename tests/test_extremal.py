@@ -11,11 +11,10 @@ from threshold_spectra import (
     find_extremal,
     from_bzp,
     predict_maximizers,
-    spectral_radius,
     to_composition,
     verify_predictions,
 )
-from threshold_spectra.extremal import _binomial_floor
+from threshold_spectra.extremal import _binomial_floor, _conjecture_indices
 from threshold_spectra.identities import adjacency_matrix
 from conftest import all_graphs, connected_graphs, graph
 
@@ -128,20 +127,6 @@ def test_find_extremal_matches_dense_solver():
         assert result.census_size == len(census)
 
 
-def test_find_extremal_near_ties_stay_in_band():
-    result = find_extremal(8, 12, near_tie_tol=1e-2)
-    for g, rho in result.near_ties:
-        assert 1e-9 < result.rho_max - rho <= 1e-2
-        assert spectral_radius(g) == pytest.approx(rho, abs=1e-12)
-
-
-@pytest.mark.parametrize("name", ["tie_tol", "near_tie_tol"])
-@pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf")])
-def test_find_extremal_rejects_bad_tolerances(name, bad):
-    with pytest.raises(ValueError, match=name):
-        find_extremal(7, 9, **{name: bad})
-
-
 def test_find_extremal_empty_census():
     with pytest.raises(ValueError):
         find_extremal(4, 2)
@@ -150,6 +135,13 @@ def test_find_extremal_empty_census():
 # ---------------------------------------------------------------------------
 # literature families
 # ---------------------------------------------------------------------------
+
+
+def asserted_row(n, m):
+    """The one asserted prediction at (n, m); it comes first."""
+    prediction = predict_maximizers(n, m)[0]
+    assert prediction.kind == "asserted"
+    return prediction
 
 
 def test_small_size_rules():
@@ -163,32 +155,32 @@ def test_small_size_rules():
         (4, 6): ("m=n+2", ["G{4}"]),
     }
     for (n, m), (rule, asserted) in cases.items():
-        prediction = predict_maximizers(n, m)
+        prediction = asserted_row(n, m)
         assert prediction.rule == rule
-        assert comps(prediction.asserted) == asserted
+        assert comps(prediction.graphs) == asserted
 
 
 def test_binomial_size_rule_offers_two_candidates():
-    prediction = predict_maximizers(10, 15)  # m - n + 1 = C(4,2)
+    prediction = asserted_row(10, 15)  # m - n + 1 = C(4,2)
     assert prediction.rule == "m=n+C(k,2)-1"
-    assert comps(prediction.asserted) == ["G{4,5,1}", "G{1,5,1,2,1}"]
+    assert comps(prediction.graphs) == ["G{4,5,1}", "G{1,5,1,2,1}"]
 
 
 def test_binomial_minus_one_rule():
-    prediction = predict_maximizers(8, 16)  # m - n + 2 = C(5,2)
+    prediction = asserted_row(8, 16)  # m - n + 2 = C(5,2)
     assert prediction.rule == "m=n+C(k,2)-2"
-    assert comps(prediction.asserted) == ["G{1,1,3,2,1}"]
+    assert comps(prediction.graphs) == ["G{1,1,3,2,1}"]
 
 
 def test_intermediate_size_records_candidates():
-    prediction = predict_maximizers(12, 15)
-    assert prediction.rule is None
-    assert prediction.asserted == ()
-    assert to_composition(prediction.large_n) == "G{1,3,1,6,1}"
-    pair = prediction.conjecture
-    assert (pair.k, pair.t) == (3, 1)
-    assert to_composition(pair.candidate_a) == "G{2,1,1,7,1}"
-    assert pair.candidate_b == prediction.large_n
+    large_n, conjecture = predict_maximizers(12, 15)  # no asserted row
+    assert (large_n.kind, large_n.rule) == ("large-n", "m=n+t")
+    assert comps(large_n.graphs) == ["G{1,3,1,6,1}"]
+    assert (conjecture.kind, conjecture.rule) == ("conjecture", "open case")
+    assert _conjecture_indices(15 - 12 + 1) == (3, 1)
+    candidate_a, candidate_b = conjecture.graphs
+    assert to_composition(candidate_a) == "G{2,1,1,7,1}"
+    assert candidate_b == large_n.graphs[0]
 
 
 def test_binomial_floor_matches_the_counting_loop():
@@ -210,10 +202,10 @@ def test_prediction_validation():
 
 
 def test_verify_predictions_has_no_mismatches():
-    report = verify_predictions(range(4, 9))
-    assert report.mismatches == ()
-    assert report.rows  # something was checked
-    for row in report.rows:
+    rows = verify_predictions(range(4, 9))
+    assert [row for row in rows if row.ok is False] == []
+    assert rows  # something was checked
+    for row in rows:
         assert row.kind in {"asserted", "large-n", "conjecture"}
         if row.kind == "asserted":
             assert row.ok is True
@@ -224,8 +216,8 @@ def test_verify_predictions_has_no_mismatches():
 
 
 def test_verify_predictions_conjecture_notes():
-    report = verify_predictions([8])
-    notes = {row.note for row in report.rows if row.kind == "conjecture"}
+    rows = verify_predictions([8])
+    notes = {row.note for row in rows if row.kind == "conjecture"}
     assert notes <= {
         "both candidates maximize",
         "candidate_a maximizes",

@@ -2,10 +2,12 @@
 
 import ast
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -32,9 +34,15 @@ def test_package_all_resolves():
 
 
 def test_package_exports_only_the_core():
-    assert len(threshold_spectra.__all__) == 31
+    assert len(threshold_spectra.__all__) == 28
     for module in (threshold_spectra, threshold_spectra.spectral, threshold_spectra.identities):
         assert not hasattr(module, "Polynomial")
+    for name in ("MaximizerPrediction", "ConjecturePair", "VerificationReport", "NEAR_TIE_TOL"):
+        assert not hasattr(threshold_spectra, name)
+        assert not hasattr(threshold_spectra.extremal, name)
+    # one ranking: no near-tie band on the result, no tolerance parameters on the search
+    assert "near_ties" not in {f.name for f in fields(threshold_spectra.ExtremalResult)}
+    assert list(inspect.signature(threshold_spectra.find_extremal).parameters) == ["n", "m"]
     assert not set(threshold_spectra.__all__) & set(threshold_spectra.identities.__all__)
 
 
