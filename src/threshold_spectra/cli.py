@@ -14,7 +14,11 @@ JSON output is byte for byte ``json.dumps(payload, indent=2)``.  One
 generic writer, ``_json_text``, writes every payload except the rows of
 ``enumerate --json``: those have a fixed shape, so each is filled into
 one of two ``%`` templates (with bounds, or with them null) built once
-at import from the same column names.
+at import from the same column names.  A graph's n-long bzp, fop and
+degree lists come from ``graph_model._json_fields`` as ``_Blocks``, their
+``(value, size)`` blocks, and ``_Blocks.join`` writes each block with one
+``int.__repr__``: in ``analyze --json`` and ``walks --json`` inside
+``_json_text``, and in human ``analyze`` as the text of ``str(list)``.
 """
 
 from __future__ import annotations
@@ -30,11 +34,11 @@ from .extremal import TIE_TOL, _nonempty_census, _rank, verify_predictions
 from .graph_model import (
     ParseError,
     ThresholdGraph,
+    _json_fields,
     from_bzp,
     from_composition,
     from_generating_sequence,
     to_composition,
-    to_json_dict,
 )
 from .spectral import ConvergenceError
 from .walks import lw_recurrence
@@ -147,6 +151,14 @@ _JSON_SCALARS = {  # by exact type, so bool never reaches int
 }
 
 
+class _Blocks(tuple):
+    """An int list held as its ``(value, size)`` blocks, as a graph's encodings are."""
+
+    def join(self, sep: str) -> str:
+        """``sep.join(map(repr, the list))``, with one ``int.__repr__`` per block."""
+        return sep.join([sep.join([int.__repr__(value)] * size) for value, size in self])
+
+
 def _json_value(value, indent: str) -> str:
     """One value; ``indent`` is the line break and indentation before its closing bracket."""
     write = _JSON_SCALARS.get(type(value))
@@ -161,6 +173,8 @@ def _json_value(value, indent: str) -> str:
         items = [
             encode_basestring_ascii(k) + ": " + _json_value(v, inner) for k, v in value.items()
         ]
+    elif type(value) is _Blocks:
+        items = [value.join("," + inner)]
     elif set(map(type, value)) == {int}:
         items = map(int.__repr__, value)
     else:
@@ -264,20 +278,20 @@ def _cmd_analyze(args) -> str:
     g = parse_graph_spec(args.graph)
     report = bound_report(g)
     if args.json:
-        return _json_text({"graph": to_json_dict(g)} | _report_dict(report))
+        return _json_text({"graph": _json_fields(g, _Blocks)} | _report_dict(report))
     if args.csv:
         header = _csv_line(["generating", "n", "m", "c", "z", *_BOUND_COLUMNS, "sandwich_ok"])
         row = _csv_line(
             [g.generating_string, g.n, g.m, g.c, g.z, *_bound_cells(report), report.sandwich_ok]
         )
         return header + "\n" + row + "\n"
-    info = to_json_dict(g)
+    info = _json_fields(g, _Blocks)
     lines = [
         f"graph        {g.generating_string}  (n={g.n}, m={g.m}, c={g.c}, z={g.z})",
         f"composition  {to_composition(g)}",
-        f"bzp          {info['bzp']}",
-        f"fop          {info['fop']}",
-        f"degrees      {info['degrees']}",
+        f"bzp          [{info['bzp'].join(', ')}]",
+        f"fop          [{info['fop'].join(', ')}]",
+        f"degrees      [{info['degrees'].join(', ')}]",
         "",
     ]
     ordered = sorted(
@@ -305,7 +319,7 @@ def _cmd_walks(args) -> str:
     if args.json:
         return _json_text(
             {
-                "graph": to_json_dict(g),
+                "graph": _json_fields(g, _Blocks),
                 "kmax": args.kmax,
                 "pmax": args.pmax,
                 "lw": list(table.lw),

@@ -295,8 +295,8 @@ def degree_sequence(g: ThresholdGraph) -> tuple[int, ...]:
     return tuple(_vertex_lists(g)[2])
 
 
-def _vertex_lists(g: ThresholdGraph) -> tuple[list[int], list[int], list[int]]:
-    """bzp, fop and the degree sequence as lists, one ``[value] * size`` block per class.
+def _vertex_blocks(g: ThresholdGraph) -> tuple[list[tuple[int, int]], ...]:
+    """bzp, fop and the degree sequence as ``(value, size)`` blocks, one per class.
 
     The canonical order lists the ones runs last to first, then the zero
     runs first to last: the degrees follow it, bzp is its zero part, and
@@ -305,18 +305,40 @@ def _vertex_lists(g: ThresholdGraph) -> tuple[list[int], list[int], list[int]]:
     classes = _classes(g)
     bzp, fop, degrees = [], [], []
     for symbol, _, size, d in classes:
-        degrees += [d] * size
+        degrees.append((d, size))
         if symbol == 0:
-            bzp += [d] * size
+            bzp.append((d, size))
     for symbol, _, size, d in reversed(classes):
         if symbol == 1:
-            fop += [d - (g.c - 1)] * size
+            fop.append((d - (g.c - 1), size))
     return bzp, fop, degrees
+
+
+def _expand(blocks) -> list[int]:
+    """The list that ``(value, size)`` blocks stand for."""
+    values = []
+    for value, size in blocks:
+        values += [value] * size
+    return values
+
+
+def _vertex_lists(g: ThresholdGraph) -> tuple[list[int], list[int], list[int]]:
+    """bzp, fop and the degree sequence as lists: :func:`_vertex_blocks` expanded."""
+    return tuple(map(_expand, _vertex_blocks(g)))
 
 
 def to_json_dict(g: ThresholdGraph) -> dict:
     """JSON-ready description with all encodings spelled out."""
-    bzp, fop, degrees = _vertex_lists(g) if g.is_connected else (None, None, None)
+    return _json_fields(g, _expand)
+
+
+def _json_fields(g: ThresholdGraph, spell) -> dict:
+    """The fields of :func:`to_json_dict` in order, each encoding ``spell(blocks)``.
+
+    The encodings are None for a disconnected graph.  ``to_json_dict``
+    spells the blocks out as lists; the CLI writes them one block at a time.
+    """
+    bzp, fop, degrees = map(spell, _vertex_blocks(g)) if g.is_connected else (None,) * 3
     return {
         "n": g.n,
         "m": g.m,

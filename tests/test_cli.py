@@ -5,7 +5,7 @@ import io
 import json
 import math
 import string
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings
@@ -13,14 +13,22 @@ from hypothesis import strategies as st
 
 from threshold_spectra import (
     ParseError,
+    PreconditionError,
+    bound_report,
     bound_reports,
     cli,
+    degree_sequence,
     enumerate_threshold_graphs,
     find_extremal,
+    from_composition,
+    lw_recurrence,
     spectral,
+    to_bzp,
     to_composition,
+    to_fop,
 )
 from threshold_spectra.cli import _json_text, parse_graph_spec, run
+from threshold_spectra.graph_model import to_json_dict
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +338,97 @@ def test_walks_json_values(capsys):
 def test_walks_rejects_disconnected(capsys):
     assert run(["walks", "gen:1100"]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+# ---------------------------------------------------------------------------
+# the n-long encodings, written from their blocks
+# ---------------------------------------------------------------------------
+
+
+def _analyze_payload(g):
+    report = asdict(bound_report(g))
+    del report["applicable"]
+    return {"graph": to_json_dict(g)} | report
+
+
+def _walks_payload(g, kmax, pmax=10):
+    table = lw_recurrence(g, kmax, pmax=pmax)
+    return {
+        "graph": to_json_dict(g),
+        "kmax": kmax,
+        "pmax": pmax,
+        "lw": list(table.lw),
+        "lw_prime": list(table.lw_prime),
+        "lw_double_prime": list(table.lw_double_prime),
+        "fp": list(table.fp),
+    }
+
+
+def _stdout(argv, capsys, code=0):
+    assert run(argv) == code
+    out = capsys.readouterr()
+    assert out.err == ""
+    return out.out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 300), min_size=1, max_size=12))
+def test_encodings_are_written_like_json_dumps_and_str(blocks):
+    g = from_composition(blocks)
+    spec = "comp:" + to_composition(g)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert run(["walks", spec, "--kmax", "3", "--json"]) == 0
+    assert out.getvalue() == json.dumps(_walks_payload(g, 3), indent=2) + "\n"
+    try:
+        payload = _analyze_payload(g)
+    except PreconditionError:
+        return  # analyze refuses a graph the bounds do not cover
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert run(["analyze", spec, "--json"]) == 0
+    assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert run(["analyze", spec]) == 0
+    lines = out.getvalue().splitlines()
+    assert lines[2] == f"bzp          {list(to_bzp(g))}"
+    assert lines[3] == f"fop          {list(to_fop(g))}"
+    assert lines[4] == f"degrees      {list(degree_sequence(g))}"
+
+
+@pytest.mark.parametrize(
+    "spec, bzp",
+    [("comp:G{5}", []), ("comp:G{1,998,1}", [1] * 998)],  # no type-0 vertex; a star
+    ids=["complete", "star"],
+)
+def test_walks_json_encodings_at_the_edges(spec, bzp, capsys):
+    g = parse_graph_spec(spec)
+    text = _stdout(["walks", spec, "--kmax", "3", "--json"], capsys)
+    assert text == json.dumps(_walks_payload(g, 3), indent=2) + "\n"
+    assert json.loads(text)["graph"]["bzp"] == bzp
+
+
+def test_analyze_json_encodings_at_n_100000(capsys):
+    g = parse_graph_spec("comp:G{300,99000,700}")
+    text = _stdout(["analyze", "comp:G{300,99000,700}", "--json"], capsys)
+    assert text == json.dumps(_analyze_payload(g), indent=2) + "\n"
+
+
+def test_analyze_json_at_the_vertex_limit(capsys):
+    graph = json.loads(_stdout(["analyze", "comp:G{3,999996,1}", "--json"], capsys))["graph"]
+    assert len(graph["bzp"]) == 999_996 and set(graph["bzp"]) == {1}
+    assert len(graph["fop"]) == 4 and len(graph["degrees"]) == 10**6
+    assert graph["degrees"][:4] == [999_999, 3, 3, 3] and graph["degrees"][-1] == 1
+
+
+@pytest.mark.parametrize("k", [2049, 199_997], ids=["limit-plus-one", "alternating-199997"])
+def test_analyze_over_the_class_limit_is_a_domain_error(k, capsys):
+    # without the limit, 199,997 classes would ask numpy for a 298 GiB quotient
+    assert run(["analyze", "gen:" + "10" * (k // 2) + "1", "--json"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        f"error: spectral_radius: {k} twin classes exceed the dense-quotient limit "
+        f"of {spectral.MAX_QUOTIENT_CLASSES}\n"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from threshold_spectra import (
 )
 from threshold_spectra.cli import parse_graph_spec
 from threshold_spectra.identities import adjacency_matrix, canonical_vertex_order
-from threshold_spectra.graph_model import to_json_dict
+from threshold_spectra.graph_model import _vertex_blocks, to_json_dict
 
 
 @pytest.mark.parametrize(
@@ -410,7 +410,7 @@ def test_twin_classes_match_bit_definitions(raw):
     _check_against_bits(raw)
 
 
-@pytest.mark.parametrize(
+_AT_N_2000 = pytest.mark.parametrize(
     "raw",
     [
         [1] + [0] * 1998 + [1],  # star
@@ -421,6 +421,37 @@ def test_twin_classes_match_bit_definitions(raw):
     ],
     ids=["star", "alternating-open", "alternating", "three-blocks", "digits"],
 )
+
+
+@_AT_N_2000
 def test_twin_classes_match_bit_definitions_at_n_2000(raw):
     assert len(raw) == 2000
     _check_against_bits(raw)
+
+
+def _check_vertex_blocks(g):
+    """The blocks, expanded, are the per-vertex encodings, with one block per class."""
+    blocks = _vertex_blocks(g)
+    expanded = tuple(tuple(v for v, size in part for _ in range(size)) for part in blocks)
+    assert expanded == (to_bzp(g), to_fop(g), degree_sequence(g))
+    assert all(size >= 1 for part in blocks for _, size in part)
+    assert len(blocks[2]) == len(g.runs)
+    assert len(blocks[0]) + len(blocks[1]) == len(g.runs)
+    bits = g.bits
+    assert expanded[0] == _bzp_from_bits(bits)
+    assert expanded[1] == _fop_from_bits(bits)
+
+
+def test_vertex_blocks_expand_to_the_encodings():
+    for n in range(1, 13):
+        for g in connected_graphs(n):
+            _check_vertex_blocks(g)
+
+
+@_AT_N_2000
+def test_vertex_blocks_expand_to_the_encodings_at_n_2000(raw):
+    g = from_generating_sequence(raw)
+    if g.is_connected:
+        _check_vertex_blocks(g)
+    else:
+        assert to_json_dict(g)["degrees"] is None

@@ -3,6 +3,7 @@
 import math
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from hypothesis import strategies as st
 
 from threshold_spectra import (
     ConvergenceError,
+    bound_report,
     enumerate_threshold_graphs,
     from_bzp,
+    from_composition,
     from_generating_sequence,
     greatest_real_root,
     perron_vector,
@@ -102,6 +105,34 @@ def test_batch_names_its_first_failing_graph(monkeypatch):
         spectral_radii(graphs)
     with pytest.raises(ValueError, match="^spectral_radius requires a connected graph"):
         spectral_radii([graph("111"), graph("1100")])
+
+
+def test_quotient_at_the_class_limit():
+    # a connected graph has an odd number of classes: 2047 is the most within 2048
+    assert spectral.MAX_QUOTIENT_CLASSES == 2048
+    g = from_composition([1] * 2047)
+    assert len(g.runs) == 2047
+    assert bound_report(g).sandwich_ok
+
+
+@pytest.mark.parametrize("routine", [spectral_radius, perron_vector])
+def test_quotient_over_the_class_limit_allocates_nothing_large(routine):
+    g = from_composition([1] * (spectral.MAX_QUOTIENT_CLASSES + 1))
+    message = f"^{routine.__name__}: 2049 twin classes exceed the dense-quotient limit of 2048$"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            routine(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # numpy's buffers are traced; the 2049 x 2049 quotient is 33 MB
+
+
+def test_batch_refuses_a_graph_over_the_class_limit():
+    graphs = [graph("111"), from_composition([1] * 2049), graph("1101")]
+    with pytest.raises(ValueError, match="^spectral_radius: 2049 twin classes"):
+        spectral_radii(graphs)
 
 
 # random connected generating sequences with 2 <= n <= 60
