@@ -5,7 +5,12 @@ tables), ``enumerate`` (census with per-graph bounds at fixed n, m),
 ``verify`` (reconcile literature predictions against enumeration).
 
 Graphs are given as ``gen:<bits>``, ``comp:G{p1,...,pk}``, or
-``bzp:<c>:<b1>,...,<bz>``, with at most ``MAX_VERTICES`` vertices.  Output is a human table by default, or
+``bzp:<c>:<b1>,...,<bz>``, with at most ``MAX_VERTICES`` vertices.  On
+Linux one argv string holds at most 128 KiB (``MAX_ARG_STRLEN``), so a
+``gen:`` string longer than about 131,000 bits cannot be passed on a
+command line; larger graphs need ``comp:`` or ``bzp:`` (or ``run`` in
+process).  ``walks`` refuses a ``--kmax`` whose LW column would pass
+``MAX_WALK_BITS``.  Output is a human table by default, or
 ``--json`` / ``--csv`` (``verify`` has no CSV form); identical
 invocations produce identical bytes.
 Exit codes: 0 success, 1 domain errors, 2 usage errors.
@@ -49,6 +54,15 @@ __all__ = ["main", "parse_graph_spec", "run"]
 # analyze and walks spell out n-long bzp, fop and degree lists, and enumerate n-long
 # generating strings, so a spec's n and the n flags of enumerate and verify are capped
 MAX_VERTICES = 10**6
+
+# walks prints LW_0 .. LW_kmax, and LW_k <= n^(k+1), so the LW column has at most about
+# kmax^2 * ceil(log2(n + 1)) / 2 bits; the cap on that product also keeps every LW_k
+# under 14,200 bits, so it prints within CPython's 4,300-digit int-to-str limit
+MAX_WALK_BITS = 10**7
+
+
+class _UsageError(ValueError):
+    """A flag value refused before any work starts: exit 2, like a ParseError."""
 
 
 def parse_graph_spec(text: str) -> ThresholdGraph:
@@ -315,6 +329,12 @@ def _cmd_analyze(args) -> str:
 
 def _cmd_walks(args) -> str:
     g = parse_graph_spec(args.graph)
+    table_bits = args.kmax**2 * g.n.bit_length()  # bit_length(n) = ceil(log2(n + 1))
+    if table_bits > MAX_WALK_BITS:
+        raise _UsageError(
+            f"--kmax {args.kmax}: kmax^2 * ceil(log2(n + 1)) = {table_bits} exceeds the walk-table "
+            f"limit {MAX_WALK_BITS}"
+        )
     table = lw_recurrence(g, args.kmax, pmax=args.pmax)
     if args.json:
         return _json_text(
@@ -506,9 +526,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--kmax",
         type=_int_at_least(0),
         default=50,
-        help="longest walk length (default 50); each step costs O(k) big-integer "
-        "operations for k twin classes, and LW_k has about k*log2(1+rho) bits, 973 "
-        "at k = 200 on the 45-vertex alternating graph",
+        help="longest walk length (default 50), with kmax^2 * ceil(log2(n+1)) at most "
+        f"{MAX_WALK_BITS}; a step costs about 3.5*K big-integer operations for K twin "
+        "classes, and about K small-by-big products once kmax >= 3*K and the class "
+        "quotient's characteristic polynomial has coefficients below 2^63 (so K "
+        "below about 80); LW_k has about k*log2(1+rho) bits, 973 at k = 200 on the "
+        "45-vertex alternating graph",
     )
     p_walks.add_argument("--pmax", type=_int_at_least(0), default=10)
     _add_format_flags(p_walks)
@@ -542,7 +565,7 @@ def run(argv) -> int:
         return code if isinstance(code, int) else 2
     try:
         text = args.handler(args)
-    except ParseError as exc:
+    except (ParseError, _UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (PreconditionError, ConvergenceError, ValueError) as exc:

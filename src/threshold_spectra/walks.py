@@ -31,8 +31,15 @@ both converge to ``1 + rho``.
 
 Cost: the twin classes are an equitable partition (Brouwer & Haemers,
 *Spectra of Graphs* 2.3), so ``A + I`` and the zero-overlap matrix act
-on one value per class, and ``lw_recurrence`` takes O(k) big-integer
-operations per step for k classes, for LW and for F alike.  The
+on one value per class: a class step of LW costs about 3.5 K
+big-integer operations for K classes, and one of F is O(K) too.  Once
+K terms are known, LW follows the order-K recurrence of the class
+quotient's characteristic polynomial (Cayley-Hamilton; Jacobs,
+Trevisan & Tura, *Eigenvalue location in threshold graphs*, LAA 439,
+2013, for the twin-class elimination): K products of a coefficient
+below 2^63 with a term of LW per step.  ``lw_recurrence`` takes it when
+kmax >= 3K and the coefficients stay below 2^63, which binomial growth
+alone breaks near K = 80; otherwise it steps the classes to kmax.  The
 integers grow too: ``LW_k`` has about ``k * log2(1 + rho)`` bits, 973
 bits at k = 200 on the 45-vertex alternating graph.  The paper's other
 routes to F_p and LW (closed formulas, overlap matrices, signature
@@ -49,6 +56,9 @@ from operator import add, mul, sub
 from .graph_model import ThresholdGraph, _require_connected, _zero_classes
 
 __all__ = ["WalkTable", "bracket_cubics", "lw_bruteforce", "lw_recurrence"]
+
+# the characteristic recurrence pays only while its coefficients are machine-sized
+_COEFFICIENT_LIMIT = 2**63
 
 
 @dataclass(frozen=True)
@@ -86,24 +96,40 @@ def lw_recurrence(g: ThresholdGraph, kmax: int, pmax: int = 10) -> WalkTable:
     With ``w = size * y``, a type-1 run gets the weight of every one and
     of the zeros before it, a type-0 run its own y plus the weight of
     the ones after it, and ``LW_{k+1}`` is the weight of the ones.
-    Cost: O(k) big-integer operations per step for k runs, and the same
-    per F value (``fp`` holds F_0 .. F_pmax).  ``LW_k`` has about ``k *
-    log2(1 + rho)`` bits (973 at k = 200 on the 45-vertex alternating
-    graph), so each operation grows with k as well.
+    That class step costs about 3.5 K big-integer operations for K runs.
+
+    The step applies the K x K class quotient M of ``A + I``, so for
+    k >= 1 ``LW_k`` is a fixed linear form in ``M^(k-1) e`` (e the type-1
+    indicator), and by Cayley-Hamilton each of LW_(K+1) .. LW_kmax
+    follows from the K terms before it by the characteristic polynomial
+    q of M: K products of a machine-sized coefficient with a term, about
+    a third of a class step.  So the class step runs only to LW_K, and
+    the recurrence takes over, when kmax >= 3K and every coefficient of
+    q is below 2^63 (:func:`_characteristic_polynomial`); otherwise, as
+    for K above about 80, the class step runs on to kmax.  ``fp`` holds
+    F_0 .. F_pmax, at O(K) per value.  ``LW_k`` has about ``k * log2(1 +
+    rho)`` bits (973 at k = 200 on the 45-vertex alternating graph), so
+    each operation grows with k as well.
     """
     _check_nonnegative("kmax", kmax)
     _check_nonnegative("pmax", pmax)
     _require_connected(g, "lw_recurrence")
+    order = len(g.runs)
+    q = _characteristic_polynomial(g.runs) if kmax >= 3 * order else None
     ones, zeros = g.runs[0::2], g.runs[1::2]
     y1, y0 = [1] * len(ones), [0] * len(zeros)
     lw = [1]
-    for _ in range(kmax):
+    for _ in range(kmax if q is None else order):
         # reach[i]: the weight of the type-1 runs up to the i-th one
         reach = list(accumulate(map(mul, ones, y1)))
         total = reach[-1]
         lw.append(total)
         y1 = list(map(total.__add__, accumulate(map(mul, zeros, y0), initial=0)))
         y0 = list(map(sub, map(total.__add__, y0), reach))
+    if q is not None:
+        tail = [-a for a in q[:-1]]
+        for start in range(1, kmax - order + 1):
+            lw.append(sum(map(mul, tail, lw[start : start + order])))
     classes, sb, f1 = _zero_classes(g)
     lower, upper = bracket_cubics(g.c, sb, f1)
     return WalkTable(
@@ -165,6 +191,49 @@ def _order_three(cubic: tuple[int, ...], c: int, kmax: int) -> list[int]:
     for k in range(3, kmax + 1):
         values.append(-a1 * values[k - 1] - a2 * values[k - 2] - a3 * values[k - 3])
     return values
+
+
+def _characteristic_polynomial(runs: tuple[int, ...]) -> list[int] | None:
+    """Coefficients ``[q_0, ..., q_K]`` (ascending) of ``q(x) = det(xI - M)``.
+
+    M is the K x K class quotient of ``A + I``, K = len(runs), and
+    ``q(M) = 0``, so ``LW_k = -sum_(i<K) q_i LW_(k-K+i)`` for k > K.  One
+    pass over the runs keeps two integer polynomials p, u (ascending
+    coefficients) with ``u / p = 1 + 1^T (xI - A - I)^-1 1`` over the
+    vertices read so far, starting at p = u = 1:
+
+    * s type-0 twins add ``s / (x - 1)``: ``(p, u) -> ((x-1) p, (x-1) u + s p)``;
+    * s type-1 twins join everything read so far (Sherman-Morrison
+      twice): ``(p, u) -> (x p - s u, x u)``.
+
+    At the end p is monic of degree K and equals q.  Returns None at the
+    first run after which a coefficient of p reaches 2^63: beyond that
+    a product in the recurrence is no longer cheap next to a class step.
+    That pass costs O(K^2), so the same steps first run on the values
+    at x = i, in exact Gaussian integers at O(1) per run: the absolute
+    values of p's j coefficients sum to at least ``|p(i)|``, so ``|p(i)|
+    >= j 2^63`` proves the answer None without building p.  Where that
+    test does not fire, the pass runs and may still return None.
+    """
+    pr, pi, ur, ui = 1, 0, 1, 0  # p(i) = pr + pi i, u(i) = ur + ui i
+    for j, s in enumerate(runs, 2):  # j: the coefficients of p after this run
+        if j % 2:
+            pr, pi, ur, ui = -pr - pi, pr - pi, s * pr - ur - ui, s * pi + ur - ui
+        else:
+            pr, pi, ur, ui = -pi - s * ur, pr - s * ui, -ui, ur
+        if pr * pr + pi * pi >= (_COEFFICIENT_LIMIT * j) ** 2:
+            return None
+    p, u = [1], [1]
+    for i, s in enumerate(runs):
+        if i % 2:
+            u = [a - b + s * c for a, b, c in zip([0, *u], [*u, 0], [*p, 0])]
+            p = list(map(sub, [0, *p], [*p, 0]))
+        else:
+            p = [a - s * b for a, b in zip([0, *p], [*u, 0])]
+            u = [0, *u]
+        if max(map(abs, p)) >= _COEFFICIENT_LIMIT:
+            return None
+    return p
 
 
 def _fp_classes(c: int, classes, pmax: int) -> list[int]:

@@ -340,6 +340,38 @@ def test_walks_rejects_disconnected(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+# kmax^2 * ceil(log2(n + 1)) is at most MAX_WALK_BITS = 10**7: n = 1, n = 3 (2 bits) and
+# n = 10^6 (20 bits)
+@pytest.mark.parametrize(
+    "spec, kmax, last",
+    [
+        ("gen:1", 3162, "3162,1,1,1"),
+        ("gen:111", 2236, f"2236,{3**2236},{3**2236},{3**2236}"),
+        ("comp:G{1000000}", 707, "707," + ",".join(["1" + "0" * 4242] * 3)),
+    ],
+    ids=["n-1", "n-3", "n-1000000"],
+)
+def test_walks_kmax_at_the_limit_and_one_past(spec, kmax, last, capsys, monkeypatch):
+    assert cli.MAX_WALK_BITS == 10**7
+    # the largest LW_k at the limit, 10^4242 on K_1000000, prints within int's 4,300 digits
+    lines = _stdout(["walks", spec, "--kmax", str(kmax), "--csv"], capsys).splitlines()
+    assert lines[kmax + 1] == last
+    bits = math.ceil(math.log2(parse_graph_spec(spec).n + 1))
+    assert kmax**2 * bits <= cli.MAX_WALK_BITS < (kmax + 1) ** 2 * bits
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the walk table is built after the limit check")
+
+    monkeypatch.setattr(cli, "lw_recurrence", unreachable)
+    assert run(["walks", spec, "--kmax", str(kmax + 1), "--json"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        f"error: --kmax {kmax + 1}: kmax^2 * ceil(log2(n + 1)) = {(kmax + 1) ** 2 * bits} "
+        "exceeds the walk-table limit 10000000\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # the n-long encodings, written from their blocks
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from threshold_spectra import (
     spectral_radius,
     to_bzp,
 )
+from threshold_spectra import walks
 from threshold_spectra.identities import (
     count_walks_with_signature,
     fp_via_max_indices,
@@ -309,7 +310,7 @@ def test_recurrence_matches_seed_convolution(g, kmax):
 
 
 @settings(max_examples=100, deadline=None)
-@given(connected_sequences(14), st.integers(0, 16))
+@given(connected_sequences(14), st.integers(0, 60))
 def test_recurrence_matches_bruteforce_property(g, kmax):
     assert list(lw_recurrence(g, kmax).lw) == lw_bruteforce(g, kmax)
 
@@ -354,3 +355,158 @@ def test_long_walk_growth_ratio_is_one_plus_rho():
     lw = lw_recurrence(g, 600).lw
     assert lw[200].bit_length() == 973
     assert abs(lw[600] / lw[599] - (1.0 + spectral_radius(g))) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the characteristic recurrence of the class quotient
+# ---------------------------------------------------------------------------
+
+
+def class_quotient(runs):
+    """The K x K quotient of A + I: a vertex of class i has M[i][j] closed neighbours in class j.
+
+    Even runs are type 1 (a clique with itself), odd runs type 0; two
+    classes are adjacent when the later one is type 1.
+    """
+    size = len(runs)
+    return [
+        [
+            (runs[j] if j % 2 == 0 else 1) if i == j else (runs[j] if max(i, j) % 2 == 0 else 0)
+            for j in range(size)
+        ]
+        for i in range(size)
+    ]
+
+
+def matrix_polynomial(coefficients, matrix):
+    """sum_i coefficients[i] * matrix^i by Horner, in exact integers."""
+    size = len(matrix)
+    value = [[0] * size for _ in range(size)]
+    for coefficient in reversed(coefficients):
+        value = [
+            [
+                sum(value[i][h] * matrix[h][j] for h in range(size))
+                + (coefficient if i == j else 0)
+                for j in range(size)
+            ]
+            for i in range(size)
+        ]
+    return value
+
+
+def test_characteristic_polynomial_annihilates_the_quotient():
+    for n in range(1, 11):
+        for g in connected_graphs(n):
+            q = walks._characteristic_polynomial(g.runs)
+            assert len(q) == len(g.runs) + 1 and q[-1] == 1
+            assert all(x == 0 for row in matrix_polynomial(q, class_quotient(g.runs)) for x in row)
+
+
+def test_characteristic_polynomial_of_small_quotients():
+    # K_5: M = (5); the star K_{1,9}: (x - 1)(x - 4)(x + 2), from A's eigenvalues 0 and +-3
+    assert walks._characteristic_polynomial((5,)) == [-5, 1]
+    assert walks._characteristic_polynomial(from_composition([1, 8, 1]).runs) == [8, -6, -3, 1]
+
+
+def characteristic_pass(runs):
+    """q by the pass in its (p, r) form, and the largest |coefficient| p reaches on the way.
+
+    ``r / p = 1^T (xI - A - I)^-1 1`` over the runs read so far.
+    """
+    p, r, largest = [1], [0], 1
+    for i, s in enumerate(runs):
+        xp, xr, p0, r0 = [0, *p], [0, *r], [*p, 0], [*r, 0]
+        if i % 2:  # (x - 1) p, (x - 1) r + s p
+            p, r = [a - b for a, b in zip(xp, p0)], [a - b + s * c for a, b, c in zip(xr, r0, p0)]
+        else:  # (x - s) p - s r, (x + s) r + s p
+            p, r = (
+                [a - s * (b + c) for a, b, c in zip(xp, p0, r0)],
+                [a + s * (b + c) for a, b, c in zip(xr, r0, p0)],
+            )
+        largest = max(largest, *map(abs, p))
+    return p, largest
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.sampled_from([1, 1, 1, 2, 3, 5, 10, 100]), min_size=1, max_size=99))
+@example([1] * 81)
+@example([2] + [1] * 80)
+def test_characteristic_polynomial_stops_exactly_past_2_to_the_63(blocks):
+    # the early exit at x = i never refuses a pass that stays below 2^63
+    runs = tuple(blocks) if len(blocks) % 2 else tuple(blocks[:-1])
+    q, largest = characteristic_pass(runs)
+    assert walks._characteristic_polynomial(runs) == (q if largest < 2**63 else None)
+
+
+def class_step_lw(g, kmax):
+    """LW_0 .. LW_kmax by applying the class quotient of A + I with a prefix and a suffix sum.
+
+    ``(M y)_j`` is, for a type-1 class, the weight ``s_i y_i`` of every class
+    up to and including j, and for a type-0 class ``y_j``; every class also
+    gets the weight of the later type-1 classes.
+    """
+    runs = g.runs
+    ones = [i % 2 == 0 for i in range(len(runs))]
+    y = [int(one) for one in ones]
+    lw = [1]
+    for _ in range(kmax):
+        weights = [s * v for s, v in zip(runs, y)]
+        lw.append(sum(w for w, one in zip(weights, ones) if one))
+        later, after = 0, []
+        for w, one in zip(reversed(weights), reversed(ones)):
+            after.append(later)
+            later += w if one else 0
+        after.reverse()
+        earlier, out = 0, []
+        for s, v, w, one, rest in zip(runs, y, weights, ones, after):
+            earlier += w
+            out.append((earlier if one else v) + rest)
+        y = out
+    return lw
+
+
+NINE_BLOCKS = from_composition([1000, 999, 1001, 998, 1002, 997, 1003, 996, 1004])
+
+
+def alternating(classes):
+    return from_composition([1] * classes)
+
+
+@pytest.mark.parametrize(
+    "g, kmax, recurrence, bits",
+    [
+        (NINE_BLOCKS, 200, False, None),  # q has a 90-bit coefficient
+        (alternating(121), 400, False, None),  # 95 bits
+        (alternating(83), 300, False, None),  # the first alternating graph past 63 bits
+        (from_composition([2] + [1] * 80), 243, False, None),  # 64 bits
+        (alternating(45), 135, True, 34),
+        (alternating(45), 134, False, None),  # kmax < 3K: the pass does not run
+        (alternating(81), 243, True, 63),
+    ],
+    ids=[
+        "nine-blocks",
+        "alternating-121",
+        "alternating-83",
+        "81-classes-64-bits",
+        "alternating-45",
+        "45-short",
+        "alternating-81",
+    ],
+)
+def test_recurrence_side_and_class_step_side(g, kmax, recurrence, bits, monkeypatch):
+    seen = []
+    helper = walks._characteristic_polynomial
+
+    def recorded(runs):
+        seen.append(helper(runs))
+        return seen[-1]
+
+    monkeypatch.setattr(walks, "_characteristic_polynomial", recorded)
+    assert list(lw_recurrence(g, kmax).lw) == class_step_lw(g, kmax)
+    if kmax < 3 * len(g.runs):
+        assert seen == []
+    else:
+        (q,) = seen
+        assert (q is not None) == recurrence
+        if recurrence:
+            assert max(map(abs, q)).bit_length() == bits
