@@ -1,6 +1,6 @@
 """Closed-form lower and upper bounds on the spectral radius.
 
-:func:`bound_reports` is the one way to get the bound values
+:func:`bound_reports` is the public way to get the bound values
 (:func:`bound_report` runs it on one graph); the :class:`BoundReport`
 fields are all driven by c (number of type-1 vertices), the b counts of
 the type-0 vertices, and F_1 = sum(b_i^2):
@@ -28,9 +28,13 @@ evaluated at a given rho, are test oracles in
 
 A census runs as one batch.  At fixed (n, m) and c, both z = n - c and
 sum b = m - C(c, 2) are fixed, so every bound depends on (c, F_1)
-alone; :func:`bound_reports` takes rho for the whole list from one
-:func:`~threshold_spectra.spectral.spectral_radii` call and evaluates
-the bounds, with their three root certificates, once per (c, F_1) class.
+alone.  The class core, :func:`_bound_classes`, takes rho for the whole
+list from one :func:`~threshold_spectra.spectral.spectral_radii` call,
+gives each graph the index of its class, and evaluates the bounds, with
+their three root certificates, once per class.  :func:`bound_reports`
+is a per-graph view of it; ``enumerate`` reads the core directly and
+writes each class's bounds once.  :func:`_sandwich` is the one
+definition of ``sandwich_ok`` and the gaps, from rho and a class's values.
 
 The bounds assume n >= 4, c >= 3, z >= 1, and n - 1 < m < C(n, 2);
 outside that range they raise :class:`PreconditionError`, or are marked
@@ -75,6 +79,10 @@ class BoundReport:
     sandwich_ok: bool | None
     gaps: dict[str, float] | None
     applicable: bool
+
+
+# the five bounds in field order; a report keys each gap by its bound
+_GAP_NAMES = ("lower_cubic", "lower_corollary", "lower_quadratic", "upper_cubic", "inequality_root")
 
 
 class _Inputs(NamedTuple):
@@ -154,27 +162,58 @@ def bound_reports(graphs, allow_inapplicable: bool = False) -> list[BoundReport]
     c < 3): rho is still reported and every bound is None.  Otherwise
     such graphs raise :class:`PreconditionError`.
 
-    The bounds are evaluated once per distinct :class:`_Inputs`, in a
-    dict that lives as long as the call; ``greatest_real_root`` is
-    deterministic, so a shared value is exactly the one a graph would
-    get alone.
+    Each report is a view of :func:`_bound_classes`, so graphs of one
+    class share its five values.
+    """
+    radii, members, values = _bound_classes(graphs, allow_inapplicable)
+    reports = []
+    for rho, k in zip(radii, members):
+        if k is None:
+            # rho alone: the five bounds, sandwich_ok and gaps are None
+            reports.append(BoundReport(rho, *(None,) * 7, applicable=False))
+        else:
+            sandwich_ok, gaps = _sandwich(rho, values[k])
+            gaps = dict(zip(_GAP_NAMES, gaps))
+            reports.append(BoundReport(rho, *values[k], sandwich_ok, gaps, applicable=True))
+    return reports
+
+
+class _BoundClasses(NamedTuple):
+    """A batch by (c, F_1) class: what every report and census row is read from."""
+
+    radii: list[float]  # rho per graph
+    members: list[int | None]  # per graph, its index into values; None without bounds
+    values: list[tuple[float, ...]]  # per class, the five bounds in field order
+
+
+def _bound_classes(graphs, allow_inapplicable: bool) -> _BoundClasses:
+    """rho per graph from one ``spectral_radii`` call, and the bounds once per class.
+
+    A class is one distinct :class:`_Inputs`, numbered in order of first
+    appearance, and ``_bounds`` runs when it first appears, as it would
+    for that graph alone: ``greatest_real_root`` is deterministic, so a
+    shared value is exactly the one a graph would get alone.  A graph
+    outside the standing assumptions raises :class:`PreconditionError`,
+    or with ``allow_inapplicable`` has no class.
     """
     graphs = list(graphs)
-    bounds: dict[_Inputs, tuple[float, ...]] = {}
-    reports = []
-    for g, rho in zip(graphs, spectral_radii(graphs)):
+    radii = spectral_radii(graphs)
+    classes: dict[_Inputs, int] = {}
+    members, values = [], []
+    for g in graphs:
         try:
             inputs = _bound_inputs(g)
         except PreconditionError:
             if not allow_inapplicable:
                 raise
-            # rho alone: the five bounds, sandwich_ok and gaps are None
-            reports.append(BoundReport(rho, *(None,) * 7, applicable=False))
+            members.append(None)
             continue
-        if inputs not in bounds:
-            bounds[inputs] = _bounds(inputs)
-        reports.append(_report(rho, bounds[inputs]))
-    return reports
+        k = classes.get(inputs)
+        if k is None:
+            k = classes[inputs] = len(values)
+            values.append(_bounds(inputs))
+        members.append(k)
+    return _BoundClasses(radii, members, values)
 
 
 def _bounds(inputs: _Inputs) -> tuple[float, ...]:
@@ -190,18 +229,13 @@ def _bounds(inputs: _Inputs) -> tuple[float, ...]:
     )
 
 
-def _report(rho: float, values: tuple[float, ...]) -> BoundReport:
+def _sandwich(rho: float, values: tuple[float, ...]) -> tuple[bool, tuple[float, ...]]:
+    """``sandwich_ok`` and the five gaps (in field order) of rho against its class's bounds."""
     lo_cubic, lo_corollary, lo_quadratic, up_cubic, ineq_root = values
     lowers = (lo_cubic, lo_corollary, lo_quadratic, ineq_root)
     sandwich_ok = max(lowers) <= rho + SANDWICH_TOL and rho <= up_cubic + SANDWICH_TOL
-    gaps = {
-        "lower_cubic": rho - lo_cubic,
-        "lower_corollary": rho - lo_corollary,
-        "lower_quadratic": rho - lo_quadratic,
-        "upper_cubic": up_cubic - rho,
-        "inequality_root": rho - ineq_root,
-    }
-    return BoundReport(rho, *values, sandwich_ok, gaps, applicable=True)
+    gaps = (rho - lo_cubic, rho - lo_corollary, rho - lo_quadratic, up_cubic - rho, rho - ineq_root)
+    return sandwich_ok, gaps
 
 
 def bound_report(g: ThresholdGraph, allow_inapplicable: bool = False) -> BoundReport:

@@ -10,16 +10,22 @@ Linux one argv string holds at most 128 KiB (``MAX_ARG_STRLEN``), so a
 ``gen:`` string longer than about 131,000 bits cannot be passed on a
 command line; larger graphs need ``comp:`` or ``bzp:`` (or ``run`` in
 process).  ``walks`` refuses a ``--kmax`` whose LW column would pass
-``MAX_WALK_BITS``.  Output is a human table by default, or
-``--json`` / ``--csv`` (``verify`` has no CSV form); identical
-invocations produce identical bytes.
+``MAX_WALK_BITS``, or whose table would take longer than
+``MAX_WALK_WORK`` allows for the graph's K twin classes.  Output is a
+human table by default, or ``--json`` / ``--csv`` (``verify`` has no
+CSV form); identical invocations produce identical bytes.
 Exit codes: 0 success, 1 domain errors, 2 usage errors.
 
 JSON output is byte for byte ``json.dumps(payload, indent=2)``.  One
 generic writer, ``_json_text``, writes every payload except the rows of
-``enumerate --json``: those have a fixed shape, so each is filled into
-one of two ``%`` templates (with bounds, or with them null) built once
-at import from the same column names.  A graph's n-long bzp, fop and
+``enumerate --json``: those have a fixed shape, built at import from the
+same column names as two ``%`` templates.  ``enumerate`` reads the
+class core of :mod:`threshold_spectra.bounds` (rho per graph, a class
+index per graph, five bounds per (c, F_1) class), not a report per
+graph.  A row without bounds fills the null template.  A class fills
+the other with its c, z, m and bounds once, at its first graph, and
+each graph of the class then fills only its own fields; CSV and human
+rows read the same class values.  A graph's n-long bzp, fop and
 degree lists come from ``graph_model._json_fields`` as ``_Blocks``, their
 ``(value, size)`` blocks, and ``_Blocks.join`` writes each block with one
 ``int.__repr__``: in ``analyze --json`` and ``walks --json`` inside
@@ -32,9 +38,9 @@ import argparse
 import sys
 from functools import cache
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
-from .bounds import PreconditionError, bound_report, bound_reports
+from .bounds import PreconditionError, _bound_classes, _sandwich, bound_report
 from .extremal import TIE_TOL, _nonempty_census, _rank, verify_predictions
 from .graph_model import (
     ParseError,
@@ -59,6 +65,13 @@ MAX_VERTICES = 10**6
 # kmax^2 * ceil(log2(n + 1)) / 2 bits; the cap on that product also keeps every LW_k
 # under 14,200 bits, so it prints within CPython's 4,300-digit int-to-str limit
 MAX_WALK_BITS = 10**7
+
+# a class step of LW costs about 3.5 K operations on integers of up to about
+# kmax * log2(n + 1) bits, so a table's time grows with K * kmax^2 * ceil(log2(n + 1)) for
+# K twin classes; at this cap the LW columns take at most about 2 s on a 2-vCPU host
+# (10^6 one-vertex classes at kmax 7, lw_recurrence with pmax 0; 2001 classes at kmax 213
+# take 0.2 s), and the walks benchmark pool peaks at 45 * 220^2 * 6, about 1.3 * 10^7
+MAX_WALK_WORK = 10**9
 
 
 class _UsageError(ValueError):
@@ -235,41 +248,49 @@ def _census_row_template(applicable: bool) -> str:
     Strings go in as ``"%s"``, ints as ``%d``, floats as ``%r`` (the
     ``float.__repr__`` that ``json`` uses for finite floats) and booleans
     as ``%s`` of "false" or "true".  For a graph the bounds do not cover,
-    the five bounds, ``sandwich_ok`` and ``gaps`` are null.
+    the five bounds, ``sandwich_ok`` and ``gaps`` are null, and the
+    graph fills the rest.  With bounds, this is a class template: c, z,
+    m and the five bounds of one (c, F_1) class fill it, and the fields
+    of one graph (escaped as ``%%``) are left for each graph of the class.
     """
-    gaps = _object_text([(key, "%r") for key in _GAP_KEYS], "\n      ")
-    bound, sandwich_ok, gaps = ("%r", "%s", gaps) if applicable else ("null",) * 3
+    own = "%%" if applicable else "%"  # the fields each graph fills
+    gaps = _object_text([(key, own + "r") for key in _GAP_KEYS], "\n      ")
+    bound, sandwich_ok, gaps = ("%r", own + "s", gaps) if applicable else ("null",) * 3
     items = [
-        *[("generating", '"%s"'), ("composition", '"%s"')],
-        *[("c", "%d"), ("z", "%d"), ("m", "%d"), ("is_max", "%s"), ("rho", "%r")],
+        *[("generating", f'"{own}s"'), ("composition", f'"{own}s"')],
+        *[("c", "%d"), ("z", "%d"), ("m", "%d"), ("is_max", own + "s"), ("rho", own + "r")],
         *[(column, bound) for column in _BOUND_COLUMNS[1:]],
         *[("sandwich_ok", sandwich_ok), ("gaps", gaps)],
     ]
     return _object_text(items, "\n    ")
 
 
-_CENSUS_ROWS = (_census_row_template(False), _census_row_template(True))  # by applicable
+_NULL_ROW, _CLASS_ROW = _census_row_template(False), _census_row_template(True)
 _JSON_BOOLS = ("false", "true")
-_gap_values = itemgetter(*_GAP_KEYS)
 
 
-def _census_json(envelope: dict, census, compositions, reports, flags) -> str:
-    """``_json_text(envelope | {"graphs": rows})``, with each row from its template."""
+def _census_json(envelope: dict, census, compositions, classes, flags) -> str:
+    """``_json_text(envelope | {"graphs": rows})``, with each row from a template.
+
+    A class's row template is filled once, at its first graph; each
+    graph then writes only its own fields, of which rho and the five
+    gaps are floats.
+    """
+    values = classes.values
+    templates = [None] * len(values)
     rows = []
-    for g, composition, report, is_max in zip(census, compositions, reports, flags):
-        head = (g.generating_string, composition, g.c, g.z, g.m, _JSON_BOOLS[is_max])
-        if report.applicable:
-            rows.append(
-                _CENSUS_ROWS[1]
-                % (
-                    *head,
-                    *_bound_cells(report),
-                    _JSON_BOOLS[report.sandwich_ok],
-                    *_gap_values(report.gaps),
-                )
-            )
-        else:
-            rows.append(_CENSUS_ROWS[0] % (*head, report.rho))
+    for g, composition, rho, k, is_max in zip(
+        census, compositions, classes.radii, classes.members, flags
+    ):
+        head = (g.generating_string, composition)
+        if k is None:
+            rows.append(_NULL_ROW % (*head, g.c, g.z, g.m, _JSON_BOOLS[is_max], rho))
+            continue
+        template = templates[k]
+        if template is None:
+            template = templates[k] = _CLASS_ROW % (g.c, g.z, g.m, *values[k])
+        sandwich_ok, gaps = _sandwich(rho, values[k])
+        rows.append(template % (*head, _JSON_BOOLS[is_max], rho, _JSON_BOOLS[sandwich_ok], *gaps))
     # %r spells non-finite floats nan, inf and -inf, json NaN, Infinity and -Infinity;
     # after ": " only a value can read so, as the strings hold just 0, 1, G, {, } and ","
     text = ",\n    ".join(rows)
@@ -277,6 +298,12 @@ def _census_json(envelope: dict, census, compositions, reports, flags) -> str:
         text = text.replace(": " + word, ": " + spelling)
     # the census is never empty: the envelope without its closing "\n}\n", then the rows
     return _json_text(envelope)[:-3] + ',\n  "graphs": [\n    ' + text + "\n  ]\n}\n"
+
+
+def _human_bounds(values) -> str:
+    """One class's bounds in a human ``enumerate`` line, the corollary bound first."""
+    lo_cubic, lo_corollary, lo_quadratic, up_cubic, ineq_root = map(_human_float, values)
+    return f"lower=[{lo_corollary}, {lo_quadratic}, {lo_cubic}, {ineq_root}] upper=[{up_cubic}]"
 
 
 def _csv_line(cells) -> str:
@@ -335,6 +362,12 @@ def _cmd_walks(args) -> str:
             f"--kmax {args.kmax}: kmax^2 * ceil(log2(n + 1)) = {table_bits} exceeds the walk-table "
             f"limit {MAX_WALK_BITS}"
         )
+    classes = len(g.runs)
+    if classes * table_bits > MAX_WALK_WORK:
+        raise _UsageError(
+            f"--kmax {args.kmax}: K * kmax^2 * ceil(log2(n + 1)) = {classes * table_bits} for "
+            f"K = {classes} twin classes exceeds the walk-time limit {MAX_WALK_WORK}"
+        )
     table = lw_recurrence(g, args.kmax, pmax=args.pmax)
     if args.json:
         return _json_text(
@@ -377,14 +410,14 @@ def _cmd_walks(args) -> str:
 
 def _cmd_enumerate(args) -> str:
     census = _nonempty_census(args.n, args.m)
-    reports = bound_reports(census, allow_inapplicable=True)
-    rho_max, flags = _rank([report.rho for report in reports], args.tie_tol)
+    classes = _bound_classes(census, allow_inapplicable=True)
+    rho_max, flags = _rank(classes.radii, args.tie_tol)
+    rows = zip(census, classes.radii, classes.members, flags)
     if args.csv:
         lines = [_csv_line(["generating", "c", "z", "m", *_BOUND_COLUMNS, "is_max"])]
-        for g, report, is_max in zip(census, reports, flags):
-            lines.append(
-                _csv_line([g.generating_string, g.c, g.z, g.m, *_bound_cells(report), is_max])
-            )
+        for g, rho, k, is_max in rows:
+            bounds = (None,) * 5 if k is None else classes.values[k]
+            lines.append(_csv_line([g.generating_string, g.c, g.z, g.m, rho, *bounds, is_max]))
         return "\n".join(lines) + "\n"
     compositions = [to_composition(g) for g in census]
     maximizers = [text for text, is_max in zip(compositions, flags) if is_max]
@@ -396,23 +429,14 @@ def _cmd_enumerate(args) -> str:
             "rho_max": rho_max,
             "maximizers": maximizers,
         }
-        return _census_json(envelope, census, compositions, reports, flags)
+        return _census_json(envelope, census, compositions, classes, flags)
+    bounds = [_human_bounds(values) for values in classes.values]
     lines = [f"census n={args.n} m={args.m}: {len(census)} graph(s)", ""]
-    for g, composition, report, is_max in zip(census, compositions, reports, flags):
+    for (g, rho, k, is_max), composition in zip(rows, compositions):
         marker = "*" if is_max else " "
-        bounds = (
-            "bounds n/a"
-            if not report.applicable
-            else (
-                f"lower=[{_human_float(report.lower_corollary)}, "
-                f"{_human_float(report.lower_quadratic)}, {_human_float(report.lower_cubic)}, "
-                f"{_human_float(report.inequality_root)}]"
-                f" upper=[{_human_float(report.upper_cubic)}]"
-            )
-        )
         lines.append(
             f" {marker} {g.generating_string}  {composition:<18} "
-            f"rho={_human_float(report.rho)}  {bounds}"
+            f"rho={_human_float(rho)}  {'bounds n/a' if k is None else bounds[k]}"
         )
     lines.append("")
     lines.append(f"rho_max {_human_float(rho_max)} attained by {', '.join(maximizers)}")
@@ -527,11 +551,11 @@ def build_parser() -> argparse.ArgumentParser:
         type=_int_at_least(0),
         default=50,
         help="longest walk length (default 50), with kmax^2 * ceil(log2(n+1)) at most "
-        f"{MAX_WALK_BITS}; a step costs about 3.5*K big-integer operations for K twin "
-        "classes, and about K small-by-big products once kmax >= 3*K and the class "
-        "quotient's characteristic polynomial has coefficients below 2^63 (so K "
-        "below about 80); LW_k has about k*log2(1+rho) bits, 973 at k = 200 on the "
-        "45-vertex alternating graph",
+        f"{MAX_WALK_BITS} and K times that at most {MAX_WALK_WORK}; a step costs about "
+        "3.5*K big-integer operations for K twin classes, and about K small-by-big "
+        "products once kmax >= 3*K and the class quotient's characteristic polynomial "
+        "has coefficients below 2^63 (so K below about 80); LW_k has about "
+        "k*log2(1+rho) bits, 973 at k = 200 on the 45-vertex alternating graph",
     )
     p_walks.add_argument("--pmax", type=_int_at_least(0), default=10)
     _add_format_flags(p_walks)

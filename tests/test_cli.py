@@ -5,7 +5,7 @@ import io
 import json
 import math
 import string
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +16,7 @@ from threshold_spectra import (
     PreconditionError,
     bound_report,
     bound_reports,
+    bounds,
     cli,
     degree_sequence,
     enumerate_threshold_graphs,
@@ -28,7 +29,7 @@ from threshold_spectra import (
     to_fop,
 )
 from threshold_spectra.cli import _json_text, parse_graph_spec, run
-from threshold_spectra.graph_model import to_json_dict
+from threshold_spectra.graph_model import _zero_classes, to_json_dict
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +373,32 @@ def test_walks_kmax_at_the_limit_and_one_past(spec, kmax, last, capsys, monkeypa
     )
 
 
+@pytest.mark.parametrize("k", [2001, 100_001], ids=["alternating-2001", "alternating-100001"])
+def test_walks_time_limit_at_the_limit_and_one_past(k, capsys, monkeypatch):
+    """K * kmax^2 * ceil(log2(n + 1)) is at most MAX_WALK_WORK = 10**9 for K twin classes."""
+    assert cli.MAX_WALK_WORK == 10**9
+    spec = "gen:" + "10" * (k // 2) + "1"  # k one-vertex classes, n = k
+    bits = math.ceil(math.log2(k + 1))
+    kmax = math.isqrt(cli.MAX_WALK_WORK // (k * bits))
+    assert k * kmax**2 * bits <= cli.MAX_WALK_WORK < k * (kmax + 1) ** 2 * bits
+    assert (kmax + 1) ** 2 * bits <= cli.MAX_WALK_BITS  # the other limit lets both through
+    argv = ["walks", spec, "--kmax", str(kmax), "--pmax", "0", "--json"]
+    assert len(json.loads(_stdout(argv, capsys))["lw"]) == kmax + 1
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the walk table is built after the limit check")
+
+    monkeypatch.setattr(cli, "lw_recurrence", unreachable)
+    assert run(["walks", spec, "--kmax", str(kmax + 1), "--json"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        f"error: --kmax {kmax + 1}: K * kmax^2 * ceil(log2(n + 1)) = "
+        f"{k * (kmax + 1) ** 2 * bits} for K = {k} twin classes exceeds the walk-time limit "
+        "1000000000\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # the n-long encodings, written from their blocks
 # ---------------------------------------------------------------------------
@@ -551,26 +578,104 @@ def test_library_and_cli_pick_the_same_maximizers(capsys):
 
 
 def test_enumerate_json_spells_non_finite_floats_like_json_dumps(monkeypatch, capsys):
-    real = cli.bound_reports
+    real = bounds._bound_classes
 
-    def non_finite(graphs, allow_inapplicable=False):
-        reports = real(graphs, allow_inapplicable)
-        first = reports[0]
-        if not first.applicable:
-            return [replace(first, rho=math.inf)]
-        gaps = first.gaps | {"lower_cubic": -math.inf, "upper_cubic": math.nan}
-        reports[0] = replace(first, lower_cubic=math.inf, gaps=gaps)
-        reports[1] = replace(reports[1], rho=math.nan, inequality_root=-math.inf)
-        return reports
+    def non_finite(graphs, allow_inapplicable):
+        radii, members, values = real(graphs, allow_inapplicable)
+        if members[0] is None:
+            radii[0] = math.inf
+        else:
+            radii[1] = math.nan  # one graph's rho, and so its gaps
+            k = members[0]  # one class's bounds, shared by its graphs and their gaps
+            values[k] = (math.inf, *values[k][1:4], -math.inf)
+        return bounds._BoundClasses(radii, members, values)
 
-    monkeypatch.setattr(cli, "bound_reports", non_finite)
+    # the census rows read the class core; the oracle reads it through bound_reports
+    monkeypatch.setattr(cli, "_bound_classes", non_finite)
+    monkeypatch.setattr(bounds, "_bound_classes", non_finite)
     for n, m in [(9, 14), (6, 5)]:  # four applicable rows; the star alone
         assert run(["enumerate", "--n", str(n), "--m", str(m), "--json"]) == 0
         census = enumerate_threshold_graphs(n, m)
-        payload = _census_payload(n, m, 1e-9, census, non_finite(census, True))
+        reports = bound_reports(census, allow_inapplicable=True)
+        payload = _census_payload(n, m, 1e-9, census, reports)
         out = capsys.readouterr().out
         assert out == json.dumps(payload, indent=2) + "\n"
         assert "Infinity" in out and ("NaN" in out) == (n == 9)
+
+
+def _census_text(n, m, tie_tol, census, reports, form):
+    """``enumerate --csv`` or human output written per report: the oracle for the class rows."""
+    rho_max = max(report.rho for report in reports)
+    flags = [rho_max - report.rho <= tie_tol for report in reports]
+    columns = "rho lower_cubic lower_corollary lower_quadratic upper_cubic inequality_root".split()
+    if form == "csv":
+        lines = [",".join(["generating", "c", "z", "m", *columns, "is_max"])]
+        for g, report, is_max in zip(census, reports, flags):
+            cells = [getattr(report, column) for column in columns]
+            lines.append(
+                ",".join(
+                    [g.generating_string, str(g.c), str(g.z), str(g.m)]
+                    + ["" if x is None else format(x, ".17g") for x in cells]
+                    + [str(is_max).lower()]
+                )
+            )
+        return "\n".join(lines) + "\n"
+
+    def human(x):
+        return format(x, ".12g")
+
+    lines = [f"census n={n} m={m}: {len(census)} graph(s)", ""]
+    maximizers = []
+    for g, report, is_max in zip(census, reports, flags):
+        if is_max:
+            maximizers.append(to_composition(g))
+        bounds_text = "bounds n/a"
+        if report.applicable:
+            lowers = ("lower_corollary", "lower_quadratic", "lower_cubic", "inequality_root")
+            bounds_text = (
+                f"lower=[{', '.join(human(getattr(report, key)) for key in lowers)}] "
+                f"upper=[{human(report.upper_cubic)}]"
+            )
+        lines.append(
+            f" {'*' if is_max else ' '} {g.generating_string}  {to_composition(g):<18} "
+            f"rho={human(report.rho)}  {bounds_text}"
+        )
+    lines += ["", f"rho_max {human(rho_max)} attained by {', '.join(maximizers)}"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("form", ["csv", "human"])
+@pytest.mark.parametrize("tie_tol", [1e-9, 1.0], ids=["default-tie-tol", "tie-tol-1"])
+def test_enumerate_csv_and_human_equal_per_report_rendering(tie_tol, form, capsys):
+    cells = 0
+    for n in range(1, 11):
+        for m in range(math.comb(n, 2) + 1):
+            census = enumerate_threshold_graphs(n, m)
+            if not census:
+                continue
+            argv = ["enumerate", "--n", str(n), "--m", str(m), "--tie-tol", repr(tie_tol)]
+            text = _stdout(argv + (["--csv"] if form == "csv" else []), capsys)
+            reports = bound_reports(census, allow_inapplicable=True)
+            assert text == _census_text(n, m, tie_tol, census, reports, form)
+            cells += 1
+    assert cells == 130
+
+
+def test_enumerate_evaluates_the_bounds_once_per_class(monkeypatch, capsys):
+    calls = []
+    real = bounds._bounds
+
+    def counting(inputs):
+        calls.append(inputs)
+        return real(inputs)
+
+    monkeypatch.setattr(bounds, "_bounds", counting)
+    rows = json.loads(_stdout(["enumerate", "--n", "16", "--m", "60", "--json"], capsys))["graphs"]
+    assert len(rows) == 361
+    census = enumerate_threshold_graphs(16, 60)
+    classes = {(g.c, _zero_classes(g)[2]) for g in census}  # (c, F_1); every graph has bounds
+    assert len(calls) == len(set(calls)) == len(classes) == 108
+    assert {(inputs.c, inputs.f1) for inputs in calls} == classes
 
 
 def test_enumerate_csv_header_and_marking(capsys):
