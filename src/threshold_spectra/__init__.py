@@ -30,11 +30,10 @@ from .spectral import (
     ConvergenceError,
     RootResult,
     greatest_real_root,
-    perron_vector,
     spectral_radii,
     spectral_radius,
 )
-from .bounds import BoundReport, PreconditionError, bound_report, bound_reports
+from .bounds import BoundReport, PreconditionError, bound_report
 from .extremal import (
     ExtremalResult,
     enumerate_threshold_graphs,
@@ -60,13 +59,11 @@ __all__ = [
     "ConvergenceError",
     "RootResult",
     "greatest_real_root",
-    "perron_vector",
     "spectral_radii",
     "spectral_radius",
     "BoundReport",
     "PreconditionError",
     "bound_report",
-    "bound_reports",
     "ExtremalResult",
     "enumerate_threshold_graphs",
     "find_extremal",

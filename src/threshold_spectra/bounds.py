@@ -1,9 +1,9 @@
 """Closed-form lower and upper bounds on the spectral radius.
 
-:func:`bound_reports` is the public way to get the bound values
-(:func:`bound_report` runs it on one graph); the :class:`BoundReport`
-fields are all driven by c (number of type-1 vertices), the b counts of
-the type-0 vertices, and F_1 = sum(b_i^2):
+:func:`bound_report` is the public way to get the bound values of one
+graph; the :class:`BoundReport` fields are all driven by c (number of
+type-1 vertices), the b counts of the type-0 vertices, and
+F_1 = sum(b_i^2):
 
 * ``lower_cubic``: largest real root of
   ``x^3 - (c+1) x^2 + c x - F_1``, minus one.  This is the growth rate
@@ -31,10 +31,11 @@ sum b = m - C(c, 2) are fixed, so every bound depends on (c, F_1)
 alone.  The class core, :func:`_bound_classes`, takes rho for the whole
 list from one :func:`~threshold_spectra.spectral.spectral_radii` call,
 gives each graph the index of its class, and evaluates the bounds, with
-their three root certificates, once per class.  :func:`bound_reports`
-is a per-graph view of it; ``enumerate`` reads the core directly and
-writes each class's bounds once.  :func:`_sandwich` is the one
-definition of ``sandwich_ok`` and the gaps, from rho and a class's values.
+their three root certificates, once per class.  :func:`bound_report`
+is the core run on a list of one graph; ``enumerate`` reads the core
+directly and writes each class's bounds once.  :func:`_sandwich` is the
+one definition of ``sandwich_ok`` and the gaps, from rho and a class's
+values, and :data:`_GAP_NAMES` the one list of the five bound names.
 
 The bounds assume n >= 4, c >= 3, z >= 1, and n - 1 < m < C(n, 2);
 outside that range they raise :class:`PreconditionError`, or are marked
@@ -56,7 +57,6 @@ __all__ = [
     "PreconditionError",
     "SANDWICH_TOL",
     "bound_report",
-    "bound_reports",
 ]
 
 SANDWICH_TOL = 1e-9
@@ -150,34 +150,6 @@ def _inequality_coefficients(inputs: _Inputs) -> tuple[int, ...]:
     )
 
 
-def bound_reports(graphs, allow_inapplicable: bool = False) -> list[BoundReport]:
-    """Compute rho, the four bounds, and the inequality root, with gaps, per graph.
-
-    ``sandwich_ok`` asserts that every lower-side value (the three lower
-    bounds and the inequality root) is at most rho and that rho is at
-    most ``upper_cubic``, all within :data:`SANDWICH_TOL`.
-
-    With ``allow_inapplicable`` the report degrades gracefully for
-    graphs outside the standing assumptions (stars, complete graphs,
-    c < 3): rho is still reported and every bound is None.  Otherwise
-    such graphs raise :class:`PreconditionError`.
-
-    Each report is a view of :func:`_bound_classes`, so graphs of one
-    class share its five values.
-    """
-    radii, members, values = _bound_classes(graphs, allow_inapplicable)
-    reports = []
-    for rho, k in zip(radii, members):
-        if k is None:
-            # rho alone: the five bounds, sandwich_ok and gaps are None
-            reports.append(BoundReport(rho, *(None,) * 7, applicable=False))
-        else:
-            sandwich_ok, gaps = _sandwich(rho, values[k])
-            gaps = dict(zip(_GAP_NAMES, gaps))
-            reports.append(BoundReport(rho, *values[k], sandwich_ok, gaps, applicable=True))
-    return reports
-
-
 class _BoundClasses(NamedTuple):
     """A batch by (c, F_1) class: what every report and census row is read from."""
 
@@ -239,5 +211,20 @@ def _sandwich(rho: float, values: tuple[float, ...]) -> tuple[bool, tuple[float,
 
 
 def bound_report(g: ThresholdGraph, allow_inapplicable: bool = False) -> BoundReport:
-    """The :func:`bound_reports` entry of one graph."""
-    return bound_reports([g], allow_inapplicable)[0]
+    """Compute rho, the four bounds, and the inequality root, with gaps.
+
+    ``sandwich_ok`` asserts that every lower-side value (the three lower
+    bounds and the inequality root) is at most rho and that rho is at
+    most ``upper_cubic``, all within :data:`SANDWICH_TOL`.
+
+    With ``allow_inapplicable`` the report degrades gracefully for
+    graphs outside the standing assumptions (stars, complete graphs,
+    c < 3): rho is still reported and every bound is None.  Otherwise
+    such graphs raise :class:`PreconditionError`.
+    """
+    (rho,), (k,), values = _bound_classes([g], allow_inapplicable)
+    if k is None:
+        # rho alone: the five bounds, sandwich_ok and gaps are None
+        return BoundReport(rho, *(None,) * 7, applicable=False)
+    sandwich_ok, gaps = _sandwich(rho, values[k])
+    return BoundReport(rho, *values[k], sandwich_ok, dict(zip(_GAP_NAMES, gaps)), applicable=True)

@@ -11,7 +11,8 @@ Linux one argv string holds at most 128 KiB (``MAX_ARG_STRLEN``), so a
 command line; larger graphs need ``comp:`` or ``bzp:`` (or ``run`` in
 process).  ``walks`` refuses a ``--kmax`` whose LW column would pass
 ``MAX_WALK_BITS``, or whose table would take longer than
-``MAX_WALK_WORK`` allows for the graph's K twin classes.  Output is a
+``MAX_WALK_WORK`` allows for the graph's K twin classes, and a
+``--pmax`` whose F_pmax could pass ``MAX_FP_BITS`` bits.  Output is a
 human table by default, or ``--json`` / ``--csv`` (``verify`` has no
 CSV form); identical invocations produce identical bytes.
 Exit codes: 0 success, 1 domain errors, 2 usage errors.
@@ -25,11 +26,13 @@ index per graph, five bounds per (c, F_1) class), not a report per
 graph.  A row without bounds fills the null template.  A class fills
 the other with its c, z, m and bounds once, at its first graph, and
 each graph of the class then fills only its own fields; CSV and human
-rows read the same class values.  A graph's n-long bzp, fop and
-degree lists come from ``graph_model._json_fields`` as ``_Blocks``, their
-``(value, size)`` blocks, and ``_Blocks.join`` writes each block with one
-``int.__repr__``: in ``analyze --json`` and ``walks --json`` inside
-``_json_text``, and in human ``analyze`` as the text of ``str(list)``.
+rows read the same class values.  The CLI writes the ``"graph"`` object
+of ``analyze`` and ``walks`` itself: a graph's n-long bzp, fop and
+degree lists are ``_Blocks``, their ``(value, size)`` blocks from
+``graph_model._vertex_blocks``, and ``_Blocks.join`` writes each block
+with one ``int.__repr__``: in ``analyze --json`` and ``walks --json``
+inside ``_json_text``, and in human ``analyze`` as the text of
+``str(list)``.
 """
 
 from __future__ import annotations
@@ -38,14 +41,15 @@ import argparse
 import sys
 from functools import cache
 from json.encoder import encode_basestring_ascii
+from math import comb
 from operator import attrgetter
 
-from .bounds import PreconditionError, _bound_classes, _sandwich, bound_report
+from .bounds import _GAP_NAMES, PreconditionError, _bound_classes, _sandwich, bound_report
 from .extremal import TIE_TOL, _nonempty_census, _rank, verify_predictions
 from .graph_model import (
     ParseError,
     ThresholdGraph,
-    _json_fields,
+    _vertex_blocks,
     from_bzp,
     from_composition,
     from_generating_sequence,
@@ -72,6 +76,12 @@ MAX_WALK_BITS = 10**7
 # (10^6 one-vertex classes at kmax 7, lw_recurrence with pmax 0; 2001 classes at kmax 213
 # take 0.2 s), and the walks benchmark pool peaks at 45 * 220^2 * 6, about 1.3 * 10^7
 MAX_WALK_WORK = 10**9
+
+# walks prints F_0 .. F_pmax, and F_p <= c * (sum b)^p, so bit_length(c) + pmax *
+# bit_length(sum b) bounds their bits; this cap keeps each within CPython's 4,300-digit
+# int-to-str limit (2^14000 < 10^4215).  sum b counts as one bit at least, so a complete
+# graph gets no endless table; the walks benchmark pool (pmax 10, n <= 45) needs at most 116
+MAX_FP_BITS = 14_000
 
 
 class _UsageError(ValueError):
@@ -213,16 +223,7 @@ def _human_float(x) -> str:
     return format(float(x), ".12g")
 
 
-_BOUND_COLUMNS = (
-    "rho",
-    "lower_cubic",
-    "lower_corollary",
-    "lower_quadratic",
-    "upper_cubic",
-    "inequality_root",
-)
-
-
+_BOUND_COLUMNS = ("rho", *_GAP_NAMES)  # rho, then the five bounds in report field order
 _bound_cells = attrgetter(*_BOUND_COLUMNS)  # the report's values, in column order
 
 
@@ -233,7 +234,19 @@ def _report_dict(report) -> dict:
     }
 
 
-_GAP_KEYS = _BOUND_COLUMNS[1:]  # bound_reports keys each gap by its bound's column
+def _graph_object(g: ThresholdGraph) -> dict:
+    """The ``"graph"`` object of ``analyze`` and ``walks``, each n-long list as its ``_Blocks``."""
+    bzp, fop, degrees = map(_Blocks, _vertex_blocks(g))
+    return {
+        "n": g.n,
+        "m": g.m,
+        "c": g.c,
+        "z": g.z,
+        "generating": g.generating_string,
+        "bzp": bzp,
+        "fop": fop,
+        "degrees": degrees,
+    }
 
 
 def _object_text(items, indent: str) -> str:
@@ -254,12 +267,12 @@ def _census_row_template(applicable: bool) -> str:
     of one graph (escaped as ``%%``) are left for each graph of the class.
     """
     own = "%%" if applicable else "%"  # the fields each graph fills
-    gaps = _object_text([(key, own + "r") for key in _GAP_KEYS], "\n      ")
+    gaps = _object_text([(key, own + "r") for key in _GAP_NAMES], "\n      ")
     bound, sandwich_ok, gaps = ("%r", own + "s", gaps) if applicable else ("null",) * 3
     items = [
         *[("generating", f'"{own}s"'), ("composition", f'"{own}s"')],
         *[("c", "%d"), ("z", "%d"), ("m", "%d"), ("is_max", own + "s"), ("rho", own + "r")],
-        *[(column, bound) for column in _BOUND_COLUMNS[1:]],
+        *[(column, bound) for column in _GAP_NAMES],
         *[("sandwich_ok", sandwich_ok), ("gaps", gaps)],
     ]
     return _object_text(items, "\n    ")
@@ -294,7 +307,7 @@ def _census_json(envelope: dict, census, compositions, classes, flags) -> str:
     # %r spells non-finite floats nan, inf and -inf, json NaN, Infinity and -Infinity;
     # after ": " only a value can read so, as the strings hold just 0, 1, G, {, } and ","
     text = ",\n    ".join(rows)
-    for word, spelling in (("nan", "NaN"), ("inf", "Infinity"), ("-inf", "-Infinity")):
+    for word, spelling in _FLOAT_WORDS.items():
         text = text.replace(": " + word, ": " + spelling)
     # the census is never empty: the envelope without its closing "\n}\n", then the rows
     return _json_text(envelope)[:-3] + ',\n  "graphs": [\n    ' + text + "\n  ]\n}\n"
@@ -319,20 +332,20 @@ def _cmd_analyze(args) -> str:
     g = parse_graph_spec(args.graph)
     report = bound_report(g)
     if args.json:
-        return _json_text({"graph": _json_fields(g, _Blocks)} | _report_dict(report))
+        return _json_text({"graph": _graph_object(g)} | _report_dict(report))
     if args.csv:
         header = _csv_line(["generating", "n", "m", "c", "z", *_BOUND_COLUMNS, "sandwich_ok"])
         row = _csv_line(
             [g.generating_string, g.n, g.m, g.c, g.z, *_bound_cells(report), report.sandwich_ok]
         )
         return header + "\n" + row + "\n"
-    info = _json_fields(g, _Blocks)
+    bzp, fop, degrees = map(_Blocks, _vertex_blocks(g))
     lines = [
         f"graph        {g.generating_string}  (n={g.n}, m={g.m}, c={g.c}, z={g.z})",
         f"composition  {to_composition(g)}",
-        f"bzp          [{info['bzp'].join(', ')}]",
-        f"fop          [{info['fop'].join(', ')}]",
-        f"degrees      [{info['degrees'].join(', ')}]",
+        f"bzp          [{bzp.join(', ')}]",
+        f"fop          [{fop.join(', ')}]",
+        f"degrees      [{degrees.join(', ')}]",
         "",
     ]
     ordered = sorted(
@@ -368,11 +381,18 @@ def _cmd_walks(args) -> str:
             f"--kmax {args.kmax}: K * kmax^2 * ceil(log2(n + 1)) = {classes * table_bits} for "
             f"K = {classes} twin classes exceeds the walk-time limit {MAX_WALK_WORK}"
         )
+    sb = g.m - comb(g.c, 2)  # every edge but the C(c, 2) among the ones has one type-0 end
+    fp_bits = g.c.bit_length() + args.pmax * max(1, sb.bit_length())
+    if fp_bits > MAX_FP_BITS:
+        raise _UsageError(
+            f"--pmax {args.pmax}: bit_length(c) + pmax * max(1, bit_length(sum b)) = {fp_bits} "
+            f"exceeds the F_p limit {MAX_FP_BITS}"
+        )
     table = lw_recurrence(g, args.kmax, pmax=args.pmax)
     if args.json:
         return _json_text(
             {
-                "graph": _json_fields(g, _Blocks),
+                "graph": _graph_object(g),
                 "kmax": args.kmax,
                 "pmax": args.pmax,
                 "lw": list(table.lw),

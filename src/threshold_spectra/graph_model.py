@@ -63,7 +63,6 @@ __all__ = [
     "to_bzp",
     "to_composition",
     "to_fop",
-    "to_json_dict",
 ]
 
 
@@ -229,7 +228,7 @@ def to_bzp(g: ThresholdGraph) -> tuple[int, ...]:
     vertex and encodes as ``()``.
     """
     _require_connected(g, "bzp encoding")
-    return tuple(_vertex_lists(g)[0])
+    return _expand(_vertex_blocks(g)[0])
 
 
 def from_bzp(c: int, b) -> ThresholdGraph:
@@ -262,7 +261,7 @@ def to_fop(g: ThresholdGraph) -> tuple[int, ...]:
     A type-1 vertex of degree d has d - (c - 1) of them.
     """
     _require_connected(g, "fop encoding")
-    return tuple(_vertex_lists(g)[1])
+    return _expand(_vertex_blocks(g)[1])
 
 
 def from_fop(f) -> ThresholdGraph:
@@ -292,7 +291,7 @@ def degree_sequence(g: ThresholdGraph) -> tuple[int, ...]:
     vertex has degree b_i.
     """
     _require_connected(g, "degree sequence")
-    return tuple(_vertex_lists(g)[2])
+    return _expand(_vertex_blocks(g)[2])
 
 
 def _vertex_blocks(g: ThresholdGraph) -> tuple[list[tuple[int, int]], ...]:
@@ -314,41 +313,12 @@ def _vertex_blocks(g: ThresholdGraph) -> tuple[list[tuple[int, int]], ...]:
     return bzp, fop, degrees
 
 
-def _expand(blocks) -> list[int]:
-    """The list that ``(value, size)`` blocks stand for."""
+def _expand(blocks) -> tuple[int, ...]:
+    """The tuple that ``(value, size)`` blocks stand for."""
     values = []
     for value, size in blocks:
         values += [value] * size
-    return values
-
-
-def _vertex_lists(g: ThresholdGraph) -> tuple[list[int], list[int], list[int]]:
-    """bzp, fop and the degree sequence as lists: :func:`_vertex_blocks` expanded."""
-    return tuple(map(_expand, _vertex_blocks(g)))
-
-
-def to_json_dict(g: ThresholdGraph) -> dict:
-    """JSON-ready description with all encodings spelled out."""
-    return _json_fields(g, _expand)
-
-
-def _json_fields(g: ThresholdGraph, spell) -> dict:
-    """The fields of :func:`to_json_dict` in order, each encoding ``spell(blocks)``.
-
-    The encodings are None for a disconnected graph.  ``to_json_dict``
-    spells the blocks out as lists; the CLI writes them one block at a time.
-    """
-    bzp, fop, degrees = map(spell, _vertex_blocks(g)) if g.is_connected else (None,) * 3
-    return {
-        "n": g.n,
-        "m": g.m,
-        "c": g.c,
-        "z": g.z,
-        "generating": g.generating_string,
-        "bzp": bzp,
-        "fop": fop,
-        "degrees": degrees,
-    }
+    return tuple(values)
 
 
 def _integral(value, what: str) -> int:

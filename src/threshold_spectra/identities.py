@@ -17,7 +17,7 @@ loads it.
 * Bounds: the lower and upper bracket cubics and the degree quartic as
   tuples of integer coefficients in descending powers, and the degree
   inequality evaluated at a given rho.  The core is
-  :func:`~threshold_spectra.bounds.bound_reports`.
+  :func:`~threshold_spectra.bounds.bound_report`.
 * The graph: its dense adjacency matrix in the canonical vertex order.
 
 Each of these costs far more than the core (z^p terms, n x n matrices,

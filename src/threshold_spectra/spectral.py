@@ -5,20 +5,20 @@ sequence), which are an equitable partition.  Two classes are joined
 when the later one is type 1, and type-1 classes are cliques.  The
 spectral radius is the top eigenvalue of the k x k symmetrized quotient
 S, with S_ij = sqrt(|i| |j|) for joined classes and S_ii = |i| - 1 or 0,
-from ``numpy.linalg.eigh``; its eigenvector x lifts to x_b / sqrt(|b|)
-on each vertex of class b (Brouwer & Haemers, *Spectra of Graphs* 2.3).
-Both read the twin classes of :mod:`threshold_spectra.graph_model`, so
+from ``numpy.linalg.eigh`` (Brouwer & Haemers, *Spectra of Graphs* 2.3).
+It reads the twin classes of :mod:`threshold_spectra.graph_model`, so
 cost depends on k, not n; the dense adjacency is only a test oracle
 (:func:`threshold_spectra.identities.adjacency_matrix`).
-There is no tolerance to choose: ``eigh`` is direct, and the quotient
-residual is checked against a fixed bound only to detect a fault.  The
-quotient is dense, so a graph with more than :data:`MAX_QUOTIENT_CLASSES`
-classes is refused with ``ValueError`` before it is built.
+There is no tolerance to choose: ``eigh`` is direct, and the residual
+of the top eigenpair is checked against a fixed bound only to detect a
+fault.  The quotient is dense, so a graph with more than
+:data:`MAX_QUOTIENT_CLASSES` classes is refused with ``ValueError``
+before it is built.
 
 A census runs as one batch: :func:`spectral_radii` stacks the quotients
 of all graphs with the same k and calls ``eigh`` once per stack, and
-:func:`spectral_radius` and :func:`perron_vector` are that kernel run
-on a list of one graph, so both give bitwise the same values.
+:func:`spectral_radius` is that kernel run on a list of one graph, so
+both give bitwise the same values.
 
 A bound polynomial is a plain tuple of integer coefficients in
 descending powers, so the greatest real root from float Newton is
@@ -36,13 +36,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_model import ThresholdGraph, _classes, _require_connected, to_composition
+from .graph_model import ThresholdGraph, _require_connected, to_composition
 
 __all__ = [
     "ConvergenceError",
     "RootResult",
     "greatest_real_root",
-    "perron_vector",
     "spectral_radii",
     "spectral_radius",
 ]
@@ -81,33 +80,32 @@ class RootResult:
 # ---------------------------------------------------------------------------
 
 
-def _quotient_eigenpairs(graphs, routine: str):
-    """Top eigenpair (theta, x >= 0) of S for each graph, x in insertion order.
+def spectral_radii(graphs) -> list[float]:
+    """Largest adjacency eigenvalue of each connected threshold graph.
 
     In insertion order the classes are the runs, ones first and then
     alternating, so S needs only the run lengths.  The graphs are grouped
     by block count k; each group's quotients are stacked into one
     (G, k, k) array (at most :data:`_STACK` of them, which bounds memory
     on huge censuses) and ``eigh`` runs once per stack.  Each S holds the
-    floats it holds when built alone, so theta and x are bitwise the
-    single-graph values.  The residual is checked per graph, and the
-    first failing graph in input order is named.  A graph with more than
-    :data:`MAX_QUOTIENT_CLASSES` classes raises ``ValueError`` before
-    any array is built.
+    floats it holds when built alone, so theta is bitwise the
+    single-graph value.  The residual of the top eigenpair is checked per
+    graph, and the first failing graph in input order is named.  A graph
+    with more than :data:`MAX_QUOTIENT_CLASSES` classes raises
+    ``ValueError`` before any array is built.
     """
     graphs = list(graphs)
     groups: dict[int, list[int]] = {}
     for i, g in enumerate(graphs):
-        _require_connected(g, routine)
+        _require_connected(g, "spectral_radius")
         k = len(g.runs)
         if k > MAX_QUOTIENT_CLASSES:
             raise ValueError(
-                f"{routine}: {k} twin classes exceed the dense-quotient limit "
+                f"spectral_radius: {k} twin classes exceed the dense-quotient limit "
                 f"of {MAX_QUOTIENT_CLASSES}"
             )
         groups.setdefault(k, []).append(i)
     thetas, residuals = np.empty(len(graphs)), np.empty(len(graphs))
-    vectors = [None] * len(graphs)
     for k, group in groups.items():
         index = np.arange(k)
         ones = index % 2 == 0
@@ -123,42 +121,19 @@ def _quotient_eigenpairs(graphs, routine: str):
             thetas[members] = theta
             error = (s @ x[:, :, None])[:, :, 0] - theta[:, None] * x
             residuals[members] = np.max(np.abs(error), axis=1)
-            for i, row in zip(members, x):
-                vectors[i] = row
     bounds = _QUOTIENT_RESIDUAL_REL * np.maximum(1.0, thetas)
     failing = np.flatnonzero(~(residuals <= bounds))
     if failing.size:
         i = failing[0]
         spec = to_composition(graphs[i])
-        message = f"{routine}: quotient residual above {float(bounds[i])!r} for comp:{spec}"
+        message = f"spectral_radius: quotient residual above {float(bounds[i])!r} for comp:{spec}"
         raise ConvergenceError(message, float(thetas[i]), float(residuals[i]))
-    return thetas.tolist(), vectors
-
-
-def spectral_radii(graphs) -> list[float]:
-    """Largest adjacency eigenvalue of each connected threshold graph."""
-    return _quotient_eigenpairs(graphs, "spectral_radius")[0]
+    return thetas.tolist()
 
 
 def spectral_radius(g: ThresholdGraph) -> float:
     """Largest adjacency eigenvalue of a connected threshold graph."""
     return spectral_radii([g])[0]
-
-
-def perron_vector(g: ThresholdGraph) -> np.ndarray:
-    """Unit-norm positive eigenvector for the spectral radius.
-
-    Entries follow the canonical vertex order and are nonincreasing
-    along it (higher degree never gets smaller weight); each twin class
-    is contiguous in that order.
-    """
-    _, (x,) = _quotient_eigenpairs([g], "perron_vector")
-    table = np.array(_classes(g))
-    canonical = np.empty_like(x)
-    canonical[np.argsort(table[:, 1])] = x
-    sizes = table[:, 2]
-    v = np.repeat(canonical / np.sqrt(sizes), sizes)
-    return v / float(np.linalg.norm(v))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from threshold_spectra import from_generating_sequence
+from threshold_spectra import BoundReport, from_generating_sequence
+from threshold_spectra.bounds import _GAP_NAMES, _sandwich
 
 
 def connected_bitstrings(n):
@@ -33,6 +34,19 @@ def all_graphs(n):
 def graph(bits):
     """Build a graph from a 0/1 string, e.g. graph("10101")."""
     return from_generating_sequence(int(ch) for ch in bits)
+
+
+def class_reports(classes):
+    """One :class:`BoundReport` per graph of a ``bounds._bound_classes`` batch."""
+    reports = []
+    for rho, k in zip(classes.radii, classes.members):
+        if k is None:
+            reports.append(BoundReport(rho, *(None,) * 7, applicable=False))
+            continue
+        sandwich_ok, gaps = _sandwich(rho, classes.values[k])
+        gaps = dict(zip(_GAP_NAMES, gaps))
+        reports.append(BoundReport(rho, *classes.values[k], sandwich_ok, gaps, applicable=True))
+    return reports
 
 
 def horner(coefficients, x):

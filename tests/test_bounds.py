@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from threshold_spectra import (
     PreconditionError,
     bound_report,
-    bound_reports,
     enumerate_threshold_graphs,
     from_generating_sequence,
     greatest_real_root,
@@ -22,11 +21,12 @@ from threshold_spectra.identities import (
     lower_cubic_polynomial,
     upper_cubic_polynomial,
 )
-from threshold_spectra.bounds import SANDWICH_TOL
+from threshold_spectra.bounds import SANDWICH_TOL, _bound_classes
 from threshold_spectra.cli import parse_graph_spec
 from threshold_spectra.graph_model import _zero_classes
 from conftest import (
     bisection_root,
+    class_reports,
     connected_graphs,
     graph,
     horner,
@@ -343,14 +343,14 @@ def censuses(n_max):
 
 
 def test_batched_reports_equal_single_graph_reports():
-    """Floats compare exactly: a batch gives each graph the report it gets alone."""
+    """Floats compare exactly: a batch row gives each graph the report it gets alone."""
     everything = []
-    for census in censuses(12):
+    for census in censuses(10):
         single = [bound_report(g, allow_inapplicable=True) for g in census]
-        assert bound_reports(census, allow_inapplicable=True) == single
+        assert class_reports(_bound_classes(census, allow_inapplicable=True)) == single
         everything += census
     # several n, m and k, applicable or not, in one call take the same path
-    mixed = bound_reports(everything, allow_inapplicable=True)
+    mixed = class_reports(_bound_classes(everything, allow_inapplicable=True))
     assert mixed == [bound_report(g, allow_inapplicable=True) for g in everything]
     assert {r.applicable for r in mixed} == {True, False}
 
@@ -368,8 +368,8 @@ def test_batched_reports_certify_each_polynomial_once(monkeypatch):
         if name.startswith("threshold_spectra") and hasattr(module, "greatest_real_root"):
             monkeypatch.setattr(module, "greatest_real_root", counting_root)
     census = enumerate_threshold_graphs(14, 40)
-    reports = bound_reports(census, allow_inapplicable=True)
-    applicable = [g for g, r in zip(census, reports) if r.applicable]
+    classes = _bound_classes(census, allow_inapplicable=True)
+    applicable = [g for g, k in zip(census, classes.members) if k is not None]
     distinct = {
         make(g)
         for g in applicable
@@ -381,4 +381,4 @@ def test_batched_reports_certify_each_polynomial_once(monkeypatch):
 
 
 def test_empty_batch():
-    assert bound_reports([]) == []
+    assert _bound_classes([], allow_inapplicable=False) == ([], [], [])

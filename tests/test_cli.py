@@ -15,7 +15,6 @@ from threshold_spectra import (
     ParseError,
     PreconditionError,
     bound_report,
-    bound_reports,
     bounds,
     cli,
     degree_sequence,
@@ -29,7 +28,8 @@ from threshold_spectra import (
     to_fop,
 )
 from threshold_spectra.cli import _json_text, parse_graph_spec, run
-from threshold_spectra.graph_model import _zero_classes, to_json_dict
+from threshold_spectra.graph_model import _zero_classes
+from conftest import class_reports
 
 
 # ---------------------------------------------------------------------------
@@ -399,21 +399,79 @@ def test_walks_time_limit_at_the_limit_and_one_past(k, capsys, monkeypatch):
     )
 
 
+# bit_length(c) + pmax * max(1, bit_length(sum b)) is at most MAX_FP_BITS = 14,000:
+# c = 4 and sum b = 1000 (10 bits), whose F_1399 is the largest admitted F_pmax there;
+# a complete graph (sum b = 0); and the 5-vertex graph 10101 (c = 3, sum b = 3)
+@pytest.mark.parametrize(
+    "spec, pmax, digits",
+    [("comp:G{3,1000,1}", 1399, 4198), ("comp:G{5}", 13997, 1), ("gen:10101", 6999, 2926)],
+    ids=["sum-b-1000", "complete", "10101"],
+)
+def test_walks_pmax_at_the_limit_and_one_past(spec, pmax, digits, capsys, monkeypatch):
+    assert cli.MAX_FP_BITS == 14_000
+    g = parse_graph_spec(spec)
+    sb = g.m - math.comb(g.c, 2)
+    assert sb == sum(to_bzp(g))
+    bits = g.c.bit_length() + pmax * max(1, sb.bit_length())
+    assert bits <= cli.MAX_FP_BITS < bits + max(1, sb.bit_length())
+    lines = _stdout(["walks", spec, "--kmax", "1", "--pmax", str(pmax), "--csv"], capsys)
+    p, fp = lines.splitlines()[-1].split(",")
+    assert int(p) == pmax and len(fp) == digits  # within int's 4,300 digits
+    assert int(fp) == lw_recurrence(g, 0, pmax=pmax).fp[-1] <= g.c * sb**pmax
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the walk table is built after the limit check")
+
+    monkeypatch.setattr(cli, "lw_recurrence", unreachable)
+    assert run(["walks", spec, "--kmax", "1", "--pmax", str(pmax + 1), "--json"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        f"error: --pmax {pmax + 1}: bit_length(c) + pmax * max(1, bit_length(sum b)) = "
+        f"{bits + max(1, sb.bit_length())} exceeds the F_p limit 14000\n"
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 1), max_size=40), st.integers(0, 12))
+def test_walks_fp_bits_stay_within_the_bound(middle, pmax):
+    """F_p <= c * (sum b)^p, so its bits are within the bound that --pmax is checked on."""
+    g = parse_graph_spec("gen:1" + "".join(map(str, middle)) + "1")
+    sb = g.m - math.comb(g.c, 2)
+    for p, value in enumerate(lw_recurrence(g, 0, pmax=pmax).fp):
+        assert value <= g.c * sb**p
+        assert value.bit_length() <= g.c.bit_length() + p * max(1, sb.bit_length())
+
+
 # ---------------------------------------------------------------------------
 # the n-long encodings, written from their blocks
 # ---------------------------------------------------------------------------
 
 
+def _graph_payload(g):
+    """The ``"graph"`` object, from the public encodings of the graph."""
+    return {
+        "n": g.n,
+        "m": g.m,
+        "c": g.c,
+        "z": g.z,
+        "generating": g.generating_string,
+        "bzp": list(to_bzp(g)),
+        "fop": list(to_fop(g)),
+        "degrees": list(degree_sequence(g)),
+    }
+
+
 def _analyze_payload(g):
     report = asdict(bound_report(g))
     del report["applicable"]
-    return {"graph": to_json_dict(g)} | report
+    return {"graph": _graph_payload(g)} | report
 
 
 def _walks_payload(g, kmax, pmax=10):
     table = lw_recurrence(g, kmax, pmax=pmax)
     return {
-        "graph": to_json_dict(g),
+        "graph": _graph_payload(g),
         "kmax": kmax,
         "pmax": pmax,
         "lw": list(table.lw),
@@ -430,9 +488,27 @@ def _stdout(argv, capsys, code=0):
     return out.out
 
 
+def test_graph_object_shapes(capsys):
+    # a complete graph's "bzp": [] is checked in test_walks_json_encodings_at_the_edges
+    expected = {
+        "n": 5,
+        "m": 6,
+        "c": 3,
+        "z": 2,
+        "generating": "10101",
+        "bzp": [2, 1],
+        "fop": [0, 1, 2],
+        "degrees": [4, 3, 2, 2, 1],
+    }
+    for command in ("analyze", "walks"):
+        graph = json.loads(_stdout([command, "gen:10101", "--json"], capsys))["graph"]
+        assert list(graph.items()) == list(expected.items())  # the keys in this order
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(1, 300), min_size=1, max_size=12))
 def test_encodings_are_written_like_json_dumps_and_str(blocks):
+    """The "graph" object equals the validated encodings, in json.dumps's bytes."""
     g = from_composition(blocks)
     spec = "comp:" + to_composition(g)
     with contextlib.redirect_stdout(io.StringIO()) as out:
@@ -549,7 +625,7 @@ def test_enumerate_json_is_json_dumps_of_the_row_dicts(tie_tol, capsys):
                 continue
             argv = ["enumerate", "--n", str(n), "--m", str(m), "--json"]
             assert run(argv if tie_tol == 1e-9 else argv + ["--tie-tol", "1"]) == 0
-            reports = bound_reports(census, allow_inapplicable=True)
+            reports = [bound_report(g, allow_inapplicable=True) for g in census]
             payload = _census_payload(n, m, tie_tol, census, reports)
             assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
             cells += 1
@@ -590,13 +666,12 @@ def test_enumerate_json_spells_non_finite_floats_like_json_dumps(monkeypatch, ca
             values[k] = (math.inf, *values[k][1:4], -math.inf)
         return bounds._BoundClasses(radii, members, values)
 
-    # the census rows read the class core; the oracle reads it through bound_reports
+    # the census rows read the class core; the oracle builds one report per graph from it
     monkeypatch.setattr(cli, "_bound_classes", non_finite)
-    monkeypatch.setattr(bounds, "_bound_classes", non_finite)
     for n, m in [(9, 14), (6, 5)]:  # four applicable rows; the star alone
         assert run(["enumerate", "--n", str(n), "--m", str(m), "--json"]) == 0
         census = enumerate_threshold_graphs(n, m)
-        reports = bound_reports(census, allow_inapplicable=True)
+        reports = class_reports(non_finite(census, True))
         payload = _census_payload(n, m, 1e-9, census, reports)
         out = capsys.readouterr().out
         assert out == json.dumps(payload, indent=2) + "\n"
@@ -655,7 +730,7 @@ def test_enumerate_csv_and_human_equal_per_report_rendering(tie_tol, form, capsy
                 continue
             argv = ["enumerate", "--n", str(n), "--m", str(m), "--tie-tol", repr(tie_tol)]
             text = _stdout(argv + (["--csv"] if form == "csv" else []), capsys)
-            reports = bound_reports(census, allow_inapplicable=True)
+            reports = [bound_report(g, allow_inapplicable=True) for g in census]
             assert text == _census_text(n, m, tie_tol, census, reports, form)
             cells += 1
     assert cells == 130

@@ -1,6 +1,9 @@
 """Encodings, conversions, and structural invariants of the graph model."""
 
+import contextlib
+import io
 import itertools
+import json
 from math import comb
 
 import numpy as np
@@ -20,9 +23,9 @@ from threshold_spectra import (
     to_composition,
     to_fop,
 )
-from threshold_spectra.cli import parse_graph_spec
+from threshold_spectra.cli import parse_graph_spec, run
 from threshold_spectra.identities import adjacency_matrix, canonical_vertex_order
-from threshold_spectra.graph_model import _vertex_blocks, to_json_dict
+from threshold_spectra.graph_model import _vertex_blocks
 
 
 @pytest.mark.parametrize(
@@ -319,30 +322,14 @@ def test_adjacency_respects_insertion_rule():
                     assert a[p, q] == expected
 
 
-def test_json_dict_shapes():
-    d = to_json_dict(graph("10101"))
-    assert d == {
-        "n": 5,
-        "m": 6,
-        "c": 3,
-        "z": 2,
-        "generating": "10101",
-        "bzp": [2, 1],
-        "fop": [0, 1, 2],
-        "degrees": [4, 3, 2, 2, 1],
-    }
-    assert to_json_dict(graph("111"))["bzp"] == []
-    disconnected = to_json_dict(graph("1010"))
-    assert disconnected["bzp"] is None
-    assert disconnected["fop"] is None
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(1, 222), min_size=1, max_size=9))
 def test_json_dict_lists_equal_the_validated_encodings(blocks):
-    # up to 9 blocks of at most 222: n <= 1998
+    # up to 9 blocks of at most 222: n <= 1998; the JSON "graph" object of walks
     g = from_composition(blocks)
-    d = to_json_dict(g)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert run(["walks", "comp:" + to_composition(g), "--kmax", "0", "--json"]) == 0
+    d = json.loads(out.getvalue())["graph"]
     assert d["bzp"] == list(to_bzp(g))
     assert d["fop"] == list(to_fop(g))
     assert d["degrees"] == list(degree_sequence(g))
@@ -454,4 +441,5 @@ def test_vertex_blocks_expand_to_the_encodings_at_n_2000(raw):
     if g.is_connected:
         _check_vertex_blocks(g)
     else:
-        assert to_json_dict(g)["degrees"] is None
+        with pytest.raises(ValueError, match="^degree sequence requires a connected graph"):
+            degree_sequence(g)

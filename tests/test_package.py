@@ -34,9 +34,14 @@ def test_package_all_resolves():
 
 
 def test_package_exports_only_the_core():
-    assert len(threshold_spectra.__all__) == 28
+    assert len(threshold_spectra.__all__) == 26
     for module in (threshold_spectra, threshold_spectra.spectral, threshold_spectra.identities):
         assert not hasattr(module, "Polynomial")
+    # one entry per result: no eigenvector view, no per-graph batch view, no JSON view
+    assert not hasattr(threshold_spectra.spectral, "perron_vector")
+    assert not hasattr(threshold_spectra.bounds, "bound_reports")
+    assert not hasattr(threshold_spectra.graph_model, "to_json_dict")
+    assert not {"perron_vector", "bound_reports"} & set(threshold_spectra.__all__)
     for name in ("MaximizerPrediction", "ConjecturePair", "VerificationReport", "NEAR_TIE_TOL"):
         assert not hasattr(threshold_spectra, name)
         assert not hasattr(threshold_spectra.extremal, name)

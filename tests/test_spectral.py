@@ -18,7 +18,6 @@ from threshold_spectra import (
     from_composition,
     from_generating_sequence,
     greatest_real_root,
-    perron_vector,
     spectral_radii,
     spectral_radius,
     to_bzp,
@@ -76,9 +75,8 @@ def test_radius_requires_connected():
 
 
 def test_connectivity_error_names_the_routine():
-    for routine in (spectral_radius, perron_vector):
-        with pytest.raises(ValueError, match=f"^{routine.__name__} requires a connected graph"):
-            routine(graph("1100"))
+    with pytest.raises(ValueError, match="^spectral_radius requires a connected graph"):
+        spectral_radius(graph("1100"))
 
 
 def test_unreachable_tol_names_routine_and_graph(monkeypatch):
@@ -115,10 +113,10 @@ def test_quotient_at_the_class_limit():
     assert bound_report(g).sandwich_ok
 
 
-@pytest.mark.parametrize("routine", [spectral_radius, perron_vector])
+@pytest.mark.parametrize("routine", [spectral_radius, bound_report])
 def test_quotient_over_the_class_limit_allocates_nothing_large(routine):
     g = from_composition([1] * (spectral.MAX_QUOTIENT_CLASSES + 1))
-    message = f"^{routine.__name__}: 2049 twin classes exceed the dense-quotient limit of 2048$"
+    message = "^spectral_radius: 2049 twin classes exceed the dense-quotient limit of 2048$"
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=message):
@@ -148,19 +146,6 @@ def test_quotient_radius_matches_dense_eigvalsh(g):
     assert spectral_radius(g) == pytest.approx(dense, rel=1e-12)
 
 
-@settings(max_examples=150, deadline=None)
-@given(sequences)
-def test_quotient_perron_vector_is_an_eigenvector(g):
-    v = perron_vector(g)
-    rho = spectral_radius(g)
-    a = adjacency_matrix(g).astype(float)
-    assert v.shape == (g.n,)
-    assert np.all(v > 0.0)
-    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-    assert np.all(np.diff(v) <= 1e-12)
-    assert np.max(np.abs(a @ v - rho * v)) <= 1e-10
-
-
 # ---------------------------------------------------------------------------
 # closed forms at n = 10^5, where a dense n x n matrix would need 80 GB
 # ---------------------------------------------------------------------------
@@ -171,10 +156,6 @@ BIG_N = 100_000
 def test_star_radius_at_scale():
     g = graph("1" + "0" * (BIG_N - 2) + "1")
     assert spectral_radius(g) == pytest.approx(math.sqrt(BIG_N - 1), rel=1e-12)
-    v = perron_vector(g)
-    assert v.shape == (BIG_N,)
-    assert v[0] == pytest.approx(1 / math.sqrt(2), rel=1e-12)
-    assert np.allclose(v[1:], 1 / math.sqrt(2 * (BIG_N - 1)), rtol=1e-12, atol=0.0)
 
 
 def test_complete_graph_radius_at_scale():
@@ -187,30 +168,6 @@ def test_complete_split_graph_radius_at_scale(c):
     g = graph("1" + "0" * (BIG_N - c - 1) + "1" * c)
     rho = ((c - 1) + math.sqrt((c - 1) ** 2 + 4 * c * (BIG_N - c))) / 2
     assert spectral_radius(g) == pytest.approx(rho, rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# perron_vector
-# ---------------------------------------------------------------------------
-
-
-def test_perron_vector_properties():
-    for n in range(2, 8):
-        for g in connected_graphs(n):
-            v = perron_vector(g)
-            rho = spectral_radius(g)
-            a = adjacency_matrix(g).astype(float)
-            assert v.shape == (g.n,)
-            assert np.all(v > 0.0)
-            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-10)
-            assert np.max(np.abs(a @ v - rho * v)) <= 1e-8
-            # canonical order sorts degrees nonincreasing; weights follow
-            assert np.all(np.diff(v) <= 1e-10)
-
-
-def test_perron_vector_complete_graph_is_uniform():
-    v = perron_vector(graph("11111"))
-    assert np.allclose(v, np.full(5, 1 / math.sqrt(5)), atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
