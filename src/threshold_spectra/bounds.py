@@ -59,7 +59,7 @@ __all__ = [
     "bound_report",
 ]
 
-SANDWICH_TOL = 1e-9
+SANDWICH_TOL = 1e-9  # times max(1, rho): near rho = 10^6 one ulp of rho is 1.2e-10
 
 
 class PreconditionError(ValueError):
@@ -205,7 +205,8 @@ def _sandwich(rho: float, values: tuple[float, ...]) -> tuple[bool, tuple[float,
     """``sandwich_ok`` and the five gaps (in field order) of rho against its class's bounds."""
     lo_cubic, lo_corollary, lo_quadratic, up_cubic, ineq_root = values
     lowers = (lo_cubic, lo_corollary, lo_quadratic, ineq_root)
-    sandwich_ok = max(lowers) <= rho + SANDWICH_TOL and rho <= up_cubic + SANDWICH_TOL
+    tol = SANDWICH_TOL * max(1.0, rho)
+    sandwich_ok = max(lowers) <= rho + tol and rho <= up_cubic + tol
     gaps = (rho - lo_cubic, rho - lo_corollary, rho - lo_quadratic, up_cubic - rho, rho - ineq_root)
     return sandwich_ok, gaps
 
@@ -215,7 +216,8 @@ def bound_report(g: ThresholdGraph, allow_inapplicable: bool = False) -> BoundRe
 
     ``sandwich_ok`` asserts that every lower-side value (the three lower
     bounds and the inequality root) is at most rho and that rho is at
-    most ``upper_cubic``, all within :data:`SANDWICH_TOL`.
+    most ``upper_cubic``, all within the relative tolerance
+    ``SANDWICH_TOL * max(1, rho)``: rho from ``eigh`` is a few ulps off.
 
     With ``allow_inapplicable`` the report degrades gracefully for
     graphs outside the standing assumptions (stars, complete graphs,

@@ -7,7 +7,7 @@ generating sequence.  The vertices of one run of that sequence are
 twins (they have the same neighbours), so the runs are an equitable
 partition (Brouwer & Haemers, *Spectra of Graphs* 2.3), and a graph is
 held as its run lengths alone.  Every other representation handled here
-is read from one table of those twin classes:
+is read from those runs and one table of the zero runs, ``_zero_classes``:
 
 * composition ``G{p1,...,pk}``: the run lengths themselves, so
   :func:`to_composition` only spells out ``runs`` (always an odd number
@@ -136,39 +136,17 @@ def _from_runs(pairs) -> ThresholdGraph:
     return ThresholdGraph(runs=tuple(runs), n=n, m=m, c=c, z=n - c)
 
 
-def _classes(g: ThresholdGraph) -> tuple[tuple[int, int, int, int], ...]:
-    """``(symbol, start, size, degree)`` per twin class, in canonical order.
-
-    A type-1 vertex is adjacent to every earlier vertex and every later
-    type-1 vertex; a type-0 vertex only to the later type-1 vertices.
-    So type-1 degrees grow along the sequence from c - 1 and type-0
-    degrees shrink from at most c - 1: the canonical order (nonincreasing
-    degree, ones first at a tie) takes the ones runs last to first, then
-    the zero runs first to last.
-    """
-    ones, zeros = [], []
-    start = ones_through = 0
-    for i, size in enumerate(g.runs):
-        if i % 2 == 0:
-            ones_through += size
-            ones.append((1, start, size, start + size - 1 + g.c - ones_through))
-        else:
-            zeros.append((0, start, size, g.c - ones_through))
-        start += size
-    return tuple(ones[::-1] + zeros)
-
-
 def _zero_classes(g: ThresholdGraph) -> tuple[tuple[tuple[int, int], ...], int, int]:
-    """The type-0 classes as ``(size, b)`` pairs, then sum b and F_1 = sum b^2.
+    """The type-0 classes as ``(b, size)`` blocks, then sum b and F_1 = sum b^2.
 
     b is the degree of a type-0 vertex, its number of later ones: one
     pass from the last run back pairs each zero run with the ones after
-    it.  The pairs follow the canonical order, so b is nonincreasing.
+    it.  The blocks follow the canonical order, so b is decreasing.
     """
     runs = g.runs
-    zeros = tuple(zip(runs[-2::-2], accumulate(runs[::-2])))[::-1]
+    zeros = tuple(zip(accumulate(runs[::-2]), runs[-2::-2]))[::-1]
     sb = f1 = 0
-    for size, b in zeros:
+    for b, size in zeros:
         sb += size * b
         f1 += size * b * b
     return zeros, sb, f1
@@ -228,7 +206,7 @@ def to_bzp(g: ThresholdGraph) -> tuple[int, ...]:
     vertex and encodes as ``()``.
     """
     _require_connected(g, "bzp encoding")
-    return _expand(_vertex_blocks(g)[0])
+    return _expand(_zero_classes(g)[0])
 
 
 def from_bzp(c: int, b) -> ThresholdGraph:
@@ -294,22 +272,17 @@ def degree_sequence(g: ThresholdGraph) -> tuple[int, ...]:
     return _expand(_vertex_blocks(g)[2])
 
 
-def _vertex_blocks(g: ThresholdGraph) -> tuple[list[tuple[int, int]], ...]:
+def _vertex_blocks(g: ThresholdGraph) -> tuple[tuple[tuple[int, int], ...], ...]:
     """bzp, fop and the degree sequence as ``(value, size)`` blocks, one per class.
 
-    The canonical order lists the ones runs last to first, then the zero
-    runs first to last: the degrees follow it, bzp is its zero part, and
-    fop takes the ones runs first to last with f = d - (c - 1).
+    bzp is the zero-run table; the i-th ones run has f earlier zeros and
+    degree c - 1 + f.  The canonical order lists the ones runs last to
+    first, then the zero runs first to last: so do the degree blocks.
     """
-    classes = _classes(g)
-    bzp, fop, degrees = [], [], []
-    for symbol, _, size, d in classes:
-        degrees.append((d, size))
-        if symbol == 0:
-            bzp.append((d, size))
-    for symbol, _, size, d in reversed(classes):
-        if symbol == 1:
-            fop.append((d - (g.c - 1), size))
+    bzp = _zero_classes(g)[0]
+    runs = g.runs
+    fop = tuple(zip(accumulate(runs[1::2], initial=0), runs[0::2]))
+    degrees = tuple((g.c - 1 + f, size) for f, size in reversed(fop)) + bzp
     return bzp, fop, degrees
 
 

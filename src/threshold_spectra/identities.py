@@ -26,7 +26,7 @@ a walk over every vertex), so they suit small cases only.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import accumulate, product
 from math import exp, log
 
 import numpy as np
@@ -34,7 +34,6 @@ import numpy as np
 from .bounds import _bound_inputs, _inequality_coefficients
 from .graph_model import (
     ThresholdGraph,
-    _classes,
     _require_connected,
     _zero_classes,
     to_bzp,
@@ -73,10 +72,12 @@ _INEQUALITY_REL = 1e-9
 def canonical_vertex_order(g: ThresholdGraph) -> tuple[int, ...]:
     """Insertion indices by nonincreasing degree, ones before zeros.
 
-    Twins keep insertion order; the i-th type-0 vertex then lands at
-    position c + i.
+    Type-1 degrees grow along the sequence from c - 1 and type-0 degrees
+    shrink from at most c - 1, so the order takes the ones runs last to
+    first, then the zero runs first to last.  Twins keep insertion order.
     """
-    return tuple(v for _, start, size, _ in _classes(g) for v in range(start, start + size))
+    spans = [range(end - size, end) for size, end in zip(g.runs, accumulate(g.runs))]
+    return tuple(v for span in spans[::2][::-1] + spans[1::2] for v in span)
 
 
 def adjacency_matrix(g: ThresholdGraph) -> np.ndarray:
@@ -294,12 +295,13 @@ def inequality_check(g: ThresholdGraph, rho: float) -> tuple[bool, float]:
     """
     inputs = _bound_inputs(g)
     c, z = inputs.c, inputs.z
-    tail = ((1, c - 1),) + _zero_classes(g)[0]
+    # the degree tail as (d, count) blocks: c - 1 once, then the zero runs' (b, size)
+    tail = ((c - 1, 1),) + _zero_classes(g)[0]
     s = c - 1 + inputs.sb
     left = rho * ((rho - c + 2.0) * (rho * rho + rho - (z + 1.0)) - s) * (c - 2.0)
     right = sum(
         count * (d * (rho * rho - (z + 1.0)) - rho * (rho - c + 2.0) + s) * (d - 1.0)
-        for count, d in tail
+        for d, count in tail
     )
     slack = left - right
     scale = max(1.0, abs(left), abs(right))

@@ -237,14 +237,14 @@ def _characteristic_polynomial(runs: tuple[int, ...]) -> list[int] | None:
 
 
 def _fp_classes(c: int, classes, pmax: int) -> list[int]:
-    """F_0 .. F_pmax from the ``(size, b)`` blocks of equal b, b decreasing.
+    """F_0 .. F_pmax from the ``(b, size)`` blocks of equal b, b decreasing.
 
     On blocks, ``(Z u)_J = b_J * sum_{L<=J} s_L u_L + sum_{L>J} s_L b_L
     u_L`` (min(b_i, b_j) = b[max(i, j)], also inside a block), and
     ``F_p = sum_J s_J b_J u_J`` with u starting at b.
     """
-    sizes = [size for size, _ in classes]
-    b = [value for _, value in classes]
+    b = [value for value, _ in classes]
+    sizes = [size for _, size in classes]
     u = b
     values = [c]
     for _ in range(pmax):

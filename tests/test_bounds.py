@@ -21,7 +21,7 @@ from threshold_spectra.identities import (
     lower_cubic_polynomial,
     upper_cubic_polynomial,
 )
-from threshold_spectra.bounds import SANDWICH_TOL, _bound_classes
+from threshold_spectra.bounds import _GAP_NAMES, SANDWICH_TOL, _bound_classes
 from threshold_spectra.cli import parse_graph_spec
 from threshold_spectra.graph_model import _zero_classes
 from conftest import (
@@ -178,6 +178,48 @@ def test_sandwich_and_certificates_at_scale(blocks):
     _assert_sandwich_and_certificates(g)
 
 
+def _ulps_from_rho(g, values):
+    """How far each value lies above rho, in ulps of rho, with rho from mpmath at 60 digits.
+
+    rho is the top eigenvalue of the symmetrised class quotient.
+    """
+    from mpmath import eigsy, matrix, mp, mpf, sqrt
+
+    runs, k = g.runs, len(g.runs)
+    with mp.workdps(60):
+        quotient = matrix(k, k)
+        for i in range(k):
+            for j in range(k):
+                # classes are adjacent when the later one is ones; a ones class is a clique
+                if i == j and i % 2 == 0:
+                    quotient[i, i] = runs[i] - 1
+                elif i != j and max(i, j) % 2 == 0:
+                    quotient[i, j] = sqrt(mpf(runs[i]) * runs[j])
+        rho = max(eigsy(quotient, eigvals_only=True))
+        ulp = math.ulp(float(rho))
+        return {name: float((mpf(value) - rho) / ulp) for name, value in values.items()}
+
+
+@pytest.mark.parametrize("blocks", ["G{1,4820,991628,3550,1}", "G{1,2769,988631,8598,1}"])
+def test_sandwich_at_n_one_million_against_a_60_digit_rho(blocks):
+    """Near rho = 10^6 eigh's rho is about 11 ulps low: over 1e-9, within 1e-9 * rho.
+
+    Every b_i is 1 or c - 1, so lower_quadratic and inequality_root equal
+    rho exactly.  Against rho at 60 digits each bound lies on its side to
+    within one ulp, so sandwich_ok must hold.
+    """
+    g = parse_graph_spec("comp:" + blocks)
+    assert g.n == 10**6
+    report = bound_report(g)
+    above = _ulps_from_rho(g, {name: getattr(report, name) for name in ("rho", *_GAP_NAMES)})
+    for name in _GAP_NAMES:
+        assert (above[name] >= -1.0) if name == "upper_cubic" else (above[name] <= 1.0), name
+    assert abs(above["lower_quadratic"]) <= 1.0 and abs(above["inequality_root"]) <= 1.0
+    assert min(report.gaps.values()) < -SANDWICH_TOL  # what an absolute tolerance refused
+    assert abs(above["rho"]) * math.ulp(report.rho) <= SANDWICH_TOL * report.rho
+    assert report.sandwich_ok is True
+
+
 # ---------------------------------------------------------------------------
 # degree inequality (quartic)
 # ---------------------------------------------------------------------------
@@ -202,11 +244,11 @@ def test_quartic_closed_form_equals_tail_sums():
             except PreconditionError:
                 continue
             c, z = g.c, g.z
-            tail = ((1, c - 1),) + _zero_classes(g)[0]
-            s = sum(count * d for count, d in tail)
-            t1 = sum(count * (d - 1) ** 2 for count, d in tail)
-            t2 = sum(count * (d - 1) for count, d in tail)
-            t3 = sum(count * (d - 1) * (s - d * (z + 1)) for count, d in tail)
+            tail = ((c - 1, 1),) + _zero_classes(g)[0]
+            s = sum(count * d for d, count in tail)
+            t1 = sum(count * (d - 1) ** 2 for d, count in tail)
+            t2 = sum(count * (d - 1) for d, count in tail)
+            t3 = sum(count * (d - 1) * (s - d * (z + 1)) for d, count in tail)
             assert coefficients == (
                 c - 2,
                 (c - 2) * (3 - c),

@@ -25,7 +25,7 @@ from threshold_spectra import (
 )
 from threshold_spectra.cli import parse_graph_spec, run
 from threshold_spectra.identities import adjacency_matrix, canonical_vertex_order
-from threshold_spectra.graph_model import _vertex_blocks
+from threshold_spectra.graph_model import _vertex_blocks, _zero_classes
 
 
 @pytest.mark.parametrize(
@@ -300,13 +300,16 @@ def test_degree_sequence_structure():
 
 
 def test_canonical_order_types_and_degrees():
-    for n in range(2, 9):
-        for g in connected_graphs(n):
+    checked = 0
+    for n in range(1, 13):
+        for g in all_graphs(n):  # disconnected graphs too
             order = canonical_vertex_order(g)
-            assert sorted(order) == list(range(n))
+            assert order == _stable_degree_order(g.bits)[0]
             types = [g.bits[v] for v in order]
             assert types[: g.c] == [1] * g.c
             assert types[g.c:] == [0] * g.z
+            checked += 1
+    assert checked == 4095  # 2^(n-1) graphs for each n
 
 
 def test_adjacency_respects_insertion_rule():
@@ -363,6 +366,20 @@ def _fop_from_bits(bits):
     return tuple(f)
 
 
+def _stable_degree_order(bits):
+    """The stable sort that defined the canonical order before graphs held twin classes.
+
+    Returns the order and the degree of each vertex, from the adjacency
+    rule: two vertices are adjacent when the later one is type 1.
+    """
+    ones = np.array(bits, dtype=bool)
+    index = np.arange(len(bits))
+    adjacency = ones[np.maximum.outer(index, index)] & (index[:, None] != index[None, :])
+    degrees = adjacency.sum(axis=1)
+    order = tuple(sorted(range(len(bits)), key=lambda v: (-degrees[v], bits[v] == 0)))
+    return order, degrees
+
+
 def _check_against_bits(raw):
     g = from_generating_sequence(raw)
     bits = (1,) + tuple(raw[1:])
@@ -373,17 +390,16 @@ def _check_against_bits(raw):
     assert (g.n, g.c, g.z) == (len(bits), sum(bits), len(bits) - sum(bits))
     assert g.m == sum(i for i, bit in enumerate(bits) if bit)
     assert g.is_connected == (bits[-1] == 1)
+    order, degrees = _stable_degree_order(bits)
+    assert canonical_vertex_order(g) == order
     if not g.is_connected:
         return
-    ones = np.array(bits, dtype=bool)
-    index = np.arange(g.n)
-    adjacency = ones[np.maximum.outer(index, index)] & (index[:, None] != index[None, :])
-    degrees = adjacency.sum(axis=1)
-    # the stable sort that defined the canonical order before graphs held twin classes
-    order = tuple(sorted(range(g.n), key=lambda v: (-degrees[v], bits[v] == 0)))
-    assert canonical_vertex_order(g) == order
     assert degree_sequence(g) == tuple(int(degrees[v]) for v in order)
-    assert to_bzp(g) == _bzp_from_bits(bits)
+    # the zero-class table: the blocks of equal b, then sum b and F_1
+    b = _bzp_from_bits(bits)
+    blocks = tuple((value, len(list(run))) for value, run in itertools.groupby(b))
+    assert _zero_classes(g) == (blocks, g.m - comb(g.c, 2), sum(bi * bi for bi in b))
+    assert to_bzp(g) == b
     assert to_fop(g) == _fop_from_bits(bits)
     assert parse_graph_spec("comp:" + to_composition(g)) == g
     assert from_composition(g.runs) == g
