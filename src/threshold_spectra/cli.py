@@ -18,16 +18,17 @@ CSV form); identical invocations produce identical bytes.
 Exit codes: 0 success, 1 domain errors, 2 usage errors.
 
 JSON output is byte for byte ``json.dumps(payload, indent=2)``.  One
-generic writer, ``_json_text``, writes every payload except the rows of
-``enumerate --json``: those have a fixed shape, built at import from the
-same column names as two ``%`` templates.  ``enumerate`` reads the
-class core of :mod:`threshold_spectra.bounds` (rho per graph, a class
-index per graph, five bounds per (c, F_1) class), not a report per
-graph.  A row without bounds fills the null template.  A class fills
-the other with its c, z, m and bounds once, at its first graph, and
-each graph of the class then fills only its own fields; CSV and human
-rows read the same class values.  The CLI writes the ``"graph"`` object
-of ``analyze`` and ``walks`` itself: a graph's n-long bzp, fop and
+generic writer, ``_json_text``, lays out every payload, rows included.
+The rows of ``enumerate --json`` have a fixed shape: it lays out two
+row dicts with ``%`` placeholder leaves (``_Text``) once, at import,
+and each census hands it the filled rows as one ``_Rows`` list.
+``enumerate`` reads the class core of :mod:`threshold_spectra.bounds`
+(rho per graph, a class index per graph, five bounds per (c, F_1)
+class), not a report per graph.  A row without bounds fills the null
+template.  A class fills the other with its c, z, m and bounds once, at
+its first graph, and each graph of the class then fills only its own
+fields; CSV and human rows read the same class values.  The CLI writes
+the ``"graph"`` object of ``analyze`` and ``walks`` itself: a graph's n-long bzp, fop and
 degree lists are ``_Blocks``, their ``(value, size)`` blocks from
 ``graph_model._vertex_blocks``, and ``_Blocks.join`` writes each block
 with one ``int.__repr__``: in ``analyze --json`` and ``walks --json``
@@ -45,7 +46,7 @@ from math import comb
 from operator import attrgetter
 
 from .bounds import _GAP_NAMES, PreconditionError, _bound_classes, _sandwich, bound_report
-from .extremal import TIE_TOL, _nonempty_census, _rank, verify_predictions
+from .extremal import _nonempty_census, _rank, verify_predictions
 from .graph_model import (
     ParseError,
     ThresholdGraph,
@@ -167,7 +168,7 @@ def _csv_cell(x) -> str:
     if x is None:
         return ""
     if isinstance(x, bool):
-        return "true" if x else "false"
+        return _BOOL_WORDS[x]
     if isinstance(x, float):
         return format(x, ".17g")
     return str(x)
@@ -178,14 +179,12 @@ def _json_text(obj) -> str:
     return _json_value(obj, "\n") + "\n"
 
 
-_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_JSON_SCALARS = {  # by exact type, so bool never reaches int
-    float: lambda x: _FLOAT_WORDS.get(text := float.__repr__(x), text),
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda x: "null",
-}
+class _Text(str):
+    """A value already spelled as JSON text, which the writer copies as it stands."""
+
+
+class _Rows(list):
+    """A list of values already spelled as JSON text at their depth, joined as they stand."""
 
 
 class _Blocks(tuple):
@@ -194,6 +193,18 @@ class _Blocks(tuple):
     def join(self, sep: str) -> str:
         """``sep.join(map(repr, the list))``, with one ``int.__repr__`` per block."""
         return sep.join([sep.join([int.__repr__(value)] * size) for value, size in self])
+
+
+_BOOL_WORDS = ("false", "true")
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_JSON_SCALARS = {  # by exact type, so bool never reaches int
+    float: lambda x: _FLOAT_WORDS.get(text := float.__repr__(x), text),
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: _BOOL_WORDS.__getitem__,
+    type(None): lambda x: "null",
+    _Text: str,
+}
 
 
 def _json_value(value, indent: str) -> str:
@@ -207,16 +218,17 @@ def _json_value(value, indent: str) -> str:
     if not value:
         return brackets
     if isinstance(value, dict):
-        items = [
-            encode_basestring_ascii(k) + ": " + _json_value(v, inner) for k, v in value.items()
-        ]
+        items = [f"{encode_basestring_ascii(k)}: {_json_value(v, inner)}" for k, v in value.items()]
     elif type(value) is _Blocks:
         items = [value.join("," + inner)]
+    elif type(value) is _Rows:
+        items = value
     elif set(map(type, value)) == {int}:
         items = map(int.__repr__, value)
     else:
         items = [_json_value(item, inner) for item in value]
-    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+    # one f-string builds the text in one copy; "+" would copy a census's rows once per piece
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}{indent}{brackets[1]}"
 
 
 def _human_float(x) -> str:
@@ -249,12 +261,6 @@ def _graph_object(g: ThresholdGraph) -> dict:
     }
 
 
-def _object_text(items, indent: str) -> str:
-    """``{key: text}`` laid out like :func:`_json_value`; keys need no escaping."""
-    inner = indent + "  "
-    return "{" + ",".join(f'{inner}"{key}": {text}' for key, text in items) + indent + "}"
-
-
 def _census_row_template(applicable: bool) -> str:
     """A row of ``enumerate --json`` at its depth in the payload, as a ``%`` template.
 
@@ -267,19 +273,17 @@ def _census_row_template(applicable: bool) -> str:
     of one graph (escaped as ``%%``) are left for each graph of the class.
     """
     own = "%%" if applicable else "%"  # the fields each graph fills
-    gaps = _object_text([(key, own + "r") for key in _GAP_NAMES], "\n      ")
-    bound, sandwich_ok, gaps = ("%r", own + "s", gaps) if applicable else ("null",) * 3
-    items = [
-        *[("generating", f'"{own}s"'), ("composition", f'"{own}s"')],
-        *[("c", "%d"), ("z", "%d"), ("m", "%d"), ("is_max", own + "s"), ("rho", own + "r")],
-        *[(column, bound) for column in _GAP_NAMES],
-        *[("sandwich_ok", sandwich_ok), ("gaps", gaps)],
-    ]
-    return _object_text(items, "\n    ")
+    string, flag, number = _Text(f'"{own}s"'), _Text(own + "s"), _Text(own + "r")
+    count = _Text("%d")  # c, z and m, which the class or the graph fills
+    row = {"generating": string, "composition": string, "c": count, "z": count, "m": count}
+    row |= {"is_max": flag, "rho": number, **dict.fromkeys(_GAP_NAMES, _Text("%r"))}
+    row |= {"sandwich_ok": flag, "gaps": dict.fromkeys(_GAP_NAMES, number)}
+    if not applicable:
+        row |= dict.fromkeys([*_GAP_NAMES, "sandwich_ok", "gaps"])  # null, each key in its place
+    return _json_value(row, "\n    ")
 
 
 _NULL_ROW, _CLASS_ROW = _census_row_template(False), _census_row_template(True)
-_JSON_BOOLS = ("false", "true")
 
 
 def _census_json(envelope: dict, census, compositions, classes, flags) -> str:
@@ -291,32 +295,36 @@ def _census_json(envelope: dict, census, compositions, classes, flags) -> str:
     """
     values = classes.values
     templates = [None] * len(values)
-    rows = []
+    rows = _Rows()
     for g, composition, rho, k, is_max in zip(
         census, compositions, classes.radii, classes.members, flags
     ):
         head = (g.generating_string, composition)
         if k is None:
-            rows.append(_NULL_ROW % (*head, g.c, g.z, g.m, _JSON_BOOLS[is_max], rho))
+            rows.append(_NULL_ROW % (*head, g.c, g.z, g.m, _BOOL_WORDS[is_max], rho))
             continue
         template = templates[k]
         if template is None:
             template = templates[k] = _CLASS_ROW % (g.c, g.z, g.m, *values[k])
         sandwich_ok, gaps = _sandwich(rho, values[k])
-        rows.append(template % (*head, _JSON_BOOLS[is_max], rho, _JSON_BOOLS[sandwich_ok], *gaps))
-    # %r spells non-finite floats nan, inf and -inf, json NaN, Infinity and -Infinity;
-    # after ": " only a value can read so, as the strings hold just 0, 1, G, {, } and ","
-    text = ",\n    ".join(rows)
+        rows.append(template % (*head, _BOOL_WORDS[is_max], rho, _BOOL_WORDS[sandwich_ok], *gaps))
+    text = _json_text(envelope | {"graphs": rows})
+    # %r spells non-finite floats nan, inf and -inf, json NaN, Infinity and -Infinity; after
+    # ": " only a row's value can read so: the strings hold just 0, 1, G, {, } and ","
     for word, spelling in _FLOAT_WORDS.items():
         text = text.replace(": " + word, ": " + spelling)
-    # the census is never empty: the envelope without its closing "\n}\n", then the rows
-    return _json_text(envelope)[:-3] + ',\n  "graphs": [\n    ' + text + "\n  ]\n}\n"
+    return text
+
+
+# the lower-side values in human output, in the order a sort by value keeps for ties
+_HUMAN_LOWERS = ("lower_corollary", "lower_quadratic", "lower_cubic", "inequality_root")
 
 
 def _human_bounds(values) -> str:
-    """One class's bounds in a human ``enumerate`` line, the corollary bound first."""
-    lo_cubic, lo_corollary, lo_quadratic, up_cubic, ineq_root = map(_human_float, values)
-    return f"lower=[{lo_corollary}, {lo_quadratic}, {lo_cubic}, {ineq_root}] upper=[{up_cubic}]"
+    """One class's bounds in a human ``enumerate`` line, in ``_HUMAN_LOWERS`` order."""
+    named = dict(zip(_GAP_NAMES, map(_human_float, values)))
+    lowers = ", ".join(named[name] for name in _HUMAN_LOWERS)
+    return f"lower=[{lowers}] upper=[{named['upper_cubic']}]"
 
 
 def _csv_line(cells) -> str:
@@ -349,14 +357,7 @@ def _cmd_analyze(args) -> str:
         "",
     ]
     ordered = sorted(
-        [
-            (report.lower_corollary, "lower_corollary"),
-            (report.lower_quadratic, "lower_quadratic"),
-            (report.lower_cubic, "lower_cubic"),
-            (report.inequality_root, "inequality_root"),
-            (report.rho, "rho"),
-            (report.upper_cubic, "upper_cubic"),
-        ],
+        [(getattr(report, name), name) for name in (*_HUMAN_LOWERS, "rho", "upper_cubic")],
         key=lambda pair: pair[0],
     )
     lines.append("  <=  ".join(f"{label} {_human_float(value)}" for value, label in ordered))
@@ -431,7 +432,7 @@ def _cmd_walks(args) -> str:
 def _cmd_enumerate(args) -> str:
     census = _nonempty_census(args.n, args.m)
     classes = _bound_classes(census, allow_inapplicable=True)
-    rho_max, flags = _rank(classes.radii, args.tie_tol)
+    rho_max, flags = _rank(classes.radii)
     rows = zip(census, classes.radii, classes.members, flags)
     if args.csv:
         lines = [_csv_line(["generating", "c", "z", "m", *_BOUND_COLUMNS, "is_max"])]
@@ -513,16 +514,6 @@ def _cmd_verify(args) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _nonnegative_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not 0.0 <= value < float("inf"):
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
-    return value
-
-
 def _int_at_least(low: int):
     def parse(text: str) -> int:
         try:
@@ -585,7 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--n", type=_order, required=True)
     # m above C(n, 2) is a domain error (exit 1): that limit depends on n
     p_enum.add_argument("--m", type=_int_at_least(0), required=True)
-    p_enum.add_argument("--tie-tol", type=_nonnegative_float, default=TIE_TOL, dest="tie_tol")
     _add_format_flags(p_enum)
     p_enum.set_defaults(handler=_cmd_enumerate)
 
@@ -615,7 +605,7 @@ def run(argv) -> int:
     except (PreconditionError, ConvergenceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.output:
+    if args.output is not None:
         try:
             with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(text)

@@ -8,8 +8,7 @@ isomorphism-free by construction and cheap to walk exhaustively.
 
 ``find_extremal`` ranks the census by spectral radius under one tie
 rule: a graph is a maximizer when its rho is within ``TIE_TOL`` = 1e-9
-of the best (the default of ``enumerate --tie-tol``, which ranks by the
-same rule).  For several size ranges the literature pins down (or
+of the best (``enumerate`` ranks by the same rule).  For several size ranges the literature pins down (or
 conjectures) the maximizing family; ``predict_maximizers`` instantiates
 those families at (n, m) as ``Prediction(kind, rule, graphs)`` rows and
 ``verify_predictions`` reconciles them against the enumeration:
@@ -145,10 +144,10 @@ def _nonempty_census(n: int, m: int) -> list[ThresholdGraph]:
     return census
 
 
-def _rank(radii, tie_tol: float) -> tuple[float, list[bool]]:
-    """The greatest radius, and per radius whether it is within ``tie_tol`` of it."""
+def _rank(radii) -> tuple[float, list[bool]]:
+    """The greatest radius, and per radius whether it is within ``TIE_TOL`` of it."""
     rho_max = max(radii)
-    return rho_max, [rho_max - rho <= tie_tol for rho in radii]
+    return rho_max, [rho_max - rho <= TIE_TOL for rho in radii]
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +161,7 @@ def find_extremal(n: int, m: int) -> ExtremalResult:
     Graphs within ``TIE_TOL`` of the best value are maximizers.
     """
     census = _nonempty_census(n, m)
-    rho_max, flags = _rank(spectral_radii(census), TIE_TOL)
+    rho_max, flags = _rank(spectral_radii(census))
     maximizers = tuple(g for g, is_max in zip(census, flags) if is_max)
     return ExtremalResult(n, m, rho_max, maximizers, len(census))
 

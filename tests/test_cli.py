@@ -27,7 +27,8 @@ from threshold_spectra import (
     to_composition,
     to_fop,
 )
-from threshold_spectra.cli import _json_text, parse_graph_spec, run
+from threshold_spectra.cli import _json_text, _Rows, _Text, parse_graph_spec, run
+from threshold_spectra.extremal import TIE_TOL
 from threshold_spectra.graph_model import _zero_classes
 from conftest import class_reports
 
@@ -176,25 +177,11 @@ def test_exit_codes(argv, code, capsys):
             ["verify", "--n-min", "-5", "--n-max", "5"], "argument --n-min:", id="argv11---n-min"
         ),
         pytest.param(["verify", "--n-max", "0"], "argument --n-max:", id="argv12---n-max"),
+        # enumerate ranks by extremal.TIE_TOL alone
         pytest.param(
-            ["enumerate", "--n", "7", "--m", "9", "--tie-tol", "nan"],
-            "argument --tie-tol:",
-            id="argv13---tie-tol",
-        ),
-        pytest.param(
-            ["enumerate", "--n", "7", "--m", "9", "--tie-tol", "inf"],
-            "argument --tie-tol:",
-            id="argv14---tie-tol",
-        ),
-        pytest.param(
-            ["enumerate", "--n", "7", "--m", "9", "--tie-tol", "-1"],
-            "argument --tie-tol:",
-            id="argv15---tie-tol",
-        ),
-        pytest.param(
-            ["enumerate", "--n", "7", "--m", "9", "--tie-tol", "tiny"],
-            "argument --tie-tol:",
-            id="argv16---tie-tol",
+            ["enumerate", "--n", "9", "--m", "14", "--tie-tol", "1"],
+            "unrecognized arguments: --tie-tol 1",
+            id="enumerate-tie-tol-unrecognized",
         ),
         # run in a fresh directory: "missing" does not exist and "." is a directory
         pytest.param(
@@ -206,6 +193,11 @@ def test_exit_codes(argv, code, capsys):
             ["analyze", "gen:11011", "--output", "."],
             "error: --output: [Errno 21] Is a directory",
             id="output-is-a-directory",
+        ),
+        pytest.param(
+            ["analyze", "gen:10101", "--output", ""],
+            "error: --output: [Errno 2] No such file or directory: ''",
+            id="output-empty-path",
         ),
         pytest.param(["enumerate", "--n", "0", "--m", "0"], "argument --n:", id="enumerate-n-0"),
         pytest.param(
@@ -615,7 +607,8 @@ def _census_payload(n, m, tie_tol, census, reports):
     }
 
 
-@pytest.mark.parametrize("tie_tol", [1e-9, 1.0], ids=["default-tie-tol", "tie-tol-1"])
+# the oracles rank by the library's one tie rule
+@pytest.mark.parametrize("tie_tol", [TIE_TOL], ids=["default-tie-tol"])
 def test_enumerate_json_is_json_dumps_of_the_row_dicts(tie_tol, capsys):
     cells = graphs = inapplicable = maximizers = 0
     for n in range(1, 11):
@@ -623,8 +616,7 @@ def test_enumerate_json_is_json_dumps_of_the_row_dicts(tie_tol, capsys):
             census = enumerate_threshold_graphs(n, m)
             if not census:
                 continue
-            argv = ["enumerate", "--n", str(n), "--m", str(m), "--json"]
-            assert run(argv if tie_tol == 1e-9 else argv + ["--tie-tol", "1"]) == 0
+            assert run(["enumerate", "--n", str(n), "--m", str(m), "--json"]) == 0
             reports = [bound_report(g, allow_inapplicable=True) for g in census]
             payload = _census_payload(n, m, tie_tol, census, reports)
             assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
@@ -634,8 +626,8 @@ def test_enumerate_json_is_json_dumps_of_the_row_dicts(tie_tol, capsys):
             maximizers += len(payload["maximizers"])
     # rows without bounds: every graph with n < 4, then the star and the complete graph per n
     assert (cells, graphs, inapplicable) == (130, 512, 18)
-    # one maximizer per cell at the default, and every graph within 1 of rho_max
-    assert maximizers == {1e-9: 130, 1.0: 512}[tie_tol]
+    # one maximizer per cell
+    assert maximizers == 130
 
 
 def test_library_and_cli_pick_the_same_maximizers(capsys):
@@ -672,7 +664,7 @@ def test_enumerate_json_spells_non_finite_floats_like_json_dumps(monkeypatch, ca
         assert run(["enumerate", "--n", str(n), "--m", str(m), "--json"]) == 0
         census = enumerate_threshold_graphs(n, m)
         reports = class_reports(non_finite(census, True))
-        payload = _census_payload(n, m, 1e-9, census, reports)
+        payload = _census_payload(n, m, TIE_TOL, census, reports)
         out = capsys.readouterr().out
         assert out == json.dumps(payload, indent=2) + "\n"
         assert "Infinity" in out and ("NaN" in out) == (n == 9)
@@ -720,7 +712,7 @@ def _census_text(n, m, tie_tol, census, reports, form):
 
 
 @pytest.mark.parametrize("form", ["csv", "human"])
-@pytest.mark.parametrize("tie_tol", [1e-9, 1.0], ids=["default-tie-tol", "tie-tol-1"])
+@pytest.mark.parametrize("tie_tol", [TIE_TOL], ids=["default-tie-tol"])
 def test_enumerate_csv_and_human_equal_per_report_rendering(tie_tol, form, capsys):
     cells = 0
     for n in range(1, 11):
@@ -728,7 +720,7 @@ def test_enumerate_csv_and_human_equal_per_report_rendering(tie_tol, form, capsy
             census = enumerate_threshold_graphs(n, m)
             if not census:
                 continue
-            argv = ["enumerate", "--n", str(n), "--m", str(m), "--tie-tol", repr(tie_tol)]
+            argv = ["enumerate", "--n", str(n), "--m", str(m)]
             text = _stdout(argv + (["--csv"] if form == "csv" else []), capsys)
             reports = [bound_report(g, allow_inapplicable=True) for g in census]
             assert text == _census_text(n, m, tie_tol, census, reports, form)
@@ -847,6 +839,19 @@ def test_json_writer_matches_json_dumps(value):
     assert _json_text(value) == json.dumps(value, indent=2) + "\n"
 
 
+def _spelled(value, depth: int) -> str:
+    """``value`` as ``json.dumps`` writes it ``depth`` levels deep in an indent-2 payload."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_json_values, st.lists(_json_values, max_size=4))
+def test_json_writer_copies_pre_spelled_text(leaf, rows):
+    # a census row template is a _Text leaf's kind of text, its filled rows a _Rows list
+    spelled = {"leaf": _Text(_spelled(leaf, 1)), "rows": _Rows(_spelled(row, 2) for row in rows)}
+    assert _json_text(spelled) == json.dumps({"leaf": leaf, "rows": rows}, indent=2) + "\n"
+
+
 def test_json_writer_rejects_what_json_rejects():
     with pytest.raises(TypeError):
         _json_text({"graphs": [{1, 2}]})
@@ -873,10 +878,9 @@ _valued_flags = st.one_of(
     st.tuples(st.just("--m"), _ints(-2, 66)),
     st.tuples(st.just("--n-min"), _ints(-2, 8)),
     st.tuples(st.just("--n-max"), _ints(-2, 8)),
-    st.tuples(st.just("--tie-tol"), st.sampled_from(["0", "1e-9", "nan", "inf", "-1", "x"])),
 )
 _bare_flags = st.sampled_from(
-    ["--json", "--csv", "--kmax", "--n", "--m", "--n-max", "--tie-tol", "--help", "--bogus"]
+    ["--json", "--csv", "--kmax", "--n", "--m", "--n-max", "--help", "--bogus"]
 )
 _graph_specs = st.one_of(
     st.text("01", max_size=12).map(lambda bits: f"gen:{bits}"),
