@@ -21,17 +21,21 @@ F_1 = sum(b_i^2):
 The two cubics are the characteristic polynomials of the walk brackets,
 built by :func:`threshold_spectra.walks.bracket_cubics`.  All three
 polynomials are tuples of integer coefficients, in descending powers,
-and ``greatest_real_root`` proves a bracket a few ulps wide around each
-root.  The paper's polynomials of one graph, and the degree inequality
-evaluated at a given rho, are test oracles in
-:mod:`threshold_spectra.identities`.
+and a bracket a few ulps wide is proven around each root.  The paper's
+polynomials of one graph, and the degree inequality evaluated at a
+given rho, are test oracles in :mod:`threshold_spectra.identities`.
 
 A census runs as one batch.  At fixed (n, m) and c, both z = n - c and
 sum b = m - C(c, 2) are fixed, so every bound depends on (c, F_1)
 alone.  The class core, :func:`_bound_classes`, takes rho for the whole
-list from one :func:`~threshold_spectra.spectral.spectral_radii` call,
-gives each graph the index of its class, and evaluates the bounds, with
-their three root certificates, once per class.  :func:`bound_report`
+list from one :func:`~threshold_spectra.spectral.spectral_radii` call
+and gives each graph the index of its class, keyed by (n, m, c, F_1)
+with F_1 read from the runs (``graph_model._f1``), so the bound inputs
+and the standing assumptions are built once per key.  It then
+certifies the three polynomials of every class with one
+:func:`~threshold_spectra.spectral.greatest_real_roots` call (the
+scalar ``greatest_real_root`` per polynomial below its batch size) and
+evaluates the bounds once per class.  :func:`bound_report`
 is the core run on a list of one graph; ``enumerate`` reads the core
 directly and writes each class's bounds once.  :func:`_sandwich` is the
 one definition of ``sandwich_ok`` and the gaps, from rho and a class's
@@ -48,8 +52,8 @@ from dataclasses import dataclass
 from math import comb, sqrt
 from typing import NamedTuple
 
-from .graph_model import ThresholdGraph, _zero_classes
-from .spectral import greatest_real_root, spectral_radii
+from .graph_model import ThresholdGraph, _f1, _zero_classes
+from .spectral import greatest_real_roots, spectral_radii
 from .walks import bracket_cubics
 
 __all__ = [
@@ -161,43 +165,55 @@ class _BoundClasses(NamedTuple):
 def _bound_classes(graphs, allow_inapplicable: bool) -> _BoundClasses:
     """rho per graph from one ``spectral_radii`` call, and the bounds once per class.
 
-    A class is one distinct :class:`_Inputs`, numbered in order of first
-    appearance, and ``_bounds`` runs when it first appears, as it would
-    for that graph alone: ``greatest_real_root`` is deterministic, so a
-    shared value is exactly the one a graph would get alone.  A graph
-    outside the standing assumptions raises :class:`PreconditionError`,
-    or with ``allow_inapplicable`` has no class.
+    A graph's class key is (n, m, c, F_1): it fixes z = n - c,
+    sum b = m - C(c, 2) and so the :class:`_Inputs` and every standing
+    assumption (``spectral_radii`` has refused disconnected graphs).
+    :func:`_bound_inputs` runs once per key, when it is first seen; a
+    key outside the standing assumptions raises
+    :class:`PreconditionError`, or with ``allow_inapplicable`` gives its
+    graphs no class.  Classes are numbered in order of first appearance,
+    so every graph's preconditions are checked before any root is
+    certified.  Then one ``greatest_real_roots`` call certifies the three
+    polynomials of every class, in class order; each root is the one
+    ``greatest_real_root`` gives alone, so a shared value is exactly the
+    one a graph would get alone.
     """
     graphs = list(graphs)
     radii = spectral_radii(graphs)
-    classes: dict[_Inputs, int] = {}
-    members, values = [], []
+    keys: dict[tuple[int, int, int, int], int | None] = {}
+    members, inputs = [], []
     for g in graphs:
-        try:
-            inputs = _bound_inputs(g)
-        except PreconditionError:
-            if not allow_inapplicable:
-                raise
-            members.append(None)
-            continue
-        k = classes.get(inputs)
-        if k is None:
-            k = classes[inputs] = len(values)
-            values.append(_bounds(inputs))
+        key = (g.n, g.m, g.c, _f1(g.runs))
+        k = keys.get(key, -1)
+        if k == -1:  # the first graph with this key
+            try:
+                inputs.append(_bound_inputs(g))
+            except PreconditionError:
+                if not allow_inapplicable:
+                    raise
+                k = keys[key] = None
+            else:
+                k = keys[key] = len(inputs) - 1
         members.append(k)
+    roots = [r.value for r in greatest_real_roots([p for i in inputs for p in _polynomials(i)])]
+    values = [_bounds(i, *roots[3 * k : 3 * k + 3]) for k, i in enumerate(inputs)]
     return _BoundClasses(radii, members, values)
 
 
-def _bounds(inputs: _Inputs) -> tuple[float, ...]:
-    """The five bound values in field order."""
+def _polynomials(inputs: _Inputs) -> tuple[tuple[int, ...], ...]:
+    """The lower cubic, the upper cubic and the degree quartic, whose roots give three bounds."""
+    return (*bracket_cubics(inputs.c, inputs.sb, inputs.f1), _inequality_coefficients(inputs))
+
+
+def _bounds(inputs: _Inputs, lower: float, upper: float, inequality: float) -> tuple[float, ...]:
+    """The five bound values in field order, from the greatest roots of the three polynomials."""
     c, f1 = inputs.c, inputs.f1
-    lower, upper = bracket_cubics(c, inputs.sb, f1)
     return (
-        greatest_real_root(lower).value - 1.0,
+        lower - 1.0,
         c - 1.0 + f1 / float(inputs.n * inputs.n),
         (c - 2.0 + sqrt(c * c + 4.0 * f1 / (c - 1.0))) / 2.0,
-        greatest_real_root(upper).value - 1.0,
-        greatest_real_root(_inequality_coefficients(inputs)).value,
+        upper - 1.0,
+        inequality,
     )
 
 

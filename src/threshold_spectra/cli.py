@@ -41,6 +41,7 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import comb
 from operator import attrgetter
@@ -188,11 +189,18 @@ class _Rows(list):
 
 
 class _Blocks(tuple):
-    """An int list held as its ``(value, size)`` blocks, as a graph's encodings are."""
+    """An int list held as its ``(value, size)`` blocks, as a graph's encodings are.
+
+    Every block has size >= 1, as ``graph_model._vertex_blocks`` builds them.
+    """
 
     def join(self, sep: str) -> str:
-        """``sep.join(map(repr, the list))``, with one ``int.__repr__`` per block."""
-        return sep.join([sep.join([int.__repr__(value)] * size) for value, size in self])
+        """``sep.join(map(repr, the list))``, each block one ``int.__repr__`` and one repeat."""
+        blocks = []
+        for value, size in self:
+            text = int.__repr__(value)
+            blocks.append((text + sep) * (size - 1) + text)
+        return sep.join(blocks)
 
 
 _BOOL_WORDS = ("false", "true")
@@ -284,6 +292,7 @@ def _census_row_template(applicable: bool) -> str:
 
 
 _NULL_ROW, _CLASS_ROW = _census_row_template(False), _census_row_template(True)
+_HALF_FLOAT_MAX = sys.float_info.max / 2
 
 
 def _census_json(envelope: dict, census, compositions, classes, flags) -> str:
@@ -309,10 +318,14 @@ def _census_json(envelope: dict, census, compositions, classes, flags) -> str:
         sandwich_ok, gaps = _sandwich(rho, values[k])
         rows.append(template % (*head, _BOOL_WORDS[is_max], rho, _BOOL_WORDS[sandwich_ok], *gaps))
     text = _json_text(envelope | {"graphs": rows})
-    # %r spells non-finite floats nan, inf and -inf, json NaN, Infinity and -Infinity; after
-    # ": " only a row's value can read so: the strings hold just 0, 1, G, {, } and ","
-    for word, spelling in _FLOAT_WORDS.items():
-        text = text.replace(": " + word, ": " + spelling)
+    # every float a row writes is a radius, a class value or the difference of two: while their
+    # magnitudes sum to at most half the float range (as they do unless one is non-finite),
+    # no written float is nan, inf or -inf and the text needs no rewrite
+    if not sum(map(abs, chain(classes.radii, *values))) <= _HALF_FLOAT_MAX:
+        # %r spells non-finite floats nan, inf and -inf, json NaN, Infinity and -Infinity; after
+        # ": " only a row's value can read so: the strings hold just 0, 1, G, {, } and ","
+        for word, spelling in _FLOAT_WORDS.items():
+            text = text.replace(": " + word, ": " + spelling)
     return text
 
 

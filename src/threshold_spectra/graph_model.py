@@ -49,8 +49,9 @@ test oracles in :mod:`threshold_spectra.identities`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, groupby
+from itertools import accumulate, cycle, groupby
 from math import comb
+from operator import mul
 
 __all__ = [
     "ParseError",
@@ -101,7 +102,7 @@ class ThresholdGraph:
 
     @property
     def generating_string(self) -> str:
-        return "".join("10"[i % 2] * size for i, size in enumerate(self.runs))
+        return "".join(map(mul, cycle("10"), self.runs))
 
     def __repr__(self) -> str:
         return f"ThresholdGraph({self.generating_string})"
@@ -142,14 +143,24 @@ def _zero_classes(g: ThresholdGraph) -> tuple[tuple[tuple[int, int], ...], int, 
     b is the degree of a type-0 vertex, its number of later ones: one
     pass from the last run back pairs each zero run with the ones after
     it.  The blocks follow the canonical order, so b is decreasing.
+    Every edge outside the clique of the c ones has one type-0 end, so
+    sum b = m - C(c, 2).
     """
     runs = g.runs
     zeros = tuple(zip(accumulate(runs[::-2]), runs[-2::-2]))[::-1]
-    sb = f1 = 0
-    for b, size in zeros:
-        sb += size * b
-        f1 += size * b * b
-    return zeros, sb, f1
+    return zeros, g.m - comb(g.c, 2), _f1(runs)
+
+
+def _f1(runs: tuple[int, ...]) -> int:
+    """F_1 = sum b^2 over the type-0 vertices of a connected graph's runs.
+
+    From the last run back, b counts the ones after each zero run.
+    """
+    f1 = b = 0
+    for i in range(len(runs) - 1, 0, -2):
+        b += runs[i]
+        f1 += runs[i - 1] * b * b
+    return f1
 
 
 def from_generating_sequence(bits) -> ThresholdGraph:

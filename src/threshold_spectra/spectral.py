@@ -23,7 +23,14 @@ both give bitwise the same values.
 A bound polynomial is a plain tuple of integer coefficients in
 descending powers, so the greatest real root from float Newton is
 proven in exact integer arithmetic: p is negative just below it and
-p(t + high) has only positive Taylor coefficients just above it.  The
+p(t + high) has only positive Taylor coefficients just above it.
+:func:`greatest_real_root` is the scalar path and the public entry;
+:func:`greatest_real_roots` runs a census's polynomials as one batch,
+stepping Newton for all of them in lock-step in numpy with the scalar
+float operations in the same order, then certifying each bracket in
+Python, so each root, bracket and step count is bitwise the scalar one.
+Below :data:`_BATCH_MIN` polynomials, where numpy's fixed cost is not
+repaid, it runs the scalar path per polynomial.  The
 spectral F_p routes over the overlap matrices live with the other
 identities, in :mod:`threshold_spectra.identities`.
 """
@@ -42,6 +49,7 @@ __all__ = [
     "ConvergenceError",
     "RootResult",
     "greatest_real_root",
+    "greatest_real_roots",
     "spectral_radii",
     "spectral_radius",
 ]
@@ -53,6 +61,12 @@ MAX_QUOTIENT_CLASSES = 2048
 _QUOTIENT_RESIDUAL_REL = 1e-10  # relative to max(1, theta); eigh reaches ~1e-15
 _STACK = 4096  # quotients per stacked eigh call: at most 4096 * k^2 floats
 _MAX_NEWTON_STEPS = 100
+# greatest_real_roots steps Newton in lock-step from this many polynomials up.  Its fixed
+# numpy cost (0.15 ms for one class's 3 bound polynomials, against 0.04 ms for 3 scalar
+# calls) is repaid between 36 (batch/scalar time 1.01) and 42 (0.96-0.97) polynomials of
+# census (20, 127) classes: medians of 15, two runs, 2-vCPU x86-64 host.  analyze runs 3
+# polynomials, a census job of the benchmark pools 60 to 1,095.
+_BATCH_MIN = 42
 _CERTIFICATE_DOUBLINGS = 16  # the widest bracket tried is 2^16 ulps each side
 
 
@@ -163,6 +177,45 @@ def greatest_real_root(coefficients: tuple[int, ...]) -> RootResult:
     iterate or the bracket beyond float range) it raises
     :class:`ConvergenceError` naming the coefficients.
     """
+    x = _newton_start(coefficients)
+    steps = 0
+    value, slope = _value_and_slope(coefficients, x)
+    while value > 0.0 and slope > 0.0 and steps < _MAX_NEWTON_STEPS:
+        below = x - value / slope
+        if not below < x:
+            break
+        x = below
+        steps += 1
+        value, slope = _value_and_slope(coefficients, x)
+    return _certified_root(coefficients, x, value, steps)
+
+
+def greatest_real_roots(polynomials) -> list[RootResult]:
+    """:func:`greatest_real_root` of each polynomial, with Newton run as one batch.
+
+    The result, and the first exception in input order, are those of
+    ``[greatest_real_root(p) for p in polynomials]``.  Below
+    :data:`_BATCH_MIN` polynomials it is that list.  Otherwise each
+    polynomial is checked and gets its Fujiwara bound as it would alone,
+    Newton steps them all in lock-step (:func:`_lockstep_newton`), and
+    each bracket is certified as alone, in input order.
+    """
+    polynomials = list(polynomials)
+    if len(polynomials) < _BATCH_MIN:
+        return [greatest_real_root(p) for p in polynomials]
+    starts = []
+    try:
+        for p in polynomials:
+            starts.append(_newton_start(p))
+    except ValueError:
+        greatest_real_roots(polynomials[: len(starts)])  # a failure before this one comes first
+        raise
+    newton = zip(*_lockstep_newton(polynomials, starts))
+    return [_certified_root(p, *result) for p, result in zip(polynomials, newton)]
+
+
+def _newton_start(coefficients: tuple[int, ...]) -> float:
+    """The Fujiwara bound, once the coefficients pass every check."""
     if not coefficients:
         raise ValueError("polynomial needs at least one coefficient")
     if len(coefficients) > 5:
@@ -177,16 +230,48 @@ def greatest_real_root(coefficients: tuple[int, ...]) -> RootResult:
             )
     if coefficients[0] <= 0:
         raise ValueError(f"leading coefficient must be positive, got {coefficients[0]}")
-    x = _fujiwara_bound(coefficients)
-    steps = 0
-    value, slope = _value_and_slope(coefficients, x)
-    while value > 0.0 and slope > 0.0 and steps < _MAX_NEWTON_STEPS:
-        below = x - value / slope
-        if not below < x:
-            break
-        x = below
-        steps += 1
+    return _fujiwara_bound(coefficients)
+
+
+def _lockstep_newton(polynomials, starts) -> tuple[list[float], list[float], list[int]]:
+    """x, p(x) and the step count of each polynomial's Newton run, bitwise as alone.
+
+    The polynomials are stacked as the rows of one array, each padded to
+    the longest with leading zeros.  Horner's value and slope start at
+    +0.0, and a zero coefficient keeps them so while x is finite
+    (0 x + 0 = +0.0); at a non-finite x they become nan, as at the first
+    coefficient alone.  :func:`_value_and_slope` runs on the arrays, so
+    each row takes the scalar float operations in their order.  A row
+    moves while p and p' are positive and the step goes down; a row that
+    stops recomputes the same x, p and p' and stays stopped, so a row
+    still moving at pass t has taken t steps.  Overflow, inf - inf and
+    0/0 give the IEEE values that Python's floats give without a word,
+    so numpy's warnings are silenced.
+    """
+    width = max(map(len, polynomials))
+    padded = [(0,) * (width - len(p)) + p for p in polynomials]
+    # one row per power, so _value_and_slope steps every polynomial at once;
+    # each int converts as float() does
+    coefficients = np.array(padded, dtype=float).T
+    x = np.array(starts)
+    steps = np.zeros(len(starts), dtype=int)
+    with np.errstate(all="ignore"):
         value, slope = _value_and_slope(coefficients, x)
+        for _ in range(_MAX_NEWTON_STEPS):
+            below = x - value / slope
+            moving = (value > 0.0) & (slope > 0.0) & (below < x)
+            if not np.count_nonzero(moving):
+                break
+            x = np.where(moving, below, x)
+            steps += moving
+            value, slope = _value_and_slope(coefficients, x)
+    return x.tolist(), value.tolist(), steps.tolist()
+
+
+def _certified_root(
+    coefficients: tuple[int, ...], x: float, value: float, steps: int
+) -> RootResult:
+    """The :class:`RootResult` at the Newton value x, in the first bracket certified."""
     width = math.ulp(x)
     for _ in range(_CERTIFICATE_DOUBLINGS + 1):
         low, high = x - width, x + width
@@ -212,8 +297,12 @@ def _fujiwara_bound(coefficients: tuple[int, ...]) -> float:
     return 2.0 * max(terms, default=0.0)
 
 
-def _value_and_slope(coefficients: tuple[int, ...], x: float) -> tuple[float, float]:
-    """p(x) and p'(x) by one Horner pass."""
+def _value_and_slope(coefficients, x):
+    """p(x) and p'(x) by one Horner pass.
+
+    The coefficients are ints and x a float, or, for a batch, one array
+    per power and an array of x: the same float operations either way.
+    """
     value = slope = 0.0
     for a in coefficients:
         slope = slope * x + value

@@ -24,6 +24,7 @@ from threshold_spectra.identities import (
 from threshold_spectra.bounds import _GAP_NAMES, SANDWICH_TOL, _bound_classes
 from threshold_spectra.cli import parse_graph_spec
 from threshold_spectra.graph_model import _zero_classes
+from threshold_spectra.spectral import greatest_real_roots
 from conftest import (
     bisection_root,
     class_reports,
@@ -402,13 +403,15 @@ def test_batched_reports_certify_each_polynomial_once(monkeypatch):
 
     calls = []
 
-    def counting_root(coefficients):
-        calls.append(coefficients)
-        return greatest_real_root(coefficients)
+    def counting_roots(polynomials):
+        polynomials = list(polynomials)
+        calls.extend(polynomials)
+        return greatest_real_roots(polynomials)
 
+    # the class core hands every polynomial it certifies to the batch kernel
     for name, module in list(sys.modules.items()):
-        if name.startswith("threshold_spectra") and hasattr(module, "greatest_real_root"):
-            monkeypatch.setattr(module, "greatest_real_root", counting_root)
+        if name.startswith("threshold_spectra") and hasattr(module, "greatest_real_roots"):
+            monkeypatch.setattr(module, "greatest_real_roots", counting_roots)
     census = enumerate_threshold_graphs(14, 40)
     classes = _bound_classes(census, allow_inapplicable=True)
     applicable = [g for g, k in zip(census, classes.members) if k is not None]

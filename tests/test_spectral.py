@@ -4,6 +4,7 @@ import math
 import re
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from threshold_spectra import (
     ConvergenceError,
+    PreconditionError,
     bound_report,
     enumerate_threshold_graphs,
     from_bzp,
@@ -30,6 +32,8 @@ from threshold_spectra.identities import (
     fp_via_one_overlap,
 )
 from threshold_spectra import spectral
+from threshold_spectra.bounds import _bound_inputs, _polynomials
+from threshold_spectra.spectral import greatest_real_roots
 from conftest import bisection_root, connected_graphs, graph, proves_greatest_root
 
 
@@ -290,6 +294,91 @@ def _assert_certificate(coeffs, res):
     assert res.bracket_low < res.value < res.bracket_high
     assert res.bracket_high - res.bracket_low <= 1e-9 * max(1.0, abs(res.value))
     assert proves_greatest_root(coeffs, res.bracket_low, res.bracket_high)
+
+
+# ---------------------------------------------------------------------------
+# greatest_real_roots: the batch is the scalar path, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _outcome(call):
+    """Each root's fields in hex, or the type and message of the exception raised."""
+    try:
+        results = call()
+    except (ValueError, ConvergenceError) as exc:
+        return type(exc), str(exc)
+    return [
+        (r.value.hex(), r.bracket_low.hex(), r.bracket_high.hex(), r.steps) for r in results
+    ]
+
+
+def _assert_batch_is_scalar(polynomials):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning may reach stderr
+        batch = _outcome(lambda: greatest_real_roots(polynomials))
+    assert batch == _outcome(lambda: [greatest_real_root(p) for p in polynomials])
+    return batch
+
+
+def _census_polynomials(n_max):
+    """The three bound polynomials of every (c, F_1) class, census by census, for n <= n_max."""
+    polynomials = []
+    for n in range(4, n_max + 1):
+        for m in range(math.comb(n, 2) + 1):
+            seen = set()
+            for g in enumerate_threshold_graphs(n, m):
+                try:
+                    inputs = _bound_inputs(g)
+                except PreconditionError:
+                    continue
+                if inputs not in seen:
+                    seen.add(inputs)
+                    polynomials += _polynomials(inputs)
+    return polynomials
+
+
+def test_batch_equals_scalar_on_every_census_class_polynomial():
+    polynomials = _census_polynomials(14)
+    assert len(polynomials) > 10_000
+    assert len(_assert_batch_is_scalar(polynomials)) == len(polynomials)
+    # batches just below and at the size where the lock-step starts
+    for size in (spectral._BATCH_MIN - 1, spectral._BATCH_MIN):
+        for start in range(0, len(polynomials) - size, 997):
+            _assert_batch_is_scalar(polynomials[start : start + size])
+
+
+_wide = st.one_of(st.integers(-(10**6), 10**6), st.integers(-(10**300), 10**300))
+_leading = st.one_of(st.integers(1, 10**6), st.integers(-1, 10**300))  # -1, 0: ValueError
+_cubics_and_quartics = st.lists(
+    st.tuples(_leading, _wide, _wide, _wide) | st.tuples(_leading, _wide, _wide, _wide, _wide),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cubics_and_quartics)
+def test_batch_equals_scalar_on_drawn_cubics_and_quartics(polynomials):
+    # below the batch size (the scalar path), then with every batch size stepped in lock-step
+    _assert_batch_is_scalar(polynomials)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "_BATCH_MIN", 1)
+        _assert_batch_is_scalar(polynomials)
+
+
+@pytest.mark.parametrize(
+    "polynomials, error",
+    [
+        ([(1, -3, 2, -7), (1, 0, 1), (0, 1)], ConvergenceError),  # no real root, then bad lead
+        ([(1, -3, 2, -7), (0, 1), (1, 0, 1)], ValueError),
+        ([(1, -3, 2, -7), (1, 0, 1), (1, 0, 2, 0, 1)], ConvergenceError),
+        ([(1, -3, 2, -7), (5,), (1, -(10**400))], ConvergenceError),  # degree 0
+        ([(1, -3, 2, -7), (1, 0, -(10**308)), (2, -7)], ConvergenceError),  # Newton overflows
+    ],
+)
+def test_batch_raises_the_first_failure_in_input_order(polynomials, error):
+    batch = [(1, -3, 2, -7)] * spectral._BATCH_MIN + polynomials
+    assert _assert_batch_is_scalar(batch)[0] is error
 
 
 # ---------------------------------------------------------------------------
