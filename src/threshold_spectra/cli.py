@@ -136,15 +136,18 @@ def _integer(piece: str, pos: int, what: str) -> int:
 
     Its length is checked before ``int`` reads it: ``int`` refuses more
     than 4,300 digits with a message that has no position.
-    ``str.isdigit`` alone also passes superscripts, which ``int`` rejects,
-    and the digits of other scripts, which it reads as numbers.
     """
-    if not (piece.isascii() and piece.isdigit()):
+    if not _ascii_digits(piece):
         raise ParseError(f"expected {what}, got {piece!r}", pos)
     digits = piece.lstrip("0") or "0"
     if len(digits) > len(str(MAX_VERTICES)) or int(digits) > MAX_VERTICES:
         raise ParseError(f"integer exceeds the vertex limit {MAX_VERTICES}", pos)
     return int(digits)
+
+
+def _ascii_digits(text: str) -> bool:
+    """ASCII digits only: ``int`` also reads other scripts' digits, '_', signs and blanks."""
+    return text.isascii() and text.isdigit()
 
 
 def _integers(body: str, start: int, what: str):
@@ -530,6 +533,9 @@ def _cmd_verify(args) -> str:
 def _int_at_least(low: int):
     def parse(text: str) -> int:
         try:
+            # an optional '-' and ASCII digits, as a spec reads them; int refuses 4,301 digits
+            if not _ascii_digits(text.removeprefix("-")):
+                raise ValueError
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None

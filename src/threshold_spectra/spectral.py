@@ -20,17 +20,15 @@ of all graphs with the same k and calls ``eigh`` once per stack, and
 :func:`spectral_radius` is that kernel run on a list of one graph, so
 both give bitwise the same values.
 
-A bound polynomial is a plain tuple of integer coefficients in
-descending powers, so the greatest real root from float Newton is
-proven in exact integer arithmetic: p is negative just below it and
-p(t + high) has only positive Taylor coefficients just above it.
-:func:`greatest_real_root` is the scalar path and the public entry;
+Every integer polynomial of the package, a bound polynomial or the walk
+quotient's q, is a tuple of integer coefficients in descending powers,
+of any degree.  :func:`greatest_real_root`, the public entry, proves
+its greatest real root from float Newton in exact integer arithmetic;
 :func:`greatest_real_roots` runs a census's polynomials as one batch,
 stepping Newton for all of them in lock-step in numpy with the scalar
-float operations in the same order, then certifying each bracket in
-Python, so each root, bracket and step count is bitwise the scalar one.
-Below :data:`_BATCH_MIN` polynomials, where numpy's fixed cost is not
-repaid, it runs the scalar path per polynomial.  The
+float operations in the same order, so each root, bracket and step
+count is bitwise the scalar one (below :data:`_BATCH_MIN` polynomials,
+where numpy's fixed cost is not repaid, it is the scalar path).  The
 spectral F_p routes over the overlap matrices live with the other
 identities, in :mod:`threshold_spectra.identities`.
 """
@@ -158,10 +156,10 @@ def spectral_radius(g: ThresholdGraph) -> float:
 def greatest_real_root(coefficients: tuple[int, ...]) -> RootResult:
     """Greatest real root, inside a bracket proven in integer arithmetic.
 
-    The coefficients are integers in descending powers, the leading one
-    positive, at most five of them (degree at most 4), and each within
-    float range: the search evaluates in floats before it certifies in
-    integers.  Any other tuple raises ``ValueError``.
+    The coefficients are integers in descending powers, of any degree,
+    the leading one positive and each within float range: the search
+    evaluates in floats before it certifies in integers.  Any other tuple
+    raises ``ValueError``.
 
     Float Newton starts at the Fujiwara bound
     ``2 max(|a_1/a_0|, ..., |a_{d-1}/a_0|^(1/(d-1)), |a_d/(2 a_0)|^(1/d))``,
@@ -218,8 +216,6 @@ def _newton_start(coefficients: tuple[int, ...]) -> float:
     """The Fujiwara bound, once the coefficients pass every check."""
     if not coefficients:
         raise ValueError("polynomial needs at least one coefficient")
-    if len(coefficients) > 5:
-        raise ValueError("only degrees up to 4 are supported")
     if not all(isinstance(a, int) for a in coefficients):
         raise ValueError(f"coefficients must be integers, got {coefficients}")
     for i, a in enumerate(coefficients):
@@ -310,32 +306,28 @@ def _value_and_slope(coefficients, x):
     return value, slope
 
 
-def _scaled(coefficients: tuple[int, ...], x: float) -> tuple[int, list[int]]:
-    """N and the coefficients of the integer polynomial D^d p(y / D), x = N / D."""
-    numerator, denominator = x.as_integer_ratio()
+def _certified(coefficients: tuple[int, ...], low: float, high: float) -> bool:
+    """p(low) < 0 and every Taylor coefficient of p(t + high) is > 0, exactly.
+
+    Both ends are N / D over the larger of their power-of-two D.  The
+    integer polynomial D^d p(y / D), scaled once, has the sign of p(x) at
+    y = N, and shifting it by N (repeated synthetic division) gives
+    coefficients with the signs of those of p(t + x): y = D t + N.
+    """
+    (low_n, low_d), (high_n, high_d) = low.as_integer_ratio(), high.as_integer_ratio()
+    denominator = max(low_d, high_d)
     scaled, power = [], 1
     for a in coefficients:
         scaled.append(a * power)
         power *= denominator
-    return numerator, scaled
-
-
-def _certified(coefficients: tuple[int, ...], low: float, high: float) -> bool:
-    """p(low) < 0 and every Taylor coefficient of p(t + high) is > 0, exactly.
-
-    With x = N / D, the integer polynomial D^d p(y / D) has the sign of
-    p(x) at y = N, and shifting it by N (repeated synthetic division)
-    gives coefficients with the signs of those of p(t + x): y = D t + N.
-    """
-    numerator, scaled = _scaled(coefficients, low)
-    value = 0
+    value, numerator = 0, low_n * (denominator // low_d)
     for a in scaled:
         value = value * numerator + a
     if value >= 0:
         return False
-    numerator, shifted = _scaled(coefficients, high)
-    degree = len(shifted) - 1
+    numerator = high_n * (denominator // high_d)
+    degree = len(scaled) - 1
     for i in range(degree):
         for j in range(1, degree + 1 - i):
-            shifted[j] += numerator * shifted[j - 1]
-    return all(a > 0 for a in shifted)
+            scaled[j] += numerator * scaled[j - 1]
+    return all(a > 0 for a in scaled)

@@ -31,19 +31,16 @@ both converge to ``1 + rho``.
 
 Cost: the twin classes are an equitable partition (Brouwer & Haemers,
 *Spectra of Graphs* 2.3), so ``A + I`` and the zero-overlap matrix act
-on one value per class: a class step of LW costs about 3.5 K
-big-integer operations for K classes, and one of F is O(K) too.  Once
-K terms are known, LW follows the order-K recurrence of the class
-quotient's characteristic polynomial (Cayley-Hamilton; Jacobs,
-Trevisan & Tura, *Eigenvalue location in threshold graphs*, LAA 439,
-2013, for the twin-class elimination): K products of a coefficient
-below 2^63 with a term of LW per step.  ``lw_recurrence`` takes it when
-kmax >= 3K and the coefficients stay below 2^63, which binomial growth
-alone breaks near K = 80; otherwise it steps the classes to kmax.  The
-integers grow too: ``LW_k`` has about ``k * log2(1 + rho)`` bits, 973
-bits at k = 200 on the 45-vertex alternating graph.  The paper's other
-routes to F_p and LW (closed formulas, overlap matrices, signature
-counting) are independent oracles in :mod:`threshold_spectra.identities`;
+on one value per class, and past 3K terms for K classes LW follows the
+characteristic polynomial q of the class quotient (Cayley-Hamilton;
+Jacobs, Trevisan & Tura, *Eigenvalue location in threshold graphs*, LAA
+439, 2013, for the twin-class elimination); :func:`lw_recurrence` gives
+the costs.  q, like the bracket cubics, is a tuple of integer
+coefficients in descending powers, the package's one polynomial format,
+and :func:`threshold_spectra.spectral.greatest_real_root` certifies its
+greatest root, ``1 + rho``, as it stands.  The paper's other routes to
+F_p and LW (closed formulas, overlap matrices, signature counting) are
+independent oracles in :mod:`threshold_spectra.identities`;
 :func:`lw_bruteforce`, the powers of ``A + I``, is one of them.
 """
 
@@ -127,7 +124,7 @@ def lw_recurrence(g: ThresholdGraph, kmax: int, pmax: int = 10) -> WalkTable:
         y1 = list(map(total.__add__, accumulate(map(mul, zeros, y0), initial=0)))
         y0 = list(map(sub, map(total.__add__, y0), reach))
     if q is not None:
-        tail = [-a for a in q[:-1]]
+        tail = [-a for a in reversed(q[1:])]
         for start in range(1, kmax - order + 1):
             lw.append(sum(map(mul, tail, lw[start : start + order])))
     classes, sb, f1 = _zero_classes(g)
@@ -193,14 +190,15 @@ def _order_three(cubic: tuple[int, ...], c: int, kmax: int) -> list[int]:
     return values
 
 
-def _characteristic_polynomial(runs: tuple[int, ...]) -> list[int] | None:
-    """Coefficients ``[q_0, ..., q_K]`` (ascending) of ``q(x) = det(xI - M)``.
+def _characteristic_polynomial(runs: tuple[int, ...]) -> tuple[int, ...] | None:
+    """Coefficients ``(1, q_(K-1), ..., q_0)`` of ``q(x) = det(xI - M)``, in descending powers.
 
     M is the K x K class quotient of ``A + I``, K = len(runs), and
-    ``q(M) = 0``, so ``LW_k = -sum_(i<K) q_i LW_(k-K+i)`` for k > K.  One
-    pass over the runs keeps two integer polynomials p, u (ascending
-    coefficients) with ``u / p = 1 + 1^T (xI - A - I)^-1 1`` over the
-    vertices read so far, starting at p = u = 1:
+    ``q(M) = 0``, so ``LW_k = -sum_(i<K) q_i LW_(k-K+i)`` for k > K, and
+    its greatest root is ``1 + rho``.  One pass over the runs keeps two
+    integer polynomials p, u (descending too: x p appends a 0) with
+    ``u / p = 1 + 1^T (xI - A - I)^-1 1`` over the vertices read so far,
+    starting at p = u = 1:
 
     * s type-0 twins add ``s / (x - 1)``: ``(p, u) -> ((x-1) p, (x-1) u + s p)``;
     * s type-1 twins join everything read so far (Sherman-Morrison
@@ -226,14 +224,14 @@ def _characteristic_polynomial(runs: tuple[int, ...]) -> list[int] | None:
     p, u = [1], [1]
     for i, s in enumerate(runs):
         if i % 2:
-            u = [a - b + s * c for a, b, c in zip([0, *u], [*u, 0], [*p, 0])]
-            p = list(map(sub, [0, *p], [*p, 0]))
+            u = [a - b + s * c for a, b, c in zip([*u, 0], [0, *u], [0, *p])]
+            p = list(map(sub, [*p, 0], [0, *p]))
         else:
-            p = [a - s * b for a, b in zip([0, *p], [*u, 0])]
-            u = [0, *u]
+            p = [a - s * b for a, b in zip([*p, 0], [0, *u])]
+            u = [*u, 0]
         if max(map(abs, p)) >= _COEFFICIENT_LIMIT:
             return None
-    return p
+    return tuple(p)
 
 
 def _fp_classes(c: int, classes, pmax: int) -> list[int]:

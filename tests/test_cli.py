@@ -222,6 +222,42 @@ def test_exit_codes(argv, code, capsys):
             "argument --n-min: exceeds the vertex limit 1000000, got '1000001'",
             id="verify-n-min-over",
         ),
+        # a flag reads an integer as a spec does: an optional '-' and ASCII digits only
+        pytest.param(
+            ["walks", "gen:10101", "--kmax", "٣"],
+            "argument --kmax: expected an integer, got '٣'",
+            id="kmax-arabic-indic-digit",
+        ),
+        pytest.param(
+            ["enumerate", "--n", "５", "--m", "6"],
+            "argument --n: expected an integer, got '５'",
+            id="enumerate-n-full-width-digit",
+        ),
+        pytest.param(
+            ["walks", "gen:10101", "--kmax", "1_0"],
+            "argument --kmax: expected an integer, got '1_0'",
+            id="kmax-underscore",
+        ),
+        pytest.param(
+            ["walks", "gen:10101", "--kmax", "+3"],
+            "argument --kmax: expected an integer, got '+3'",
+            id="kmax-plus-sign",
+        ),
+        pytest.param(
+            ["walks", "gen:10101", "--kmax", " 3"],
+            "argument --kmax: expected an integer, got ' 3'",
+            id="kmax-leading-blank",
+        ),
+        pytest.param(
+            ["walks", "gen:10101", "--kmax", "-"],
+            "argument --kmax: expected an integer, got '-'",
+            id="kmax-bare-minus",
+        ),
+        pytest.param(
+            ["walks", "gen:10101", "--kmax", "-3"],
+            "argument --kmax: must be an integer >= 0, got '-3'",
+            id="kmax-negative",
+        ),
     ],
 )
 def test_bad_arguments_exit_2_naming_the_flag(argv, expected, capsys, monkeypatch, tmp_path):

@@ -379,10 +379,10 @@ def class_quotient(runs):
 
 
 def matrix_polynomial(coefficients, matrix):
-    """sum_i coefficients[i] * matrix^i by Horner, in exact integers."""
+    """The polynomial with these descending coefficients at the matrix, by Horner, exactly."""
     size = len(matrix)
     value = [[0] * size for _ in range(size)]
-    for coefficient in reversed(coefficients):
+    for coefficient in coefficients:
         value = [
             [
                 sum(value[i][h] * matrix[h][j] for h in range(size))
@@ -398,20 +398,21 @@ def test_characteristic_polynomial_annihilates_the_quotient():
     for n in range(1, 11):
         for g in connected_graphs(n):
             q = walks._characteristic_polynomial(g.runs)
-            assert len(q) == len(g.runs) + 1 and q[-1] == 1
+            assert len(q) == len(g.runs) + 1 and q[0] == 1
             assert all(x == 0 for row in matrix_polynomial(q, class_quotient(g.runs)) for x in row)
 
 
 def test_characteristic_polynomial_of_small_quotients():
     # K_5: M = (5); the star K_{1,9}: (x - 1)(x - 4)(x + 2), from A's eigenvalues 0 and +-3
-    assert walks._characteristic_polynomial((5,)) == [-5, 1]
-    assert walks._characteristic_polynomial(from_composition([1, 8, 1]).runs) == [8, -6, -3, 1]
+    assert walks._characteristic_polynomial((5,)) == (1, -5)
+    assert walks._characteristic_polynomial(from_composition([1, 8, 1]).runs) == (1, -3, -6, 8)
 
 
 def characteristic_pass(runs):
     """q by the pass in its (p, r) form, and the largest |coefficient| p reaches on the way.
 
-    ``r / p = 1^T (xI - A - I)^-1 1`` over the runs read so far.
+    ``r / p = 1^T (xI - A - I)^-1 1`` over the runs read so far; p and r
+    are ascending lists here, and q is returned in descending powers.
     """
     p, r, largest = [1], [0], 1
     for i, s in enumerate(runs):
@@ -424,7 +425,7 @@ def characteristic_pass(runs):
                 [a + s * (b + c) for a, b, c in zip(xr, r0, p0)],
             )
         largest = max(largest, *map(abs, p))
-    return p, largest
+    return tuple(reversed(p)), largest
 
 
 @settings(max_examples=80, deadline=None)
