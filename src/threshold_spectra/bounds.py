@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from math import comb, sqrt
 from typing import NamedTuple
 
-from .graph_model import ThresholdGraph, _f1, _zero_classes
+from .graph_model import ThresholdGraph, _f1
 from .spectral import greatest_real_roots, spectral_radii
 from .walks import bracket_cubics
 
@@ -102,8 +102,7 @@ class _Inputs(NamedTuple):
 def _bound_inputs(g: ThresholdGraph) -> _Inputs:
     """The bound inputs, after checking the standing assumptions."""
     _require_applicable(g)
-    _, sb, f1 = _zero_classes(g)
-    return _Inputs(c=g.c, z=g.z, n=g.n, sb=sb, f1=f1)
+    return _Inputs(c=g.c, z=g.z, n=g.n, sb=g.m - comb(g.c, 2), f1=_f1(g.runs))
 
 
 def _require_applicable(g: ThresholdGraph) -> None:

@@ -3,13 +3,14 @@
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from threshold_spectra import (
     PreconditionError,
     bound_report,
     enumerate_threshold_graphs,
+    from_composition,
     from_generating_sequence,
     greatest_real_root,
     spectral_radius,
@@ -423,6 +424,37 @@ def test_batched_reports_certify_each_polynomial_once(monkeypatch):
     assert len(calls) == len(set(calls)) == len(distinct)
     assert set(calls) == distinct
     assert len(distinct) < 3 * len(applicable)  # the census does share roots
+
+
+def test_every_census_radius_and_class_value_is_finite():
+    """enumerate --json writes rows with %r, which spells a float as json does only while finite."""
+    kinds = set()
+    for census in censuses(12):
+        classes = _bound_classes(census, allow_inapplicable=True)
+        assert all(map(math.isfinite, classes.radii))
+        assert all(math.isfinite(x) for values in classes.values for x in values)
+        kinds |= {k is None for k in classes.members}
+    assert kinds == {True, False}  # rows with bounds and rows without
+
+
+@st.composite
+def large_compositions(draw):
+    """3 to 51 blocks with n up to 10^6: cut points drawn in 1 .. n - 1."""
+    k = draw(st.integers(3, 51))
+    n = draw(st.integers(k, 10**6))
+    cuts = draw(st.lists(st.integers(1, n - 1), min_size=k - 1, max_size=k - 1, unique=True))
+    cuts.sort()
+    return [b - a for a, b in zip([0, *cuts], [*cuts, n])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(large_compositions())
+@example([1, 4820, 991628, 3550, 1])
+def test_bound_report_values_and_gaps_are_finite_at_scale(blocks):
+    report = bound_report(from_composition(blocks), allow_inapplicable=True)
+    assume(report.applicable)
+    values = [getattr(report, name) for name in _GAP_NAMES]
+    assert all(map(math.isfinite, [report.rho, *values, *report.gaps.values()]))
 
 
 def test_empty_batch():

@@ -681,55 +681,6 @@ def test_library_and_cli_pick_the_same_maximizers(capsys):
     assert cells == 130
 
 
-def test_enumerate_json_spells_non_finite_floats_like_json_dumps(monkeypatch, capsys):
-    real = bounds._bound_classes
-
-    def non_finite(graphs, allow_inapplicable):
-        radii, members, values = real(graphs, allow_inapplicable)
-        if members[0] is None:
-            radii[0] = math.inf
-        else:
-            radii[1] = math.nan  # one graph's rho, and so its gaps
-            k = members[0]  # one class's bounds, shared by its graphs and their gaps
-            values[k] = (math.inf, *values[k][1:4], -math.inf)
-        return bounds._BoundClasses(radii, members, values)
-
-    # the census rows read the class core; the oracle builds one report per graph from it
-    monkeypatch.setattr(cli, "_bound_classes", non_finite)
-    for n, m in [(9, 14), (6, 5)]:  # four applicable rows; the star alone
-        assert run(["enumerate", "--n", str(n), "--m", str(m), "--json"]) == 0
-        census = enumerate_threshold_graphs(n, m)
-        reports = class_reports(non_finite(census, True))
-        payload = _census_payload(n, m, TIE_TOL, census, reports)
-        out = capsys.readouterr().out
-        assert out == json.dumps(payload, indent=2) + "\n"
-        assert "Infinity" in out and ("NaN" in out) == (n == 9)
-
-
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-@pytest.mark.parametrize("field", ["radius", "class-value"])
-def test_enumerate_json_rewrites_each_non_finite_float(monkeypatch, capsys, field, value):
-    # the writer searches the text only when a radius or a class value is not finite: either
-    # alone must set off the rewrite, for each of the three spellings
-    real = bounds._bound_classes
-
-    def non_finite(graphs, allow_inapplicable):
-        radii, members, values = real(graphs, allow_inapplicable)
-        if field == "radius":
-            radii[2] = value
-        else:
-            values[1] = (*values[1][:2], value, *values[1][3:])
-        return bounds._BoundClasses(radii, members, values)
-
-    monkeypatch.setattr(cli, "_bound_classes", non_finite)
-    assert run(["enumerate", "--n", "9", "--m", "14", "--json"]) == 0
-    census = enumerate_threshold_graphs(9, 14)
-    payload = _census_payload(9, 14, TIE_TOL, census, class_reports(non_finite(census, True)))
-    out = capsys.readouterr().out
-    assert out == json.dumps(payload, indent=2) + "\n"
-    assert f": {json.dumps(value)}," in out
-
-
 def _census_text(n, m, tie_tol, census, reports, form):
     """``enumerate --csv`` or human output written per report: the oracle for the class rows."""
     rho_max = max(report.rho for report in reports)

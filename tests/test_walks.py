@@ -432,8 +432,10 @@ def characteristic_pass(runs):
 @given(st.lists(st.sampled_from([1, 1, 1, 2, 3, 5, 10, 100]), min_size=1, max_size=99))
 @example([1] * 81)
 @example([2] + [1] * 80)
+@example([1] * 201)
 def test_characteristic_polynomial_stops_exactly_past_2_to_the_63(blocks):
-    # the early exit at x = i never refuses a pass that stays below 2^63
+    # the one integer pass returns q exactly when no coefficient reaches 2^63 on the way,
+    # and None otherwise: 201 all-ones runs pass 2^63 at run 82
     runs = tuple(blocks) if len(blocks) % 2 else tuple(blocks[:-1])
     q, largest = characteristic_pass(runs)
     assert walks._characteristic_polynomial(runs) == (q if largest < 2**63 else None)
