@@ -41,9 +41,11 @@ directly and writes each class's bounds once.  :func:`_sandwich` is the
 one definition of ``sandwich_ok`` and the gaps, from rho and a class's
 values, and :data:`_GAP_NAMES` the one list of the five bound names.
 
-The bounds assume n >= 4, c >= 3, z >= 1, and n - 1 < m < C(n, 2);
+The bounds assume a connected graph with n >= 4, c >= 3 and z >= 1;
 outside that range they raise :class:`PreconditionError`, or are marked
-not applicable when a report is built leniently.
+not applicable when a report is built leniently.  The size range
+n - 1 < m < C(n, 2) follows: m = C(c, 2) + sum b with each b in
+[1, c - 1], so n <= m <= C(c, 2) + z (c - 1) < C(n, 2).
 """
 
 from __future__ import annotations
@@ -114,10 +116,6 @@ def _require_applicable(g: ThresholdGraph) -> None:
         raise PreconditionError(f"bounds require c >= 3, got c = {g.c}")
     if g.z < 1:
         raise PreconditionError(f"bounds require z >= 1, got z = {g.z}")
-    if not g.m > g.n - 1:
-        raise PreconditionError(f"bounds require m > n - 1, got m = {g.m}, n = {g.n}")
-    if not g.m < comb(g.n, 2):
-        raise PreconditionError(f"bounds require m < C(n,2), got m = {g.m}, n = {g.n}")
 
 
 # ---------------------------------------------------------------------------

@@ -11,19 +11,28 @@ rule: a graph is a maximizer when its rho is within ``TIE_TOL`` = 1e-9
 of the best (``enumerate`` ranks by the same rule).  For several size ranges the literature pins down (or
 conjectures) the maximizing family; ``predict_maximizers`` instantiates
 those families at (n, m) as ``Prediction(kind, rule, graphs)`` rows and
-``verify_predictions`` reconciles them against the enumeration:
+``verify_predictions`` reconciles them against the enumeration.
 
-* m = n - 1: the star.
-* m = n, n + 1, n + 2: one fixed small family each.
-* m = n + C(k, 2) - 1 (k >= 4): one or both of two families
-  (the prediction is a set, maximizers must be a nonempty subset).
-* m = n + C(k, 2) - 2 with 2n <= m < C(n, 2) - 1: one family.
-* m = n + t (t >= 3): a ``large-n`` family expected to win for large
-  enough n; recorded as evidence, never asserted.
-* the remaining sizes m = n - 1 + C(k, 2) + t (3 <= k <= n - 2,
-  1 <= t < k): a ``conjecture`` row of two open-case candidates,
-  candidate_a then candidate_b when it fits; the empirical winner is
-  recorded, never asserted.
+The rules read the surplus s = m - n + 1 over a spanning tree, split
+once as s = C(k, 2) + t with 0 <= t < k (k the largest with
+C(k, 2) <= s); no rule speaks about s < 0:
+
+* s <= 3: the star (m = n - 1), then one fixed small family each for
+  m = n, n + 1, n + 2.
+* t = 0, s >= 4 (m = n + C(k, 2) - 1, k >= 4): one or both of two
+  families (the prediction is a set, maximizers must be a nonempty subset).
+* t = k - 1, s >= 4, with 2n <= m < C(n, 2) - 1
+  (m = n + C(k + 1, 2) - 2): one family.
+* s >= 4 (m = n + t' with t' = s - 1 >= 3): a ``large-n`` family
+  expected to win for large enough n; recorded as evidence, never asserted.
+* t >= 1, 3 <= k <= n - 2: a ``conjecture`` row of two open-case
+  candidates, candidate_a then candidate_b (the large-n family) when it
+  fits; the empirical winner is recorded, never asserted.
+
+Each family is a tuple of alternating block lengths that sum to n and
+end in one vertex of type 1, and its rule's size gives it m edges, so
+it fits at (n, m), as a connected graph, exactly when no block is
+negative.
 """
 
 from __future__ import annotations
@@ -171,31 +180,30 @@ def find_extremal(n: int, m: int) -> ExtremalResult:
 # ---------------------------------------------------------------------------
 
 
-def _families(n: int, m: int, *families: tuple[int, ...]) -> tuple[ThresholdGraph, ...]:
-    """The alternating-block families that fit at (n, m), instantiated, in order.
+def _families(*families: tuple[int, ...]) -> tuple[ThresholdGraph, ...]:
+    """The families with no negative block, instantiated, in order.
 
-    Families are written with symbolic block lengths; at small n some
-    become 0 (the runs collapse) or negative (the family does not fit).
-    A family fits when its expansion is a connected graph with exactly
-    n vertices and m edges.
+    At small n some blocks become 0 (the runs collapse) or negative (the
+    family does not fit).
     """
-    graphs = []
-    for blocks in families:
-        runs = _block_runs(blocks)
-        if any(p < 0 for p in blocks) or not any(p for symbol, p in runs if symbol == 1):
-            continue
-        g = _from_runs(runs)
-        if g.n == n and g.m == m and g.is_connected:
-            graphs.append(g)
-    return tuple(graphs)
+    return tuple(_from_runs(_block_runs(blocks)) for blocks in families if min(blocks) >= 0)
 
 
-# the fixed small sizes, keyed by m - n: the rule and the family's blocks at n
+def _surplus_split(s: int) -> tuple[int, int]:
+    """(k, t) with s == C(k, 2) + t and 0 <= t < k, for s >= 0.
+
+    k is the largest with C(k, 2) <= s, so the split is unique.
+    """
+    k = (1 + isqrt(1 + 8 * s)) // 2
+    return k, s - comb(k, 2)
+
+
+# the fixed small sizes, keyed by the surplus s = m - n + 1: the rule and the family's blocks at n
 _SMALL_SIZES = {
-    -1: ("m=n-1", lambda n: (n - 1, 1)),
-    0: ("m=n", lambda n: (2, n - 3, 1)),
-    1: ("m=n+1", lambda n: (2, 1, n - 4, 1)),
-    2: ("m=n+2", lambda n: (3, n - 4, 1)),
+    0: ("m=n-1", lambda n: (n - 1, 1)),
+    1: ("m=n", lambda n: (2, n - 3, 1)),
+    2: ("m=n+1", lambda n: (2, 1, n - 4, 1)),
+    3: ("m=n+2", lambda n: (3, n - 4, 1)),
 }
 
 
@@ -206,62 +214,30 @@ def predict_maximizers(n: int, m: int) -> tuple[Prediction, ...]:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    s = m - n + 1
+    if s < 0:
+        return ()
+    k, t = _surplus_split(s)
+    # the large-n rule's m = n + t' has t' = s - 1; its graph is also the second t = 0
+    # family and candidate_b
+    large_n = _families((s, 1, n - 2 - s, 1)) if s >= 4 else ()
     asserted: tuple[ThresholdGraph, ...] = ()
-    if m - n in _SMALL_SIZES:
-        rule, blocks = _SMALL_SIZES[m - n]
-        asserted = _families(n, m, blocks(n))
-    else:
-        k = _binomial_index(m - n + 1)
-        if k is not None and k >= 4:
-            rule = "m=n+C(k,2)-1"
-            asserted = _families(n, m, (k, n - 1 - k, 1), (comb(k, 2), 1, n - 2 - comb(k, 2), 1))
-        k = _binomial_index(m - n + 2)
-        if not asserted and k is not None and 2 * n <= m < comb(n, 2) - 1:
-            rule = "m=n+C(k,2)-2"
-            asserted = _families(n, m, (2, k - 2, n - 1 - k, 1))
+    if s <= 3:
+        rule, blocks = _SMALL_SIZES[s]
+        asserted = _families(blocks(n))
+    elif t == 0:
+        rule = "m=n+C(k,2)-1"
+        asserted = _families((k, n - 1 - k, 1)) + large_n
+    elif t == k - 1 and 2 * n <= m < comb(n, 2) - 1:
+        rule = "m=n+C(k,2)-2"  # the rule's k is k + 1 here: s + 1 == C(k + 1, 2)
+        asserted = _families((2, k - 1, n - 2 - k, 1))
     predictions = [Prediction("asserted", rule, asserted)] if asserted else []
-
-    t = m - n
-    large_n = _families(n, m, (t + 1, 1, n - 3 - t, 1)) if t >= 3 else ()
     if large_n:
         predictions.append(Prediction("large-n", "m=n+t", large_n))
-
-    decomposition = _conjecture_indices(m - n + 1)
-    if decomposition is not None and 3 <= decomposition[0] <= n - 2:
-        k, t = decomposition
-        candidate_a = _families(n, m, (k - t, 1, t, n - 2 - k, 1))
-        if candidate_a:
-            candidate_b = _families(n, m, (comb(k, 2) + t, 1, n - 2 - comb(k, 2) - t, 1))
-            predictions.append(Prediction("conjecture", "open case", candidate_a + candidate_b))
+    if t >= 1 and 3 <= k <= n - 2:  # then candidate_a has no negative block
+        candidate_a = _families((k - t, 1, t, n - 2 - k, 1))
+        predictions.append(Prediction("conjecture", "open case", candidate_a + large_n))
     return tuple(predictions)
-
-
-def _binomial_floor(value: int) -> int:
-    """The largest k >= 2 with C(k, 2) <= value, for value >= 1."""
-    return (1 + isqrt(1 + 8 * value)) // 2
-
-
-def _binomial_index(value: int) -> int | None:
-    """k with C(k, 2) == value, if one exists (k >= 2)."""
-    if value < 1:
-        return None
-    k = _binomial_floor(value)
-    return k if comb(k, 2) == value else None
-
-
-def _conjecture_indices(surplus: int) -> tuple[int, int] | None:
-    """(k, t) with surplus == C(k, 2) + t and 1 <= t <= k - 1, if any.
-
-    The ranges [C(k,2)+1, C(k+1,2)-1] are disjoint for consecutive k,
-    so the decomposition is unique when it exists.
-    """
-    if surplus < 4:
-        return None
-    k = _binomial_floor(surplus)
-    t = surplus - comb(k, 2)
-    if 1 <= t <= k - 1:
-        return k, t
-    return None
 
 
 def verify_predictions(n_values) -> tuple[VerificationRow, ...]:

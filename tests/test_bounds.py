@@ -321,6 +321,15 @@ def test_inequality_root_never_exceeds_rho():
 # ---------------------------------------------------------------------------
 
 
+def test_applicable_graphs_lie_strictly_between_a_tree_and_a_complete_graph():
+    """n - 1 < m < C(n, 2) follows from connected, n >= 4, c >= 3 and z >= 1."""
+    checked = 0
+    for g in applicable_graphs(range(4, 15)):
+        assert g.n - 1 < g.m < math.comb(g.n, 2), g.generating_string
+        checked += 1
+    assert checked == 8166  # the graphs of the sandwich test
+
+
 @pytest.mark.parametrize(
     "bits, fragment",
     [

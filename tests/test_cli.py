@@ -68,6 +68,13 @@ def test_parse_graph_spec_positions():
     assert info.value.position == 9
 
 
+def test_empty_generating_sequence_is_a_usage_error(capsys):
+    assert run(["analyze", "gen:"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: empty generating sequence (position 4)\n"
+
+
 # str.isdigit passes these, but a spec integer is ASCII decimal digits only
 @pytest.mark.parametrize(
     "spec, position",

@@ -14,7 +14,7 @@ from threshold_spectra import (
     to_composition,
     verify_predictions,
 )
-from threshold_spectra.extremal import _binomial_floor, _conjecture_indices
+from threshold_spectra.extremal import _surplus_split
 from threshold_spectra.identities import adjacency_matrix
 from conftest import all_graphs, connected_graphs, graph
 
@@ -177,18 +177,56 @@ def test_intermediate_size_records_candidates():
     assert (large_n.kind, large_n.rule) == ("large-n", "m=n+t")
     assert comps(large_n.graphs) == ["G{1,3,1,6,1}"]
     assert (conjecture.kind, conjecture.rule) == ("conjecture", "open case")
-    assert _conjecture_indices(15 - 12 + 1) == (3, 1)
+    assert _surplus_split(15 - 12 + 1) == (3, 1)
     candidate_a, candidate_b = conjecture.graphs
     assert to_composition(candidate_a) == "G{2,1,1,7,1}"
     assert candidate_b == large_n.graphs[0]
 
 
-def test_binomial_floor_matches_the_counting_loop():
-    k = 2
-    for value in range(1, 10**5 + 1):
-        while comb(k + 1, 2) <= value:
+def test_surplus_split_matches_the_counting_loop():
+    k = 1
+    for s in range(10**5 + 1):
+        while comb(k + 1, 2) <= s:
             k += 1
-        assert _binomial_floor(value) == k, value
+        t = s - comb(k, 2)
+        assert _surplus_split(s) == (k, t) and 0 <= t < k, s
+
+
+def prediction_cells():
+    """``(n, m, predictions)`` for 1 <= n <= 60 and every m from -2 to C(n, 2) + 1."""
+    for n in range(1, 61):
+        for m in range(-2, comb(n, 2) + 2):
+            yield n, m, predict_maximizers(n, m)
+
+
+def test_every_predicted_graph_is_connected_at_its_size():
+    """A family fits when no block is negative; then it has n vertices and m edges."""
+    rows = 0
+    for n, m, predictions in prediction_cells():
+        for p in predictions:
+            assert p.graphs, (n, m, p.kind)
+            assert len(set(p.graphs)) == len(p.graphs), (n, m, p.kind)
+            for g in p.graphs:
+                assert (g.n, g.m, g.is_connected) == (n, m, True), (n, m, p.kind)
+            rows += 1
+    assert rows == 37081  # 3,089 asserted, 1,540 large-n and 32,452 conjecture rows
+
+
+def test_candidate_b_is_the_large_n_graph():
+    pairs = 0
+    for n, m, predictions in prediction_cells():
+        by_kind = {p.kind: p.graphs for p in predictions}
+        candidates = by_kind.get("conjecture", ())
+        if len(candidates) > 1:
+            assert candidates[1:] == by_kind["large-n"], (n, m)
+            pairs += 1
+    assert pairs == 1284
+
+
+def test_no_prediction_below_a_spanning_tree():
+    for n in range(1, 30):
+        for m in range(-2, n - 1):
+            assert predict_maximizers(n, m) == (), (n, m)
 
 
 def test_prediction_validation():

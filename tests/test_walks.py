@@ -96,6 +96,13 @@ def test_all_fp_routes_agree():
                 assert count_walks_with_signature(g, signature) == reference
 
 
+def test_zero_overlap_identity_needs_p_and_z_at_least_one():
+    with pytest.raises(ValueError, match="p >= 1"):
+        fp_via_zero_overlap(G10101, 0)
+    with pytest.raises(ValueError, match="z >= 1"):
+        fp_via_zero_overlap(from_composition([5]), 1)  # comp:G{5} has no type-0 vertex
+
+
 def test_signature_width_invariance():
     """Widening any zero run never changes the walk count."""
     assert count_walks_with_signature(G10101, (1, 0, 1)) == 5
