@@ -33,17 +33,18 @@ and gives each graph the index of its class, keyed by (n, m, c, F_1)
 with F_1 read from the runs (``graph_model._f1``), so the bound inputs
 and the standing assumptions are built once per key.  It then
 certifies the three polynomials of every class with one
-:func:`~threshold_spectra.spectral.greatest_real_roots` call (the
-scalar ``greatest_real_root`` per polynomial below its batch size) and
-evaluates the bounds once per class.  :func:`bound_report`
+:func:`~threshold_spectra.spectral.greatest_real_roots` call and
+evaluates the bounds once per class.  The core has no option: a graph
+outside the standing assumptions gets no class.  :func:`bound_report`
 is the core run on a list of one graph; ``enumerate`` reads the core
 directly and writes each class's bounds once.  :func:`_sandwich` is the
 one definition of ``sandwich_ok`` and the gaps, from rho and a class's
 values, and :data:`_GAP_NAMES` the one list of the five bound names.
 
 The bounds assume a connected graph with n >= 4, c >= 3 and z >= 1;
-outside that range they raise :class:`PreconditionError`, or are marked
-not applicable when a report is built leniently.  The size range
+outside that range :func:`bound_report` raises :class:`PreconditionError`
+naming the first assumption broken, or, built leniently, marks the
+report not applicable.  The size range
 n - 1 < m < C(n, 2) follows: m = C(c, 2) + sum b with each b in
 [1, c - 1], so n <= m <= C(c, 2) + z (c - 1) < C(n, 2).
 """
@@ -159,19 +160,17 @@ class _BoundClasses(NamedTuple):
     values: list[tuple[float, ...]]  # per class, the five bounds in field order
 
 
-def _bound_classes(graphs, allow_inapplicable: bool) -> _BoundClasses:
+def _bound_classes(graphs) -> _BoundClasses:
     """rho per graph from one ``spectral_radii`` call, and the bounds once per class.
 
     A graph's class key is (n, m, c, F_1): it fixes z = n - c,
     sum b = m - C(c, 2) and so the :class:`_Inputs` and every standing
     assumption (``spectral_radii`` has refused disconnected graphs).
     :func:`_bound_inputs` runs once per key, when it is first seen; a
-    key outside the standing assumptions raises
-    :class:`PreconditionError`, or with ``allow_inapplicable`` gives its
-    graphs no class.  Classes are numbered in order of first appearance,
-    so every graph's preconditions are checked before any root is
-    certified.  Then one ``greatest_real_roots`` call certifies the three
-    polynomials of every class, in class order; each root is the one
+    key outside the standing assumptions gives its graphs no class.
+    Classes are numbered in order of first appearance.  Then one
+    ``greatest_real_roots`` call certifies the three polynomials of
+    every class, in class order; each root is the one
     ``greatest_real_root`` gives alone, so a shared value is exactly the
     one a graph would get alone.
     """
@@ -186,8 +185,6 @@ def _bound_classes(graphs, allow_inapplicable: bool) -> _BoundClasses:
             try:
                 inputs.append(_bound_inputs(g))
             except PreconditionError:
-                if not allow_inapplicable:
-                    raise
                 k = keys[key] = None
             else:
                 k = keys[key] = len(inputs) - 1
@@ -237,8 +234,10 @@ def bound_report(g: ThresholdGraph, allow_inapplicable: bool = False) -> BoundRe
     c < 3): rho is still reported and every bound is None.  Otherwise
     such graphs raise :class:`PreconditionError`.
     """
-    (rho,), (k,), values = _bound_classes([g], allow_inapplicable)
+    (rho,), (k,), values = _bound_classes([g])
     if k is None:
+        if not allow_inapplicable:
+            _require_applicable(g)  # raises: g is outside the standing assumptions
         # rho alone: the five bounds, sandwich_ok and gaps are None
         return BoundReport(rho, *(None,) * 7, applicable=False)
     sandwich_ok, gaps = _sandwich(rho, values[k])

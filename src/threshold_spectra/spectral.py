@@ -22,15 +22,15 @@ both give bitwise the same values.
 
 Every integer polynomial of the package, a bound polynomial or the walk
 quotient's q, is a tuple of integer coefficients in descending powers,
-of any degree.  :func:`greatest_real_root`, the public entry, proves
-its greatest real root from float Newton in exact integer arithmetic;
-:func:`greatest_real_roots` runs a census's polynomials as one batch,
-stepping Newton for all of them in lock-step in numpy with the scalar
-float operations in the same order, so each root, bracket and step
-count is bitwise the scalar one (below :data:`_BATCH_MIN` polynomials,
-where numpy's fixed cost is not repaid, it is the scalar path).  The
-spectral F_p routes over the overlap matrices live with the other
-identities, in :mod:`threshold_spectra.identities`.
+of any degree.  :func:`greatest_real_roots` proves the greatest real
+root of each from float Newton in exact integer arithmetic: it checks
+every polynomial first, steps Newton per polynomial or, from
+:data:`_BATCH_MIN` up, in lock-step in numpy with the same float
+operations, and certifies each bracket in input order.
+:func:`greatest_real_root`, the public entry, is its batch of one, so
+a root is bitwise the same in any batch.  The spectral F_p routes over
+the overlap matrices live with the other identities, in
+:mod:`threshold_spectra.identities`.
 """
 
 from __future__ import annotations
@@ -59,11 +59,11 @@ MAX_QUOTIENT_CLASSES = 2048
 _QUOTIENT_RESIDUAL_REL = 1e-10  # relative to max(1, theta); eigh reaches ~1e-15
 _STACK = 4096  # quotients per stacked eigh call: at most 4096 * k^2 floats
 _MAX_NEWTON_STEPS = 100
-# greatest_real_roots steps Newton in lock-step from this many polynomials up.  Its fixed
-# numpy cost (0.15 ms for one class's 3 bound polynomials, against 0.04 ms for 3 scalar
-# calls) is repaid between 36 (batch/scalar time 1.01) and 42 (0.96-0.97) polynomials of
-# census (20, 127) classes: medians of 15, two runs, 2-vCPU x86-64 host.  analyze runs 3
-# polynomials, a census job of the benchmark pools 60 to 1,095.
+# greatest_real_roots steps Newton in lock-step from this many polynomials up: numpy's fixed
+# cost makes it 0.16 ms for an analyze job's 3 polynomials, 0.04 ms per polynomial.  On census
+# (20, 127) classes lock-step/per-polynomial time is 1.02-1.04 at 42, 0.99 at 48 and 0.93 at 60
+# polynomials (best of 15, median over slices, 2-vCPU x86-64 host); analyze runs 3, a census
+# job of the benchmark pools 60 to 1,095, so any crossover in 42..60 times them alike.
 _BATCH_MIN = 42
 _CERTIFICATE_DOUBLINGS = 16  # the widest bracket tried is 2^16 ulps each side
 
@@ -175,41 +175,22 @@ def greatest_real_root(coefficients: tuple[int, ...]) -> RootResult:
     iterate or the bracket beyond float range) it raises
     :class:`ConvergenceError` naming the coefficients.
     """
-    x = _newton_start(coefficients)
-    steps = 0
-    value, slope = _value_and_slope(coefficients, x)
-    while value > 0.0 and slope > 0.0 and steps < _MAX_NEWTON_STEPS:
-        below = x - value / slope
-        if not below < x:
-            break
-        x = below
-        steps += 1
-        value, slope = _value_and_slope(coefficients, x)
-    return _certified_root(coefficients, x, value, steps)
+    return greatest_real_roots([coefficients])[0]
 
 
 def greatest_real_roots(polynomials) -> list[RootResult]:
-    """:func:`greatest_real_root` of each polynomial, with Newton run as one batch.
+    """:func:`greatest_real_root` of each polynomial, each bitwise as alone.
 
-    The result, and the first exception in input order, are those of
-    ``[greatest_real_root(p) for p in polynomials]``.  Below
-    :data:`_BATCH_MIN` polynomials it is that list.  Otherwise each
-    polynomial is checked and gets its Fujiwara bound as it would alone,
-    Newton steps them all in lock-step (:func:`_lockstep_newton`), and
-    each bracket is certified as alone, in input order.
+    Every polynomial is checked first (:func:`_newton_start`), so the
+    first malformed one raises ``ValueError`` before any Newton step.
+    Newton runs per polynomial, or in lock-step from :data:`_BATCH_MIN`
+    up, and the first polynomial in input order without a certified
+    bracket raises :class:`ConvergenceError`.
     """
     polynomials = list(polynomials)
-    if len(polynomials) < _BATCH_MIN:
-        return [greatest_real_root(p) for p in polynomials]
-    starts = []
-    try:
-        for p in polynomials:
-            starts.append(_newton_start(p))
-    except ValueError:
-        greatest_real_roots(polynomials[: len(starts)])  # a failure before this one comes first
-        raise
-    newton = zip(*_lockstep_newton(polynomials, starts))
-    return [_certified_root(p, *result) for p, result in zip(polynomials, newton)]
+    starts = [_newton_start(p) for p in polynomials]
+    newton = _lockstep_newton if len(polynomials) >= _BATCH_MIN else _newton
+    return [_certified_root(p, *row) for p, row in zip(polynomials, newton(polynomials, starts))]
 
 
 def _newton_start(coefficients: tuple[int, ...]) -> float:
@@ -229,17 +210,34 @@ def _newton_start(coefficients: tuple[int, ...]) -> float:
     return _fujiwara_bound(coefficients)
 
 
-def _lockstep_newton(polynomials, starts) -> tuple[list[float], list[float], list[int]]:
-    """x, p(x) and the step count of each polynomial's Newton run, bitwise as alone.
+def _newton(polynomials, starts) -> list[tuple[float, float, int]]:
+    """x, p(x) and the step count of each polynomial's Newton run down from its start."""
+    rows = []
+    for coefficients, x in zip(polynomials, starts):
+        steps = 0
+        value, slope = _value_and_slope(coefficients, x)
+        while value > 0.0 and slope > 0.0 and steps < _MAX_NEWTON_STEPS:
+            below = x - value / slope
+            if not below < x:
+                break
+            x = below
+            steps += 1
+            value, slope = _value_and_slope(coefficients, x)
+        rows.append((x, value, steps))
+    return rows
+
+
+def _lockstep_newton(polynomials, starts) -> list[tuple[float, float, int]]:
+    """:func:`_newton` for all polynomials at once in numpy, bitwise the same rows.
 
     The polynomials are stacked as the rows of one array, each padded to
     the longest with leading zeros.  Horner's value and slope start at
     +0.0, and a zero coefficient keeps them so while x is finite
     (0 x + 0 = +0.0); at a non-finite x they become nan, as at the first
     coefficient alone.  :func:`_value_and_slope` runs on the arrays, so
-    each row takes the scalar float operations in their order.  A row
-    moves while p and p' are positive and the step goes down; a row that
-    stops recomputes the same x, p and p' and stays stopped, so a row
+    each row takes the float operations of :func:`_newton` in their
+    order.  A row moves while p and p' are positive and the step goes
+    down; a row that stops recomputes the same x, p and p' and stays stopped, so a row
     still moving at pass t has taken t steps.  Overflow, inf - inf and
     0/0 give the IEEE values that Python's floats give without a word,
     so numpy's warnings are silenced.
@@ -261,7 +259,7 @@ def _lockstep_newton(polynomials, starts) -> tuple[list[float], list[float], lis
             x = np.where(moving, below, x)
             steps += moving
             value, slope = _value_and_slope(coefficients, x)
-    return x.tolist(), value.tolist(), steps.tolist()
+    return list(zip(x.tolist(), value.tolist(), steps.tolist()))
 
 
 def _certified_root(

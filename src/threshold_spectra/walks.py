@@ -183,6 +183,9 @@ def _order_three(cubic: tuple[int, ...], c: int, kmax: int) -> list[int]:
     The first three terms are c^0, c^1, c^2; a monic cubic ``(1, a1, a2,
     a3)`` then gives ``v_k = -a1 v_{k-1} - a2 v_{k-2} - a3 v_{k-3}``.
     """
+    # three named products, not the q recurrence's sum(map(mul, tail, window)): over the
+    # seed-1 walks benchmark pool that stepper took 9.5-9.9 ms for both brackets against
+    # 3.9 ms, and lw_recurrence 40-41 ms against 34-35 ms (best of 7, 2-vCPU x86-64 host)
     _, a1, a2, a3 = cubic
     values = [c**k for k in range(min(kmax, 2) + 1)]
     for k in range(3, kmax + 1):

@@ -22,7 +22,7 @@ from threshold_spectra.identities import (
     lower_cubic_polynomial,
     upper_cubic_polynomial,
 )
-from threshold_spectra.bounds import _GAP_NAMES, SANDWICH_TOL, _bound_classes
+from threshold_spectra.bounds import _GAP_NAMES, SANDWICH_TOL, _bound_classes, _bound_inputs
 from threshold_spectra.cli import parse_graph_spec
 from threshold_spectra.graph_model import _zero_classes
 from threshold_spectra.spectral import greatest_real_roots
@@ -400,12 +400,25 @@ def test_batched_reports_equal_single_graph_reports():
     everything = []
     for census in censuses(10):
         single = [bound_report(g, allow_inapplicable=True) for g in census]
-        assert class_reports(_bound_classes(census, allow_inapplicable=True)) == single
+        assert class_reports(_bound_classes(census)) == single
         everything += census
     # several n, m and k, applicable or not, in one call take the same path
-    mixed = class_reports(_bound_classes(everything, allow_inapplicable=True))
+    mixed = class_reports(_bound_classes(everything))
     assert mixed == [bound_report(g, allow_inapplicable=True) for g in everything]
     assert {r.applicable for r in mixed} == {True, False}
+    # a strict report raises exactly where the lenient one has no bounds, and says which
+    # standing assumption the graph breaks, as the bound inputs do
+    assert [_strict_outcome(bound_report, g) for g in everything] == [
+        report if report.applicable else _strict_outcome(_bound_inputs, g)
+        for g, report in zip(everything, mixed)
+    ]
+
+
+def _strict_outcome(call, g):
+    try:
+        return call(g)
+    except PreconditionError as exc:
+        return str(exc)
 
 
 def test_batched_reports_certify_each_polynomial_once(monkeypatch):
@@ -423,7 +436,7 @@ def test_batched_reports_certify_each_polynomial_once(monkeypatch):
         if name.startswith("threshold_spectra") and hasattr(module, "greatest_real_roots"):
             monkeypatch.setattr(module, "greatest_real_roots", counting_roots)
     census = enumerate_threshold_graphs(14, 40)
-    classes = _bound_classes(census, allow_inapplicable=True)
+    classes = _bound_classes(census)
     applicable = [g for g, k in zip(census, classes.members) if k is not None]
     distinct = {
         make(g)
@@ -439,7 +452,7 @@ def test_every_census_radius_and_class_value_is_finite():
     """enumerate --json writes rows with %r, which spells a float as json does only while finite."""
     kinds = set()
     for census in censuses(12):
-        classes = _bound_classes(census, allow_inapplicable=True)
+        classes = _bound_classes(census)
         assert all(map(math.isfinite, classes.radii))
         assert all(math.isfinite(x) for values in classes.values for x in values)
         kinds |= {k is None for k in classes.members}
@@ -467,4 +480,4 @@ def test_bound_report_values_and_gaps_are_finite_at_scale(blocks):
 
 
 def test_empty_batch():
-    assert _bound_classes([], allow_inapplicable=False) == ([], [], [])
+    assert _bound_classes([]) == ([], [], [])

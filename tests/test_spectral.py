@@ -345,14 +345,13 @@ def test_every_bracket_contains_the_greatest_real_root(case):
         (2**1000, -1),
     ],
 )
-def test_certificate_across_binade_edges(coeffs, monkeypatch):
+def test_certificate_across_binade_edges(coeffs):
     res = greatest_real_root(coeffs)
     _assert_certificate(coeffs, res)
     if coeffs[0] == 2**52:
         # the bracket ends have different power-of-two denominators
         assert res.bracket_high == 2.0
         assert res.bracket_low.as_integer_ratio()[1] == 2**51
-    monkeypatch.setattr(spectral, "_BATCH_MIN", 1)
     _assert_batch_is_scalar([coeffs])
 
 
@@ -375,7 +374,7 @@ def _assert_certificate(coeffs, res):
 
 
 # ---------------------------------------------------------------------------
-# greatest_real_roots: the batch is the scalar path, bit for bit
+# greatest_real_roots: the lock-step stage is the per-polynomial stage, bit for bit
 # ---------------------------------------------------------------------------
 
 
@@ -391,11 +390,30 @@ def _outcome(call):
 
 
 def _assert_batch_is_scalar(polynomials):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # no numpy warning may reach stderr
-        batch = _outcome(lambda: greatest_real_roots(polynomials))
-    assert batch == _outcome(lambda: [greatest_real_root(p) for p in polynomials])
-    return batch
+    """One batch through the lock-step and the per-polynomial Newton stage: the same outcome."""
+    outcomes = []
+    for batch_min in (1, len(polynomials) + 1):
+        with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+            patch.setattr(spectral, "_BATCH_MIN", batch_min)
+            warnings.simplefilter("error")  # no numpy warning may reach stderr
+            outcomes.append(_outcome(lambda: greatest_real_roots(polynomials)))
+    lockstep, per_polynomial = outcomes
+    assert lockstep == per_polynomial
+    return lockstep
+
+
+def _contract(polynomials):
+    """A batch's outcome, from each polynomial's own.
+
+    Every root; else the first ``ValueError``, since every polynomial is
+    checked before Newton; else the first ``ConvergenceError``.
+    """
+    alone = [_outcome(lambda: [greatest_real_root(p)]) for p in polynomials]
+    for error in (ValueError, ConvergenceError):
+        for outcome in alone:
+            if outcome[0] is error:
+                return outcome
+    return [row for (row,) in alone]
 
 
 def _census_polynomials(n_max):
@@ -418,8 +436,8 @@ def _census_polynomials(n_max):
 def test_batch_equals_scalar_on_every_census_class_polynomial():
     polynomials = _census_polynomials(14)
     assert len(polynomials) > 10_000
-    assert len(_assert_batch_is_scalar(polynomials)) == len(polynomials)
-    # batches just below and at the size where the lock-step starts
+    assert _assert_batch_is_scalar(polynomials) == _contract(polynomials)
+    # slices just below and at the default lock-step size, some padded to a narrower width
     for size in (spectral._BATCH_MIN - 1, spectral._BATCH_MIN):
         for start in range(0, len(polynomials) - size, 997):
             _assert_batch_is_scalar(polynomials[start : start + size])
@@ -437,26 +455,27 @@ _up_to_degree_8 = st.lists(
 @settings(max_examples=300, deadline=None)
 @given(_up_to_degree_8)
 def test_batch_equals_scalar_on_drawn_cubics_and_quartics(polynomials):
-    # below the batch size (the scalar path), then with every batch size stepped in lock-step
-    _assert_batch_is_scalar(polynomials)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(spectral, "_BATCH_MIN", 1)
-        _assert_batch_is_scalar(polynomials)
+    assert _assert_batch_is_scalar(polynomials) == _contract(polynomials)
 
 
 @pytest.mark.parametrize(
     "polynomials, error",
     [
-        ([(1, -3, 2, -7), (1, 0, 1), (0, 1)], ConvergenceError),  # no real root, then bad lead
+        ([(1, -3, 2, -7), (1, 0, 1), (0, 1)], ValueError),  # no real root, then bad lead
         ([(1, -3, 2, -7), (0, 1), (1, 0, 1)], ValueError),
         ([(1, -3, 2, -7), (1, 0, 1), (1, 0, 2, 0, 1)], ConvergenceError),
-        ([(1, -3, 2, -7), (5,), (1, -(10**400))], ConvergenceError),  # degree 0
+        ([(1, -3, 2, -7), (5,), (1, -(10**400))], ValueError),  # degree 0, then beyond floats
         ([(1, -3, 2, -7), (1, 0, -(10**308)), (2, -7)], ConvergenceError),  # Newton overflows
     ],
 )
 def test_batch_raises_the_first_failure_in_input_order(polynomials, error):
-    batch = [(1, -3, 2, -7)] * spectral._BATCH_MIN + polynomials
-    assert _assert_batch_is_scalar(batch)[0] is error
+    # a malformed polynomial raises before any Newton step, so before an uncertified one
+    # that comes earlier; without one, the first uncertified polynomial raises.  Each batch
+    # runs below and from _BATCH_MIN, and is also padded to the default lock-step size
+    for batch in (polynomials, [(1, -3, 2, -7)] * spectral._BATCH_MIN + polynomials):
+        outcome = _assert_batch_is_scalar(batch)
+        assert outcome[0] is error
+        assert outcome == _contract(batch)
 
 
 # ---------------------------------------------------------------------------
