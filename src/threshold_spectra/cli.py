@@ -323,8 +323,8 @@ def _census_json(envelope: dict, census, compositions, classes, flags) -> str:
         sandwich_ok, gaps = _sandwich(rho, values[k])
         rows.append(template % (*head, _BOOL_WORDS[is_max], rho, _BOOL_WORDS[sandwich_ok], *gaps))
     # %r spells a float as json does only while it is finite, and no row float is nan or inf:
-    # spectral_radii raises on a non-finite rho, each root comes from a bracket
-    # _certified_root checked finite, the corollary and quadratic bounds are finite for c >= 3
+    # spectral_radii raises on a non-finite rho, each root comes from a bracket the root
+    # kernel checked finite, the corollary and quadratic bounds are finite for c >= 3
     # and n >= 4, and every value is below about 2e6 for n <= 10^6, so no gap overflows
     return _json_text(envelope | {"graphs": rows})
 

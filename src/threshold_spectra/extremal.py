@@ -101,27 +101,38 @@ class VerificationRow:
 # ---------------------------------------------------------------------------
 
 
-def _partition_runs(c: int, total: int, parts: int) -> Iterator[tuple[int, ...]]:
+def _partition_runs(c: int, total: int, parts: int, memo: dict) -> list[tuple[int, ...]]:
     """The runs of ``from_bzp(c, b)`` for every nonincreasing b with ``parts``
     entries in [1, c - 1] summing to ``total``, b in descending lex order.
 
     The runs are c - b_1, then per group of equal b its count and the gap
     to the next value, then b_last.  Groups come by value, then count,
-    both descending, with one generator frame per group.
+    both descending.  The list of each (c, total, parts) is kept in
+    ``memo``, so a census lists the runs after a group once, and every
+    group before it reuses them.
     """
+    key = (c, total, parts)
+    found = memo.get(key)
+    if found is not None:
+        return found
     if parts == 0:
-        yield (c,)
-        return
-    # the first value is at least the average and leaves at least 1 per later part
-    for value in range(min(c - 1, total - parts + 1), -(-total // parts) - 1, -1):
-        # the other parts - count entries lie in [1, value - 1] and sum to total - count * value
-        most = min(parts, (total - parts) // (value - 1)) if value > 1 else parts
-        for count in range(most, max(1, total - parts * (value - 1)) - 1, -1):
-            for rest in _partition_runs(value, total - count * value, parts - count):
-                yield (c - value, count, *rest)
+        found = [(c,)]
+    else:
+        found = []
+        # the first value is at least the average and leaves at least 1 per later part
+        for value in range(min(c - 1, total - parts + 1), -(-total // parts) - 1, -1):
+            # the other parts - count entries lie in [1, value - 1] and sum to total - count * value
+            most = min(parts, (total - parts) // (value - 1)) if value > 1 else parts
+            for count in range(most, max(1, total - parts * (value - 1)) - 1, -1):
+                head = (c - value, count)
+                rests = _partition_runs(value, total - count * value, parts - count, memo)
+                found += [head + rest for rest in rests]
+    memo[key] = found
+    return found
 
 
 def _connected_census(n: int, m: int) -> Iterator[ThresholdGraph]:
+    memo: dict[tuple[int, int, int], list[tuple[int, ...]]] = {}
     for c in range(1, n + 1):
         z = n - c
         remainder = m - comb(c, 2)
@@ -129,7 +140,7 @@ def _connected_census(n: int, m: int) -> Iterator[ThresholdGraph]:
             break  # C(c, 2) only grows with c
         if not z <= remainder <= z * (c - 1):
             continue  # every b_i lies in [1, c - 1]
-        for runs in _partition_runs(c, remainder, z):
+        for runs in _partition_runs(c, remainder, z, memo):
             yield ThresholdGraph(runs=runs, n=n, m=m, c=c, z=z)
 
 

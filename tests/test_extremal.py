@@ -84,6 +84,53 @@ def test_census_with_disconnected_graphs():
             assert {g.bits for g in census} == by_m.get(m, set())
 
 
+def recursive_partition_runs(c, total, parts):
+    """The census's runs generator before its suffix lists were kept, as an order oracle.
+
+    One generator frame per group of equal b, groups by value and then
+    count, both descending.
+    """
+    if parts == 0:
+        yield (c,)
+        return
+    for value in range(min(c - 1, total - parts + 1), -(-total // parts) - 1, -1):
+        most = min(parts, (total - parts) // (value - 1)) if value > 1 else parts
+        for count in range(most, max(1, total - parts * (value - 1)) - 1, -1):
+            for rest in recursive_partition_runs(value, total - count * value, parts - count):
+                yield (c - value, count, *rest)
+
+
+def recursive_census(n, m):
+    """(runs, c) of every connected graph at (n, m), c ascending, from the oracle."""
+    for c in range(1, n + 1):
+        z, remainder = n - c, m - comb(c, 2)
+        if remainder < 0:
+            break
+        if z <= remainder <= z * (c - 1):
+            yield from ((runs, c) for runs in recursive_partition_runs(c, remainder, z))
+
+
+_SMALL_CELLS = [(n, m) for n in range(1, 17) for m in range(comb(n, 2) + 1)]
+
+
+@pytest.mark.parametrize(
+    "cells, size",
+    [
+        pytest.param(_SMALL_CELLS, 2**15, id="n<=16"),
+        pytest.param([(20, 127)], 2860, id="20-127"),
+        pytest.param([(26, 130)], 85884, id="26-130"),
+    ],
+)
+def test_census_order_equals_the_recursive_generator(cells, size):
+    """The suffix lists yield the oracle's tuples in the oracle's order."""
+    graphs = 0
+    for n, m in cells:
+        census = enumerate_threshold_graphs(n, m)
+        assert [(g.runs, g.c) for g in census] == list(recursive_census(n, m))
+        graphs += len(census)
+    assert graphs == size
+
+
 @pytest.mark.parametrize("n, m", [(0, 0), (4, -1), (4, 7), (3, 4)])
 def test_census_validation(n, m):
     with pytest.raises(ValueError):

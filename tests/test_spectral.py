@@ -479,6 +479,153 @@ def test_batch_raises_the_first_failure_in_input_order(polynomials, error):
 
 
 # ---------------------------------------------------------------------------
+# the array proof: whatever it accepts, the exact certificate proves
+# ---------------------------------------------------------------------------
+
+
+def _proof_rows(polynomials, shift=0, centres=None):
+    """(polynomial, low, high, accepted) of ``spectral._proven`` on one batch.
+
+    Each bracket is one ulp either side of a centre moved ``shift`` ulps;
+    the centres are the lock-step Newton values unless given.
+    """
+    coefficients = spectral._padded(polynomials)
+    if centres is None:
+        starts = [spectral._newton_start(p) for p in polynomials]
+        centres = spectral._lockstep_newton(coefficients, starts)[0]
+    x = centres
+    for _ in range(abs(shift)):
+        x = np.nextafter(x, math.copysign(math.inf, shift))
+    degrees = np.array([len(p) - 1 for p in polynomials])
+    proven, low, high = spectral._proven(coefficients, degrees, x)
+    return list(zip(polynomials, low.tolist(), high.tolist(), proven.tolist()))
+
+
+_CLOSE_ROOTS = _product([(10, -207), (11, -229), (13, -268), (16, -333), (20, -417)])
+_near_2_53 = st.integers(2**53 - 3, 2**53 + 3).flatmap(lambda a: st.sampled_from([a, -a]))
+
+
+@st.composite
+def _proof_cases(draw):
+    """An integer polynomial of degree 1 to 8 and a point to probe, from one family per draw.
+
+    Small coefficients; coefficients near +-2^53; a real root times
+    complex pairs; a repeated rational root, where p and its low
+    derivatives vanish together; products of close rationals like
+    ``_CLOSE_ROOTS``'s.  The probe is the float nearest a rational root,
+    where p is worst conditioned, else 1.
+    """
+    family = draw(st.sampled_from(["small", "near 2^53", "complex", "repeated", "close"]))
+    degree = draw(st.integers(1, 8))
+    entries = st.lists(st.integers(-20, 20), min_size=degree, max_size=degree)
+    if family == "small":
+        return (draw(st.integers(1, 20)), *draw(entries)), 1.0
+    if family == "near 2^53":
+        entry = st.one_of(st.integers(-50, 50), _near_2_53)
+        entries = st.lists(entry, min_size=degree, max_size=degree)
+        return (draw(st.sampled_from([1, 3, 2**52, 2**53 - 1])), *draw(entries)), 1.0
+    if family == "complex":
+        irreducible = st.tuples(st.integers(-20, 20), st.integers(1, 400)).filter(
+            lambda q: q[0] ** 2 < 4 * q[1]
+        )
+        pairs = draw(st.lists(irreducible, min_size=1, max_size=max(1, (degree - 1) // 2)))
+        root = draw(st.integers(-10, 10))
+        return _product([(1, -root)] + [(1, b, c) for b, c in pairs]), float(root)
+    if family == "repeated":
+        root = draw(st.fractions(min_value=-30, max_value=30, max_denominator=7))
+        factors = [(root.denominator, -root.numerator)] * max(2, degree - 1)
+        return _product(factors + [(1, -draw(st.integers(-40, 40)))]), float(root)
+    centre = draw(st.fractions(min_value=-30, max_value=30, max_denominator=20))
+    offsets = st.fractions(min_value=-1, max_value=1, max_denominator=40)
+    near = offsets.map(lambda r: centre + r)
+    roots = draw(st.lists(near, min_size=degree, max_size=degree, unique=True))
+    return _product([(r.denominator, -r.numerator) for r in roots]), float(max(roots))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_proof_cases(), min_size=1, max_size=12), st.integers(-4, 4))
+def test_array_proof_accepts_only_certified_brackets(cases, shift):
+    # at each Newton value and at each probe, moved by the same 0 to 4 ulps; a batch is tried
+    # only below its 2^53 bound, so each polynomial is tried alone too
+    polynomials = [_CLOSE_ROOTS, *(p for p, _ in cases)]
+    probes = [20.85, *(probe for _, probe in cases)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = _proof_rows(polynomials, shift) + _proof_rows(polynomials, shift, np.array(probes))
+        for p, probe in zip(polynomials, probes):
+            rows += _proof_rows([p], shift) + _proof_rows([p], shift, np.array([probe]))
+    for p, low, high, accepted in rows:
+        if accepted:
+            assert spectral._certified(p, low, high)
+
+
+def test_array_proof_leaves_repeated_roots_to_the_exact_certificate():
+    # p and its low Taylor coefficients vanish together at (d x - n)^k, so rounding hides
+    # their signs within 4 ulps of the root, and the error bounds must refuse every bracket
+    polynomials, centres = [], []
+    for d in range(1, 8):
+        for n in range(-60, 60):
+            if math.gcd(n, d) == 1:
+                for k in range(2, 9):
+                    for lower in ([], [(1, 50)]):
+                        polynomials.append(_product([(d, -n)] * k + lower))
+                        centres.append(n / d)
+    assert len(polynomials) == 7826
+    for shift in range(-4, 5):
+        rows = _proof_rows(polynomials, shift, np.array(centres))
+        assert not any(accepted for _, _, _, accepted in rows)
+
+
+def test_close_rational_roots_raise_the_same_error_on_both_paths():
+    # Newton stops more than 2^16 ulps from 20.85, beside 20.7, 20.8125 and 20.818
+    outcome = _assert_batch_is_scalar([_CLOSE_ROOTS])
+    assert outcome[0] is ConvergenceError
+    assert _assert_batch_is_scalar([_CLOSE_ROOTS] * spectral._BATCH_MIN) == outcome
+
+
+def test_array_proof_accepts_exactly_the_one_ulp_certificates_of_the_census():
+    polynomials = _census_polynomials(14)
+    rows = _proof_rows(polynomials)
+    accepted = [accepted for _, _, _, accepted in rows]
+    certified = [spectral._certified(p, low, high) for p, low, high, _ in rows]
+    assert accepted == certified
+    assert (len(rows), sum(accepted)) == (17_361, 17_342)
+
+
+def test_batches_beyond_the_error_bounds_take_the_exact_path():
+    # 2^53 + 1 rounds to 2^53 as a float; 2^53 - 1 is exact, but C(2, 1) 2^52 = 2^53 is
+    # not; at degree 21 the values near 1 lie on a grid of 2^-(21 * 53), below subnormals
+    polynomials = [
+        (1, -(2**53 + 1)),
+        (1, -(2**53 - 1)),
+        (2**52, 0, -(2**52)),
+        _product([(1, -1), (1, *(0,) * 19, 1)]),
+    ]
+    alone = [_proof_rows([p])[0] for p in polynomials]
+    assert [accepted for _, _, _, accepted in alone] == [False, True, False, False]
+    assert all(spectral._certified(p, low, high) for p, low, high, _ in alone)
+    # one row at or beyond 2^53 leaves its whole batch to the exact certificate
+    assert not any(accepted for _, _, _, accepted in _proof_rows(polynomials))
+    batch = polynomials * spectral._BATCH_MIN
+    assert _assert_batch_is_scalar(batch) == _contract(batch)
+
+
+@pytest.mark.parametrize(
+    "odd",
+    [
+        (1, *(0,) * 1099, -1),  # C(1100, 550) is beyond float range
+        (1, 10**308, 0, -1),  # C(2, 1) 10^308 is too
+        (1, *(0,) * 56, -2),  # C(57, 28) 1 >= 2^53: the widest table is 57 x 55
+    ],
+    ids=["degree 1100", "coefficient 10^308", "degree 57"],
+)
+def test_batches_with_huge_binomial_multiples_skip_the_array_proof(odd):
+    batch = [odd] + [(1, 0, -2)] * (spectral._BATCH_MIN - 1)
+    assert not any(accepted for _, _, _, accepted in _proof_rows(batch))
+    assert _assert_batch_is_scalar(batch) == _contract(batch)
+
+
+# ---------------------------------------------------------------------------
 # spectral F_p routes
 # ---------------------------------------------------------------------------
 
