@@ -32,9 +32,10 @@ list from one :func:`~threshold_spectra.spectral.spectral_radii` call
 and gives each graph the index of its class, keyed by (n, m, c, F_1)
 with F_1 read from the runs (``graph_model._f1``), so the bound inputs
 and the standing assumptions are built once per key.  It then
-certifies the three polynomials of every class with one
-:func:`~threshold_spectra.spectral.greatest_real_roots` call and
-evaluates the bounds once per class.  The core has no option: a graph
+certifies the three polynomials of every class with one call of the
+root kernel's column core (``spectral._root_columns``, the core of
+:func:`~threshold_spectra.spectral.greatest_real_roots`), reads the
+value column and evaluates the bounds once per class.  The core has no option: a graph
 outside the standing assumptions gets no class.  :func:`bound_report`
 is the core run on a list of one graph; ``enumerate`` reads the core
 directly and writes each class's bounds once.  :func:`_sandwich` is the
@@ -56,7 +57,7 @@ from math import comb, sqrt
 from typing import NamedTuple
 
 from .graph_model import ThresholdGraph, _f1
-from .spectral import greatest_real_roots, spectral_radii
+from .spectral import _root_columns, spectral_radii
 from .walks import bracket_cubics
 
 __all__ = [
@@ -169,10 +170,10 @@ def _bound_classes(graphs) -> _BoundClasses:
     :func:`_bound_inputs` runs once per key, when it is first seen; a
     key outside the standing assumptions gives its graphs no class.
     Classes are numbered in order of first appearance.  Then one
-    ``greatest_real_roots`` call certifies the three polynomials of
-    every class, in class order; each root is the one
-    ``greatest_real_root`` gives alone, so a shared value is exactly the
-    one a graph would get alone.
+    ``_root_columns`` call certifies the three polynomials of every
+    class, in class order; each root is the one ``greatest_real_root``
+    gives alone, so a shared value is exactly the one a graph would get
+    alone.
     """
     graphs = list(graphs)
     radii = spectral_radii(graphs)
@@ -189,7 +190,7 @@ def _bound_classes(graphs) -> _BoundClasses:
             else:
                 k = keys[key] = len(inputs) - 1
         members.append(k)
-    roots = [r.value for r in greatest_real_roots([p for i in inputs for p in _polynomials(i)])]
+    roots = _root_columns([p for i in inputs for p in _polynomials(i)])[0]
     values = [_bounds(i, *roots[3 * k : 3 * k + 3]) for k, i in enumerate(inputs)]
     return _BoundClasses(radii, members, values)
 
@@ -227,7 +228,9 @@ def bound_report(g: ThresholdGraph, allow_inapplicable: bool = False) -> BoundRe
     ``sandwich_ok`` asserts that every lower-side value (the three lower
     bounds and the inequality root) is at most rho and that rho is at
     most ``upper_cubic``, all within the relative tolerance
-    ``SANDWICH_TOL * max(1, rho)``: rho from ``eigh`` is a few ulps off.
+    ``SANDWICH_TOL * max(1, rho)``: rho is proven within an ulp where its
+    characteristic polynomial stays below 2^63, and a few ulps off from
+    ``eigh`` beyond that.
 
     With ``allow_inapplicable`` the report degrades gracefully for
     graphs outside the standing assumptions (stars, complete graphs,

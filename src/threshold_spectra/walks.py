@@ -50,12 +50,14 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import add, mul, sub
 
-from .graph_model import ThresholdGraph, _require_connected, _zero_classes
+from .graph_model import (
+    ThresholdGraph,
+    _characteristic_polynomial,
+    _require_connected,
+    _zero_classes,
+)
 
 __all__ = ["WalkTable", "bracket_cubics", "lw_bruteforce", "lw_recurrence"]
-
-# the characteristic recurrence pays only while its coefficients are machine-sized
-_COEFFICIENT_LIMIT = 2**63
 
 
 @dataclass(frozen=True)
@@ -191,41 +193,6 @@ def _order_three(cubic: tuple[int, ...], c: int, kmax: int) -> list[int]:
     for k in range(3, kmax + 1):
         values.append(-a1 * values[k - 1] - a2 * values[k - 2] - a3 * values[k - 3])
     return values
-
-
-def _characteristic_polynomial(runs: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Coefficients ``(1, q_(K-1), ..., q_0)`` of ``q(x) = det(xI - M)``, in descending powers.
-
-    M is the K x K class quotient of ``A + I``, K = len(runs), and
-    ``q(M) = 0``, so ``LW_k = -sum_(i<K) q_i LW_(k-K+i)`` for k > K, and
-    its greatest root is ``1 + rho``.  One pass over the runs keeps two
-    integer polynomials p, u (descending too: x p appends a 0) with
-    ``u / p = 1 + 1^T (xI - A - I)^-1 1`` over the vertices read so far,
-    starting at p = u = 1:
-
-    * s type-0 twins add ``s / (x - 1)``: ``(p, u) -> ((x-1) p, (x-1) u + s p)``;
-    * s type-1 twins join everything read so far (Sherman-Morrison
-      twice): ``(p, u) -> (x p - s u, x u)``.
-
-    At the end p is monic of degree K and equals q.  Returns None at the
-    first run after which a coefficient of p reaches 2^63: beyond that
-    a product in the recurrence is no longer cheap next to a class step.
-    The j-th run costs O(j) operations on integers below 2^63, and the
-    pass has stopped by run 82 on every graph measured (all-ones runs
-    grow p the slowest; 4,000 random graphs of 101 or more runs, each
-    run up to 1,000 vertices), so it costs about 1 ms at most.
-    """
-    p, u = [1], [1]
-    for i, s in enumerate(runs):
-        if i % 2:
-            u = [a - b + s * c for a, b, c in zip([*u, 0], [0, *u], [0, *p])]
-            p = list(map(sub, [*p, 0], [0, *p]))
-        else:
-            p = [a - s * b for a, b in zip([*p, 0], [0, *u])]
-            u = [*u, 0]
-        if max(map(abs, p)) >= _COEFFICIENT_LIMIT:
-            return None
-    return tuple(p)
 
 
 def _fp_classes(c: int, classes, pmax: int) -> list[int]:

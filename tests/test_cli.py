@@ -7,6 +7,7 @@ import math
 import string
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -277,13 +278,28 @@ def test_bad_arguments_exit_2_naming_the_flag(argv, expected, capsys, monkeypatc
 
 
 def test_unreachable_tol_is_a_domain_error(monkeypatch, capsys):
+    # r of this graph passes 2^63, so rho takes the dense route and its residual check
     monkeypatch.setattr(spectral, "_QUOTIENT_RESIDUAL_REL", 1e-300)
-    assert run(["analyze", "comp:G{3,5,5,2,4}"]) == 1
-    assert "spectral_radius" in capsys.readouterr().err
-    assert run(["enumerate", "--n", "9", "--m", "14"]) == 1
+    assert run(["analyze", "comp:G{1000,1000,1000,1000,1000,1000,1000}"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "spectral_radius" in captured.err and "comp:G{" in captured.err
+
+
+def test_uncertified_rho_is_a_domain_error(monkeypatch, capsys):
+    # no bracket is proven, in floats or exactly: rho fails before any bound root
+    monkeypatch.setattr(spectral, "_certified", lambda coefficients, low, high: False)
+    monkeypatch.setattr(spectral, "_proven", _nothing_proven)
+    for argv in (["analyze", "comp:G{3,5,5,2,4}"], ["enumerate", "--n", "9", "--m", "14"]):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: spectral_radius: no certified bracket within")
+        assert "comp:G{" in captured.err
+
+
+def _nothing_proven(coefficients, degrees, x):
+    return np.zeros(len(x), dtype=bool), x, x
 
 
 # ---------------------------------------------------------------------------

@@ -84,11 +84,15 @@ def test_connectivity_error_names_the_routine():
         spectral_radius(graph("1100"))
 
 
+# r of these passes 2^63, so they take the dense route: eigh and its residual check
+_DENSE_7 = from_composition([1000] * 7)
+_DENSE_9 = from_composition([1000, 999, 1001, 998, 1002, 997, 1003, 996, 1004])
+
+
 def test_unreachable_tol_names_routine_and_graph(monkeypatch):
     monkeypatch.setattr(spectral, "_QUOTIENT_RESIDUAL_REL", 1e-300)
-    g = graph("1110000011111001111")
-    with pytest.raises(ConvergenceError, match=r"spectral_radius: .*comp:G\{3,5,5,2,4\}"):
-        spectral_radius(g)
+    with pytest.raises(ConvergenceError, match=r"spectral_radius: .*comp:G\{1000,1000,1000,"):
+        spectral_radius(_DENSE_7)
 
 
 def test_stacked_radii_equal_single_graph_radii():
@@ -102,9 +106,10 @@ def test_stacked_radii_equal_single_graph_radii():
 
 def test_batch_names_its_first_failing_graph(monkeypatch):
     monkeypatch.setattr(spectral, "_QUOTIENT_RESIDUAL_REL", 1e-300)
-    # k = 1 passes any bound, k = 5 and k = 3 fail it; groups sorted by k would name k = 3
-    graphs = [graph("111"), graph("1110000011111001111"), graph("1101")]
-    with pytest.raises(ConvergenceError, match=r"spectral_radius: .*comp:G\{3,5,5,2,4\}"):
+    # k = 1 takes the root route, k = 9 and k = 7 fail the residual bound; groups sorted by k
+    # would name k = 7
+    graphs = [graph("111"), _DENSE_9, _DENSE_7]
+    with pytest.raises(ConvergenceError, match=r"spectral_radius: .*comp:G\{1000,999,1001,"):
         spectral_radii(graphs)
     with pytest.raises(ValueError, match="^spectral_radius requires a connected graph"):
         spectral_radii([graph("111"), graph("1100")])
@@ -149,6 +154,185 @@ sequences = st.lists(st.integers(0, 1), max_size=58).map(
 def test_quotient_radius_matches_dense_eigvalsh(g):
     dense = float(np.linalg.eigvalsh(adjacency_matrix(g).astype(float))[-1])
     assert spectral_radius(g) == pytest.approx(dense, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the root route: rho as the greatest root of r(y) = det(yI - Q_A), from Hong's bound
+# ---------------------------------------------------------------------------
+
+
+def _taylor_shift(coefficients, shift):
+    """The descending coefficients of p(y + shift), by repeated synthetic division."""
+    shifted = list(coefficients)
+    degree = len(shifted) - 1
+    for i in range(degree):
+        for j in range(1, degree + 1 - i):
+            shifted[j] += shift * shifted[j - 1]
+    return tuple(shifted)
+
+
+def _root_route(g):
+    """(value, low, high) of rho on the root route, from the per-graph stage of the kernel."""
+    r = walks._characteristic_polynomial(g.runs, 0)
+    start = spectral._hong_start(2 * g.m - g.n + 1)
+    columns, fault = spectral._scalar_roots([r], [start])
+    assert fault is None
+    (value,), (low,), (high,), _ = columns
+    return value, low, high
+
+
+def test_r_is_the_taylor_shift_of_the_walk_quotients_q():
+    count = 0
+    for n in range(1, 13):
+        for g in connected_graphs(n):
+            q = walks._characteristic_polynomial(g.runs)
+            assert walks._characteristic_polynomial(g.runs, 0) == _taylor_shift(q, 1)
+            count += 1
+    assert count == 2048
+
+
+def test_certified_bracket_holds_rho_and_the_dense_eigvalsh():
+    # the bracket is proven by an independent exact test; eigvalsh of the n x n adjacency is
+    # itself off by up to 10 ulps at n = 12 (a backward-stable solver errs by about n ulps)
+    worst = 0.0
+    for n in range(1, 13):
+        graphs = connected_graphs(n)
+        for g, rho in zip(graphs, spectral_radii(graphs)):
+            value, low, high = _root_route(g)
+            assert rho == value and low < value < high
+            assert high - low == 2 * math.ulp(value)  # the first bracket, one ulp each side
+            assert proves_greatest_root(walks._characteristic_polynomial(g.runs, 0), low, high)
+            dense = float(np.linalg.eigvalsh(adjacency_matrix(g).astype(float))[-1])
+            off = max(low - dense, dense - high, 0.0) / math.ulp(value) if value else 0.0
+            assert off <= 2 * n, g
+            worst = max(worst, off)
+    assert worst > 0  # eigvalsh is not the certified value: the check compares two routes
+
+
+def _radii_forced(graphs, batch_min):
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        patch.setattr(spectral, "_RADII_BATCH_MIN", batch_min)
+        warnings.simplefilter("error")  # no numpy warning may reach stderr
+        return [rho.hex() for rho in spectral_radii(graphs)]
+
+
+def test_radii_batch_equals_single_on_both_newton_stages():
+    """The int64 pass with lock-step Newton and the per-graph stage: the same bits, n <= 12."""
+    cells = 0
+    for n in range(1, 13):
+        for m in range(math.comb(n, 2) + 1):
+            census = enumerate_threshold_graphs(n, m)
+            if not census:
+                continue
+            alone = [spectral_radius(g).hex() for g in census]
+            assert _radii_forced(census, 1) == alone
+            assert _radii_forced(census, len(census) + 1) == alone
+            cells += 1
+    assert cells == 232
+
+
+# the 9-block graph has r below 2^63 but a product of s + 2 over 2^62, so the int64 pass leaves
+# it to the exact one, as it leaves every graph of 40 or more runs
+_FLAGGED_BUT_BELOW = from_composition([100] * 9)
+
+
+def _assert_int64_pass_is_the_scalar_pass(graphs):
+    rooted, integers, degrees = spectral._adjacency_polynomials(graphs)
+    top = len(integers) - 1
+    polynomials = [walks._characteristic_polynomial(g.runs, 0) for g in graphs]
+    assert rooted == [i for i, r in enumerate(polynomials) if r is not None]
+    for j, i in enumerate(rooted):
+        assert tuple(integers[top - degrees[j] :, j].tolist()) == polynomials[i]
+        assert not integers[: top - degrees[j], j].any()  # padded with leading zeros
+
+
+def test_int64_pass_equals_the_scalar_pass():
+    for n in range(1, 17):
+        for m in range(math.comb(n, 2) + 1):
+            census = enumerate_threshold_graphs(n, m)
+            if census:
+                _assert_int64_pass_is_the_scalar_pass(census)
+    for cell in [(20, 127), (26, 130)]:
+        _assert_int64_pass_is_the_scalar_pass(enumerate_threshold_graphs(*cell))
+    assert walks._characteristic_polynomial(_FLAGGED_BUT_BELOW.runs, 0) is not None
+    alternating = [from_composition([1] * k) for k in (39, 41, 81, 83)]
+    mixed = [graph("111"), _DENSE_7, _FLAGGED_BUT_BELOW, *alternating]
+    _assert_int64_pass_is_the_scalar_pass(mixed + enumerate_threshold_graphs(14, 40))
+    assert spectral._adjacency_polynomials(mixed)[0] == [0, 2, 3, 4, 5]
+    assert spectral._adjacency_polynomials(alternating[2:])[0] == [0]
+
+
+_ALTERNATING_201 = from_composition([1] * 201)
+
+
+def test_graphs_past_2_to_the_63_keep_the_eigh_value():
+    # the dense route's value for the 201-class alternating graph, alone and inside a census
+    assert walks._characteristic_polynomial(_ALTERNATING_201.runs, 0) is None
+    expected = float.fromhex("0x1.fdd7b02a08aaap+6")  # 127.46063295057198
+    assert spectral_radius(_ALTERNATING_201) == expected
+    census = enumerate_threshold_graphs(20, 127)
+    assert spectral_radii(census[:1000] + [_ALTERNATING_201] + census[1000:])[1000] == expected
+    # up to 81 classes the alternating graph takes the root route, from 83 the dense one
+    assert walks._characteristic_polynomial((1,) * 81, 0) is not None
+    assert walks._characteristic_polynomial((1,) * 83, 0) is None
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        [300, 99000, 700],
+        [1, 4820, 991628, 3550, 1],
+        [1, 2769, 988631, 8598, 1],
+        [3, 5, 5, 2, 4],
+        [1] * 21,
+        [7, 1, 30, 2, 2, 9, 1, 1, 5, 40, 3],
+        [1000, 998, 1000],
+        [2, 1, 400, 17, 3, 60, 9],
+    ],
+)
+def test_bracket_holds_the_50_digit_greatest_root_of_r(blocks):
+    from mpmath import mp, mpf, polyroots
+
+    g = from_composition(blocks)
+    r = walks._characteristic_polynomial(g.runs, 0)
+    value, low, high = _root_route(g)
+    assert spectral_radius(g) == value
+    with mp.workdps(50):
+        roots = polyroots(r, maxsteps=400, extraprec=400)
+        rho = max(root.real for root in roots if abs(root.imag) < mpf(10) ** -30)
+        assert mpf(low) < rho < mpf(high)
+
+
+def _failing_certificates(monkeypatch, graphs):
+    """No bracket is proven in floats, and the exact test fails for r of these graphs."""
+    failing = {walks._characteristic_polynomial(g.runs, 0) for g in graphs}
+    certified = spectral._certified
+    monkeypatch.setattr(
+        spectral, "_proven", lambda c, d, x: (np.zeros(len(x), dtype=bool), x, x)
+    )
+    monkeypatch.setattr(
+        spectral,
+        "_certified",
+        lambda p, low, high: p not in failing and certified(p, low, high),
+    )
+
+
+@pytest.mark.parametrize("batch_min", [1, 10**9])
+def test_a_failed_certificate_names_the_first_failing_graph(monkeypatch, batch_min):
+    monkeypatch.setattr(spectral, "_RADII_BATCH_MIN", batch_min)
+    first, second = graph("1110000011111001111"), graph("1101")
+    _failing_certificates(monkeypatch, [first, second])
+    message = r"^spectral_radius: no certified bracket within 2\^16 ulps .*comp:G\{3,5,5,2,4\}"
+    with pytest.raises(ConvergenceError, match=message):
+        spectral_radii([graph("111"), first, second])
+    with pytest.raises(ConvergenceError, match=r"comp:G\{2,1,1\}"):
+        spectral_radii([second, graph("111"), first])
+    # with the dense route's residual failing too, the first failing graph in input order
+    monkeypatch.setattr(spectral, "_QUOTIENT_RESIDUAL_REL", 1e-300)
+    with pytest.raises(ConvergenceError, match=r"quotient residual .*comp:G\{1000,1000,"):
+        spectral_radii([graph("111"), _DENSE_7, first])
+    with pytest.raises(ConvergenceError, match=r"no certified bracket .*comp:G\{3,5,5,2,4\}"):
+        spectral_radii([graph("111"), first, _DENSE_7])
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +741,42 @@ def test_array_proof_accepts_only_certified_brackets(cases, shift):
     for p, low, high, accepted in rows:
         if accepted:
             assert spectral._certified(p, low, high)
+
+
+def _rho_batch(n, m):
+    """r of each graph of a census, sorted by degree: padded floats, degrees, Newton values."""
+    census = sorted(enumerate_threshold_graphs(n, m), key=lambda g: len(g.runs))
+    polynomials = [walks._characteristic_polynomial(g.runs, 0) for g in census]
+    coefficients = spectral._padded(polynomials)
+    starts = [spectral._hong_start(2 * g.m - g.n + 1) for g in census]
+    x = spectral._lockstep_newton(coefficients, starts)[0]
+    return coefficients, np.array([len(p) - 1 for p in polynomials]), x
+
+
+def test_proof_chunks_give_the_flags_each_chunk_gives_alone(monkeypatch):
+    # rows sorted by degree are chunked in order, so each chunk is a slice of the batch
+    coefficients, degrees, x = _rho_batch(20, 127)
+    for rows in (spectral._PROOF_ROWS, 97):
+        monkeypatch.setattr(spectral, "_PROOF_ROWS", rows)
+        assert len(x) > 2 * rows
+        whole = spectral._proven(coefficients, degrees, x)
+        chunks = [slice(at, at + rows) for at in range(0, len(x), rows)]
+        alone = [spectral._proven(coefficients[:, c], degrees[c], x[c]) for c in chunks]
+        for got, parts in zip(whole, zip(*alone)):
+            assert np.array_equal(got, np.concatenate(parts))
+        assert whole[0].all()  # every rho bracket of the census is proven in floats
+
+
+def test_proof_memory_is_bounded_by_the_chunk():
+    coefficients, degrees, x = _rho_batch(20, 127)
+    tracemalloc.start()
+    try:
+        spectral._proven(coefficients, degrees, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 2,860 rows of degree up to 15 in chunks of 512 peak at 1.8 MB; at once they took 12 MB
+    assert peak < 4 * 2**20
 
 
 def test_array_proof_leaves_repeated_roots_to_the_exact_certificate():
