@@ -15,24 +15,28 @@ those families at (n, m) as ``Prediction(kind, rule, graphs)`` rows and
 
 The rules read the surplus s = m - n + 1 over a spanning tree, split
 once as s = C(k, 2) + t with 0 <= t < k (k the largest with
-C(k, 2) <= s); no rule speaks about s < 0:
+C(k, 2) <= s); no rule speaks about s < 0.  A connected graph's
+generating sequence has ones at vertices 0 and n - 1 and at a set P of
+distinct positions in [1, n - 2] summing to s, and every family is one
+of two such sets: P_a = {1, ..., k} minus {k - t}, and P_b = {s}.  A
+set fits at n exactly when each position is at most n - 2, and P_b fits
+only where P_a does; a row keeps the graphs that fit, in order, and a
+row with none is left out.
 
-* s <= 3: the star (m = n - 1), then one fixed small family each for
-  m = n, n + 1, n + 2.
-* t = 0, s >= 4 (m = n + C(k, 2) - 1, k >= 4): one or both of two
-  families (the prediction is a set, maximizers must be a nonempty subset).
-* t = k - 1, s >= 4, with 2n <= m < C(n, 2) - 1
-  (m = n + C(k + 1, 2) - 2): one family.
-* s >= 4 (m = n + t' with t' = s - 1 >= 3): a ``large-n`` family
-  expected to win for large enough n; recorded as evidence, never asserted.
-* t >= 1, 3 <= k <= n - 2: a ``conjecture`` row of two open-case
-  candidates, candidate_a then candidate_b (the large-n family) when it
-  fits; the empirical winner is recorded, never asserted.
+===============  ==========  ========================================  ========
+rule             kind        condition                                 rows
+===============  ==========  ========================================  ========
+m=n-1 ... m=n+2  asserted    s = 0, 1, 2, 3 in turn                    P_a
+m=n+C(k,2)-1     asserted    t = 0, s >= 4                             P_a, P_b
+m=n+C(k,2)-2     asserted    t = k - 1, s >= 4, 2n <= m < C(n, 2) - 1  P_a
+m=n+t            large-n     s >= 4 (t' = s - 1 in m = n + t')         P_b
+open case        conjecture  t >= 1, k >= 3                            P_a, P_b
+===============  ==========  ========================================  ========
 
-Each family is a tuple of alternating block lengths that sum to n and
-end in one vertex of type 1, and its rule's size gives it m edges, so
-it fits at (n, m), as a connected graph, exactly when no block is
-negative.
+An asserted row is a set: the maximizers must be a nonempty subset of
+it (Bell 1991 for the t = 0 pair; in m=n+C(k,2)-2 the rule's k is
+k + 1).  Large-n rows, expected to win for large enough n, and open-case
+rows (candidate_a, then candidate_b) are evidence, never asserted.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from dataclasses import dataclass
 from math import comb, isqrt
 from typing import Iterator
 
-from .graph_model import ThresholdGraph, _block_runs, _from_runs
+from .graph_model import ThresholdGraph, _from_runs
 from .spectral import spectral_radii
 
 __all__ = [
@@ -191,15 +195,6 @@ def find_extremal(n: int, m: int) -> ExtremalResult:
 # ---------------------------------------------------------------------------
 
 
-def _families(*families: tuple[int, ...]) -> tuple[ThresholdGraph, ...]:
-    """The families with no negative block, instantiated, in order.
-
-    At small n some blocks become 0 (the runs collapse) or negative (the
-    family does not fit).
-    """
-    return tuple(_from_runs(_block_runs(blocks)) for blocks in families if min(blocks) >= 0)
-
-
 def _surplus_split(s: int) -> tuple[int, int]:
     """(k, t) with s == C(k, 2) + t and 0 <= t < k, for s >= 0.
 
@@ -209,19 +204,32 @@ def _surplus_split(s: int) -> tuple[int, int]:
     return k, s - comb(k, 2)
 
 
-# the fixed small sizes, keyed by the surplus s = m - n + 1: the rule and the family's blocks at n
-_SMALL_SIZES = {
-    0: ("m=n-1", lambda n: (n - 1, 1)),
-    1: ("m=n", lambda n: (2, n - 3, 1)),
-    2: ("m=n+1", lambda n: (2, 1, n - 4, 1)),
-    3: ("m=n+2", lambda n: (3, n - 4, 1)),
-}
+def _surplus_graph(n: int, positions) -> ThresholdGraph | None:
+    """The graph on n vertices with ones at vertex 0, at vertex n - 1 and at each position.
+
+    ``positions`` are distinct positive integers; they fit, and the
+    graph is connected with n - 1 + sum(positions) edges, exactly when
+    each is at most n - 2, and otherwise there is no graph (None).  The
+    runs come from the sorted positions, so the cost does not grow with n.
+    """
+    if any(p > n - 2 for p in positions):
+        return None
+    ones = sorted({0, *positions, n - 1})  # vertex 0 is vertex n - 1 at n = 1
+    pairs = [(1, 1)]
+    for before, one in zip(ones, ones[1:]):
+        pairs += [(0, one - before - 1), (1, 1)]
+    return _from_runs(pairs)
+
+
+# the rules of the fixed small sizes, by the surplus s = m - n + 1
+_SMALL_RULES = ("m=n-1", "m=n", "m=n+1", "m=n+2")
 
 
 def predict_maximizers(n: int, m: int) -> tuple[Prediction, ...]:
     """Instantiate every literature family that speaks about (n, m).
 
-    At most one row per kind, in the order asserted, large-n, conjecture.
+    At most one row per kind, in the order asserted, large-n, conjecture;
+    a row keeps the graphs that fit, and a row with none is left out.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -229,26 +237,22 @@ def predict_maximizers(n: int, m: int) -> tuple[Prediction, ...]:
     if s < 0:
         return ()
     k, t = _surplus_split(s)
-    # the large-n rule's m = n + t' has t' = s - 1; its graph is also the second t = 0
-    # family and candidate_b
-    large_n = _families((s, 1, n - 2 - s, 1)) if s >= 4 else ()
-    asserted: tuple[ThresholdGraph, ...] = ()
+    # P_a and P_b of the module docstring, None where the set does not fit
+    a = _surplus_graph(n, [p for p in range(1, k + 1) if p != k - t])
+    b = _surplus_graph(n, [s]) if s >= 4 else None
+    rows = []
     if s <= 3:
-        rule, blocks = _SMALL_SIZES[s]
-        asserted = _families(blocks(n))
+        rows.append(("asserted", _SMALL_RULES[s], (a,)))
     elif t == 0:
-        rule = "m=n+C(k,2)-1"
-        asserted = _families((k, n - 1 - k, 1)) + large_n
+        rows.append(("asserted", "m=n+C(k,2)-1", (a, b)))
     elif t == k - 1 and 2 * n <= m < comb(n, 2) - 1:
-        rule = "m=n+C(k,2)-2"  # the rule's k is k + 1 here: s + 1 == C(k + 1, 2)
-        asserted = _families((2, k - 1, n - 2 - k, 1))
-    predictions = [Prediction("asserted", rule, asserted)] if asserted else []
-    if large_n:
-        predictions.append(Prediction("large-n", "m=n+t", large_n))
-    if t >= 1 and 3 <= k <= n - 2:  # then candidate_a has no negative block
-        candidate_a = _families((k - t, 1, t, n - 2 - k, 1))
-        predictions.append(Prediction("conjecture", "open case", candidate_a + large_n))
-    return tuple(predictions)
+        # the rule's k is k + 1 here: s + 1 == C(k + 1, 2)
+        rows.append(("asserted", "m=n+C(k,2)-2", (a,)))
+    rows.append(("large-n", "m=n+t", (b,)))
+    if t >= 1 and k >= 3:
+        rows.append(("conjecture", "open case", (a, b)))
+    predictions = [Prediction(kind, rule, tuple(filter(None, row))) for kind, rule, row in rows]
+    return tuple(p for p in predictions if p.graphs)
 
 
 def verify_predictions(n_values) -> tuple[VerificationRow, ...]:

@@ -249,13 +249,9 @@ def from_composition(blocks) -> ThresholdGraph:
     for i, p in enumerate(blocks, start=1):
         if p < 1:
             raise ValueError(f"block {i} must be a positive integer, got {p!r}")
-    return _from_runs(_block_runs(blocks))
-
-
-def _block_runs(blocks) -> list[tuple[int, int]]:
-    """``(symbol, length)`` of each block: the last is ones, and they alternate backwards."""
+    # the last block is ones, and they alternate backwards
     k = len(blocks)
-    return [(1 - (k - j) % 2, p) for j, p in enumerate(blocks, start=1)]
+    return _from_runs((1 - (k - j) % 2, p) for j, p in enumerate(blocks, start=1))
 
 
 def to_composition(g: ThresholdGraph) -> str:

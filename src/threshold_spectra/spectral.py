@@ -27,9 +27,9 @@ a property of the graph alone:
 * **The dense route.**  A graph whose pass reaches 2^63 takes the top
   eigenvalue of the symmetrized quotient S, with S_ij = sqrt(|i| |j|)
   for joined classes (the later one is type 1) and S_ii = |i| - 1 or 0,
-  from ``numpy.linalg.eigh``.  Its quotients are stacked by k, and the
-  residual of each top eigenpair is checked against a fixed bound only
-  to detect a fault.  S is dense, so a graph with more than
+  from ``numpy.linalg.eigh``, one graph at a time, and the residual of
+  its top eigenpair is checked against a fixed bound only to detect a
+  fault.  S is dense, so a graph with more than
   :data:`MAX_QUOTIENT_CLASSES` classes is refused with ``ValueError``
   before anything is built.
 
@@ -92,7 +92,6 @@ __all__ = [
 # 198 MB resident (2-vCPU x86-64 host, one BLAS thread).
 MAX_QUOTIENT_CLASSES = 2048
 _QUOTIENT_RESIDUAL_REL = 1e-10  # relative to max(1, theta); eigh reaches ~1e-15
-_STACK = 4096  # quotients per stacked eigh call: at most 4096 * k^2 floats
 # an int64 row whose coefficients, times a run length plus 2, could reach this is redone exactly:
 # one step multiplies them by at most that, and the float product is off by far less than 2x
 _INT64_RISK = 2.0**62
@@ -160,7 +159,7 @@ def spectral_radii(graphs) -> list[float]:
     inf)`` per graph below :data:`_RADII_BATCH_MIN` graphs and in
     lock-step from there, and proven as :func:`greatest_real_roots`
     proves a root.  Every other graph gets the top eigenvalue of its
-    stacked quotient (:func:`_dense_radii`).  A graph without a
+    quotient (:func:`_dense_radii`).  A graph without a
     certified bracket, or with a quotient residual above its bound, raises
     :class:`ConvergenceError` naming ``spectral_radius`` and the
     ``comp:`` spec of the first such graph in input order.
@@ -309,37 +308,25 @@ def _adjacency_pass(runs):
 
 
 def _dense_radii(graphs):
-    """The dense route: the top eigenvalue of each stacked quotient, and the first fault.
+    """The dense route: the top eigenvalue of each graph's quotient, and the first fault.
 
     In insertion order the classes are the runs, ones first and then
-    alternating, so S needs only the run lengths.  The graphs are grouped
-    by block count k; each group's quotients are stacked into one
-    (G, k, k) array (at most :data:`_STACK` of them, which bounds memory
-    on huge censuses) and ``eigh`` runs once per stack.  Each S holds the
-    floats it holds when built alone, so theta is bitwise the
-    single-graph value.  The residual of the top eigenpair is checked per
+    alternating, so S needs only the run lengths, and ``eigh`` runs on
+    one S at a time.  The residual of the top eigenpair is checked per
     graph; the fault is None or (index, reason, theta, residual) of the
     first graph above its bound.
     """
-    groups: dict[int, list[int]] = {}
-    for i, g in enumerate(graphs):
-        groups.setdefault(len(g.runs), []).append(i)
     thetas, residuals = np.empty(len(graphs)), np.empty(len(graphs))
-    for k, group in groups.items():
-        index = np.arange(k)
+    for i, g in enumerate(graphs):
+        sizes = np.array(g.runs)
+        index = np.arange(len(sizes))
         ones = index % 2 == 0
-        joined = ones[np.maximum.outer(index, index)]
-        for start in range(0, len(group), _STACK):
-            members = group[start : start + _STACK]
-            sizes = np.array([graphs[i].runs for i in members])
-            # S is built in insertion order: eigh's last bits depend on the row order
-            s = np.sqrt(sizes[:, :, None] * sizes[:, None, :]) * joined
-            s[:, index, index] = np.where(ones, sizes - 1, 0)
-            values, eigenvectors = np.linalg.eigh(s)
-            theta, x = values[:, -1], np.abs(eigenvectors[:, :, -1])
-            thetas[members] = theta
-            error = (s @ x[:, :, None])[:, :, 0] - theta[:, None] * x
-            residuals[members] = np.max(np.abs(error), axis=1)
+        # S is built in insertion order: eigh's last bits depend on the row order
+        s = np.sqrt(np.multiply.outer(sizes, sizes)) * ones[np.maximum.outer(index, index)]
+        s[index, index] = np.where(ones, sizes - 1, 0)
+        values, eigenvectors = np.linalg.eigh(s)
+        thetas[i], x = values[-1], np.abs(eigenvectors[:, -1])
+        residuals[i] = np.max(np.abs(s @ x - thetas[i] * x))
     bounds = _QUOTIENT_RESIDUAL_REL * np.maximum(1.0, thetas)
     failing = np.flatnonzero(~(residuals <= bounds))
     fault = None

@@ -1,5 +1,6 @@
 """Census enumeration, maximizer search, and literature reconciliation."""
 
+import hashlib
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -14,7 +15,7 @@ from threshold_spectra import (
     to_composition,
     verify_predictions,
 )
-from threshold_spectra.extremal import _surplus_split
+from threshold_spectra.extremal import _surplus_graph, _surplus_split
 from threshold_spectra.identities import adjacency_matrix
 from conftest import all_graphs, connected_graphs, graph
 
@@ -129,6 +130,30 @@ def test_census_order_equals_the_recursive_generator(cells, size):
         assert [(g.runs, g.c) for g in census] == list(recursive_census(n, m))
         graphs += len(census)
     assert graphs == size
+
+
+def distinct_parts(s, most):
+    """Every set of distinct positive integers summing to s, parts at most ``most``, descending."""
+    if s == 0:
+        yield ()
+        return
+    for first in range(min(s, most), 0, -1):
+        for rest in distinct_parts(s - first, first - 1):
+            yield (first, *rest)
+
+
+def test_census_equals_the_position_sets():
+    """For n >= s + 2 the census at m = n - 1 + s is one graph per set of positions summing to s."""
+    cells = graphs = 0
+    for s in range(21):
+        for n in range(s + 2, s + 9):
+            census = {g.runs for g in enumerate_threshold_graphs(n, n - 1 + s)}
+            built = [_surplus_graph(n, parts) for parts in distinct_parts(s, s)]
+            assert {g.runs for g in built} == census and len(census) == len(built), (n, s)
+            cells += 1
+            graphs += len(census)
+    assert (cells, graphs) == (147, 2597)
+    assert len(list(distinct_parts(20, 20))) == 64
 
 
 @pytest.mark.parametrize("n, m", [(0, 0), (4, -1), (4, 7), (3, 4)])
@@ -257,6 +282,29 @@ def test_every_predicted_graph_is_connected_at_its_size():
                 assert (g.n, g.m, g.is_connected) == (n, m, True), (n, m, p.kind)
             rows += 1
     assert rows == 37081  # 3,089 asserted, 1,540 large-n and 32,452 conjecture rows
+
+
+def test_prediction_rows_are_pinned():
+    """(n, m, kind, rule, runs) of every row, pinned by their sha256."""
+    digest = hashlib.sha256()
+    for n, m, predictions in prediction_cells():
+        for p in predictions:
+            digest.update(repr((n, m, p.kind, p.rule, [g.runs for g in p.graphs])).encode())
+    assert digest.hexdigest() == (
+        "2bfb7946561b19149c9509361af82cf56cbd2e2bb279a1fce425f5c2f18afd33"
+    )
+
+
+def test_predictions_at_a_million_vertices():
+    n, m = 10**6, 10**6 + 20  # s = 21 = C(7, 2): the t = 0 pair
+    predictions = predict_maximizers(n, m)
+    assert [(p.kind, len(p.graphs)) for p in predictions] == [("asserted", 2), ("large-n", 1)]
+    for p in predictions:
+        for g in p.graphs:
+            assert (g.n, g.m, g.is_connected) == (n, m, True)
+    assert predictions[0].graphs[0].runs == (7, n - 8, 1)  # P_a = {1, ..., 6}
+    assert predictions[1].graphs[0].runs == (1, 20, 1, n - 23, 1)  # P_b = {21}
+    assert predictions[1].graphs == predictions[0].graphs[1:]
 
 
 def test_candidate_b_is_the_large_n_graph():

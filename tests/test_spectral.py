@@ -1,6 +1,7 @@
 """Eigenvalue machinery: the block quotient, overlap spectra, root isolation."""
 
 import math
+import random
 import re
 import sys
 import tracemalloc
@@ -34,6 +35,7 @@ from threshold_spectra.identities import (
 )
 from threshold_spectra import spectral, walks
 from threshold_spectra.bounds import _bound_inputs, _polynomials
+from threshold_spectra.graph_model import _characteristic_polynomial
 from threshold_spectra.spectral import greatest_real_roots
 from conftest import bisection_root, connected_graphs, graph, proves_greatest_root
 
@@ -95,13 +97,35 @@ def test_unreachable_tol_names_routine_and_graph(monkeypatch):
         spectral_radius(_DENSE_7)
 
 
-def test_stacked_radii_equal_single_graph_radii():
-    """Stacking quotients by k changes no bit of rho, on every cell with n <= 12."""
+def dense_route_graphs():
+    """The two graphs above, the 201-class alternating graph and 30 random ones, all dense."""
+    rng = random.Random(7)
+    graphs = [_DENSE_7, _DENSE_9, from_composition([1] * 201)]
+    for k in (9, 11, 83, 85, 101, 151):
+        largest = 3000 if k <= 11 else 50
+        made = 0
+        while made < 5:
+            g = from_composition([rng.randint(1, largest) for _ in range(k)])
+            if _characteristic_polynomial(g.runs, 0) is None:
+                graphs.append(g)
+                made += 1
+    return graphs
+
+
+def test_batched_radii_equal_single_graph_radii():
+    """A batch changes no bit of rho, on every cell with n <= 12 and mixed with dense graphs."""
     for n in range(1, 13):
         for m in range(math.comb(n, 2) + 1):
             census = enumerate_threshold_graphs(n, m)
             assert spectral_radii(census) == [spectral_radius(g) for g in census]
     assert spectral_radii([]) == []
+    dense = dense_route_graphs()
+    mixed = enumerate_threshold_graphs(12, 30)
+    for i, g in enumerate(dense):
+        mixed.insert(7 * i % len(mixed), g)
+    assert len(mixed) > spectral._RADII_BATCH_MIN
+    for batch in (dense, mixed, mixed[:5] + dense[:5]):
+        assert spectral_radii(batch) == [spectral_radius(g) for g in batch]
 
 
 def test_batch_names_its_first_failing_graph(monkeypatch):
