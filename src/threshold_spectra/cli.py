@@ -12,9 +12,11 @@ command line; larger graphs need ``comp:`` or ``bzp:`` (or ``run`` in
 process).  ``walks`` refuses a ``--kmax`` whose LW column would pass
 ``MAX_WALK_BITS``, or whose table would take longer than
 ``MAX_WALK_WORK`` allows for the graph's K twin classes, and a
-``--pmax`` whose F_pmax could pass ``MAX_FP_BITS`` bits.  Output is a
-human table by default, or ``--json`` / ``--csv`` (``verify`` has no
-CSV form); identical invocations produce identical bytes.
+``--pmax`` whose F_pmax could pass ``MAX_FP_BITS`` bits or whose F_p
+steps over the K classes would pass the same ``MAX_WALK_WORK``.
+Output is a human table by default, or ``--json`` / ``--csv``
+(``verify`` has no CSV form); identical invocations produce identical
+bytes.
 Exit codes: 0 success, 1 domain errors, 2 usage errors.
 
 JSON output is byte for byte ``json.dumps(payload, indent=2)``.  One
@@ -27,9 +29,15 @@ and each census hands it the filled rows as one ``_Rows`` list.
 class), not a report per graph.  A row without bounds fills the null
 template.  A class fills the other with its c, z, m and bounds once, at
 its first graph, and each graph of the class then fills only its own
-fields; CSV and human rows read the same class values.  The CLI writes
-the ``"graph"`` object of ``analyze`` and ``walks`` itself: a graph's n-long bzp, fop and
-degree lists are ``_Blocks``, their ``(value, size)`` blocks from
+fields; CSV and human rows read the same class values.  The two text
+columns are built once per census as well, in
+:mod:`threshold_spectra.graph_model`: ``_generating_strings`` cuts every
+generating string from one byte buffer, and ``_compositions`` spells
+each distinct run length once.  All three forms read the string column;
+JSON and human rows, and the maximizers, read the composition column.
+The CLI writes the ``"graph"`` object of ``analyze`` and ``walks``
+itself: a graph's n-long bzp, fop and degree lists are ``_Blocks``,
+their ``(value, size)`` blocks from
 ``graph_model._vertex_blocks``, and ``_Blocks.join`` writes each block
 with one ``int.__repr__``: in ``analyze --json`` and ``walks --json``
 inside ``_json_text``, and in human ``analyze`` as the text of
@@ -50,6 +58,8 @@ from .extremal import _nonempty_census, _rank, verify_predictions
 from .graph_model import (
     ParseError,
     ThresholdGraph,
+    _compositions,
+    _generating_strings,
     _vertex_blocks,
     from_bzp,
     from_composition,
@@ -298,30 +308,34 @@ def _census_row_template(applicable: bool) -> str:
 _NULL_ROW, _CLASS_ROW = _census_row_template(False), _census_row_template(True)
 
 
-def _census_json(envelope: dict, census, compositions, classes, flags) -> str:
+def _census_json(envelope: dict, census, strings, compositions, classes, flags) -> str:
     """``_json_text(envelope | {"graphs": rows})``, with each row from a template.
 
-    A class's row template is filled once, at its first graph; each
-    graph then writes only its own fields, of which rho and the five
-    gaps are floats.  One template with all 18 fields filled per row
-    made this 31 % slower on the seed-1 census benchmark pool: 277-281
-    against 207-216 ms (best of 5, in-process, 2-vCPU x86-64 host).
+    ``strings`` and ``compositions`` are the census's generating-string
+    and composition columns.  A class's row template is filled once, at
+    its first graph; each graph then writes only its own fields, of
+    which rho and the five gaps are floats.  On the seed-1 census
+    benchmark pool these fills take about 160 ms per pass, the text
+    columns 27 ms more (in-process, 2-vCPU x86-64 host); one template
+    with all 18 fields filled per row was 31 % slower when it was tried.
     """
     values = classes.values
     templates = [None] * len(values)
     rows = _Rows()
-    for g, composition, rho, k, is_max in zip(
-        census, compositions, classes.radii, classes.members, flags
+    for g, text, composition, rho, k, is_max in zip(
+        census, strings, compositions, classes.radii, classes.members, flags
     ):
-        head = (g.generating_string, composition)
         if k is None:
-            rows.append(_NULL_ROW % (*head, g.c, g.z, g.m, _BOOL_WORDS[is_max], rho))
+            rows.append(_NULL_ROW % (text, composition, g.c, g.z, g.m, _BOOL_WORDS[is_max], rho))
             continue
         template = templates[k]
         if template is None:
             template = templates[k] = _CLASS_ROW % (g.c, g.z, g.m, *values[k])
         sandwich_ok, gaps = _sandwich(rho, values[k])
-        rows.append(template % (*head, _BOOL_WORDS[is_max], rho, _BOOL_WORDS[sandwich_ok], *gaps))
+        rows.append(
+            template
+            % (text, composition, _BOOL_WORDS[is_max], rho, _BOOL_WORDS[sandwich_ok], *gaps)
+        )
     # %r spells a float as json does only while it is finite, and no row float is nan or inf:
     # rho and each root bound come from a bracket the root kernel checked finite, or from eigh
     # with a residual check that a non-finite rho fails, the corollary and quadratic bounds are
@@ -403,6 +417,13 @@ def _cmd_walks(args) -> str:
             f"--pmax {args.pmax}: bit_length(c) + pmax * max(1, bit_length(sum b)) = {fp_bits} "
             f"exceeds the F_p limit {MAX_FP_BITS}"
         )
+    if classes * args.pmax * fp_bits > MAX_WALK_WORK:
+        # F_p takes pmax steps over the K classes on integers of up to fp_bits bits
+        raise _UsageError(
+            f"--pmax {args.pmax}: K * pmax * (bit_length(c) + pmax * max(1, bit_length(sum b)))"
+            f" = {classes * args.pmax * fp_bits} for K = {classes} twin classes exceeds the "
+            f"walk-time limit {MAX_WALK_WORK}"
+        )
     table = lw_recurrence(g, args.kmax, pmax=args.pmax)
     if args.json:
         # then lw, lw_prime, lw_double_prime and fp: the table's fields, its tuples as they are
@@ -439,14 +460,15 @@ def _cmd_enumerate(args) -> str:
     census = _nonempty_census(args.n, args.m)
     classes = _bound_classes(census)
     rho_max, flags = _rank(classes.radii)
-    rows = zip(census, classes.radii, classes.members, flags)
+    strings = _generating_strings(census)
+    rows = zip(census, strings, classes.radii, classes.members, flags)
     if args.csv:
         lines = [_csv_line(["generating", "c", "z", "m", *_BOUND_COLUMNS, "is_max"])]
-        for g, rho, k, is_max in rows:
+        for g, text, rho, k, is_max in rows:
             bounds = (None,) * 5 if k is None else classes.values[k]
-            lines.append(_csv_line([g.generating_string, g.c, g.z, g.m, rho, *bounds, is_max]))
+            lines.append(_csv_line([text, g.c, g.z, g.m, rho, *bounds, is_max]))
         return "\n".join(lines) + "\n"
-    compositions = [to_composition(g) for g in census]
+    compositions = _compositions(census)
     maximizers = [text for text, is_max in zip(compositions, flags) if is_max]
     if args.json:
         envelope = {
@@ -456,13 +478,13 @@ def _cmd_enumerate(args) -> str:
             "rho_max": rho_max,
             "maximizers": maximizers,
         }
-        return _census_json(envelope, census, compositions, classes, flags)
+        return _census_json(envelope, census, strings, compositions, classes, flags)
     bounds = [_human_bounds(values) for values in classes.values]
     lines = [f"census n={args.n} m={args.m}: {len(census)} graph(s)", ""]
-    for (g, rho, k, is_max), composition in zip(rows, compositions):
+    for (_, text, rho, k, is_max), composition in zip(rows, compositions):
         marker = "*" if is_max else " "
         lines.append(
-            f" {marker} {g.generating_string}  {composition:<18} "
+            f" {marker} {text}  {composition:<18} "
             f"rho={_human_float(rho)}  {'bounds n/a' if k is None else bounds[k]}"
         )
     lines.append("")

@@ -54,9 +54,11 @@ test oracles in :mod:`threshold_spectra.identities`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, cycle, groupby
+from itertools import accumulate, chain, cycle, groupby, pairwise
 from math import comb
 from operator import add, mul, sub
+
+import numpy as np
 
 __all__ = [
     "ParseError",
@@ -262,6 +264,50 @@ def to_composition(g: ThresholdGraph) -> str:
     """
     _require_connected(g, "composition notation")
     return "G{" + ",".join(map(str, g.runs)) + "}"
+
+
+def _generating_strings(graphs) -> list[str]:
+    """``[g.generating_string for g in graphs]``, cut from one byte buffer.
+
+    The runs of all graphs are flattened once; a run is spelled ``1``
+    at an even index within its graph and ``0`` at an odd one, the
+    symbols are repeated by their run lengths into one ASCII buffer, and
+    each graph's string is its slice at the cumulative n.  The graphs
+    may have different n.
+    """
+    runs = [g.runs for g in graphs]
+    counts = np.fromiter(map(len, runs), dtype=np.int64, count=len(runs))
+    total = int(counts.sum())
+    lengths = np.fromiter(chain.from_iterable(runs), dtype=np.int64, count=total)
+    # each run's index within its graph: its index in the flat list less its graph's first
+    index = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+    symbols = np.frombuffer(b"10", dtype=np.uint8)[index & 1]
+    text = np.repeat(symbols, lengths).tobytes().decode("ascii")
+    ends = accumulate([g.n for g in graphs], initial=0)
+    return [text[start:end] for start, end in pairwise(ends)]
+
+
+class _Spelled(dict):
+    """``str`` of each int key, spelled the first time it is looked up."""
+
+    def __missing__(self, key: int) -> str:
+        text = self[key] = str(key)
+        return text
+
+
+def _compositions(graphs) -> list[str]:
+    """``[to_composition(g) for g in graphs]``, each distinct run length spelled once.
+
+    A census repeats a few hundred run lengths across its graphs, so they
+    are spelled in one dict over the distinct lengths (not a table up to
+    the largest: the star on 10^6 vertices has a run of 999,998).  A
+    disconnected graph raises ``to_composition``'s ``ValueError``.
+    """
+    runs = [g.runs for g in graphs]
+    if not all(count % 2 for count in set(map(len, runs))):
+        _require_connected(next(g for g in graphs if not g.is_connected), "composition notation")
+    spell = _Spelled().__getitem__
+    return ["G{" + ",".join(map(spell, r)) + "}" for r in runs]
 
 
 def to_bzp(g: ThresholdGraph) -> tuple[int, ...]:

@@ -1,6 +1,7 @@
 """Command-line interface: parsing, formats, exit codes, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -483,6 +484,36 @@ def test_walks_pmax_at_the_limit_and_one_past(spec, pmax, digits, capsys, monkey
     )
 
 
+def test_walks_fp_time_limit_at_the_limit_and_one_past(capsys, monkeypatch):
+    """K * pmax * fp_bits is at most MAX_WALK_WORK for K twin classes.
+
+    fp_bits is the quantity --pmax's bit limit checks.  The 100,001-class
+    alternating graph has c = 50,001 (16 bits) and sum b = 1,250,025,000
+    (31 bits): pmax 17 gives 100,001 * 17 * 543.
+    """
+    spec = "gen:" + "10" * 50_000 + "1"
+    g = parse_graph_spec(spec)
+    sb = g.m - math.comb(g.c, 2)
+    assert (len(g.runs), g.c, sb) == (100_001, 50_001, 1_250_025_000)
+    work = [len(g.runs) * p * (g.c.bit_length() + p * sb.bit_length()) for p in (17, 18)]
+    assert work == [923_109_231, 1_033_210_332]
+    assert work[0] <= cli.MAX_WALK_WORK < work[1]
+    payload = json.loads(_stdout(["walks", spec, "--kmax", "0", "--pmax", "17", "--json"], capsys))
+    assert len(payload["fp"]) == 18
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the walk table is built after the limit check")
+
+    monkeypatch.setattr(cli, "lw_recurrence", unreachable)
+    assert run(["walks", spec, "--kmax", "0", "--pmax", "18", "--json"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        "error: --pmax 18: K * pmax * (bit_length(c) + pmax * max(1, bit_length(sum b))) = "
+        "1033210332 for K = 100001 twin classes exceeds the walk-time limit 1000000000\n"
+    )
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(0, 1), max_size=40), st.integers(0, 12))
 def test_walks_fp_bits_stay_within_the_bound(middle, pmax):
@@ -777,6 +808,29 @@ def test_enumerate_evaluates_the_bounds_once_per_class(monkeypatch, capsys):
     classes = {(g.c, _zero_classes(g)[2]) for g in census}  # (c, F_1); every graph has bounds
     assert len(calls) == len(set(calls)) == len(classes) == 108
     assert {(inputs.c, inputs.f1) for inputs in calls} == classes
+
+
+def test_enumerate_bytes_are_pinned():
+    """sha256 of (argv, exit code, stdout, stderr) of enumerate in all three forms.
+
+    Every cell with n <= 14 and 0 <= m <= C(n, 2) (an empty census exits
+    1), the benchmark pool's largest census (20, 127), 15,557 graphs at
+    (24, 100), two-digit runs at (60, 69) and (80, 85), and the star on
+    10^6 vertices, whose one run of 999,998 is spelled once.
+    """
+    cells = [(n, m) for n in range(1, 15) for m in range(math.comb(n, 2) + 1)]
+    cells += [(20, 127), (24, 100), (60, 69), (80, 85), (10**6, 10**6 - 1)]
+    digest = hashlib.sha256()
+    for n, m in cells:
+        for form in ([], ["--csv"], ["--json"]):
+            argv = ["enumerate", "--n", str(n), "--m", str(m), *form]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(argv)
+            digest.update(repr((argv, code, out.getvalue(), err.getvalue())).encode())
+    assert digest.hexdigest() == (
+        "0540509a6655a4d60b803f764d484e5892178b468efe899bfa0c31da8e4f36a9"
+    )
 
 
 def test_enumerate_csv_header_and_marking(capsys):

@@ -25,7 +25,13 @@ from threshold_spectra import (
 )
 from threshold_spectra.cli import parse_graph_spec, run
 from threshold_spectra.identities import adjacency_matrix, canonical_vertex_order
-from threshold_spectra.graph_model import _vertex_blocks, _zero_classes
+from threshold_spectra.extremal import enumerate_threshold_graphs
+from threshold_spectra.graph_model import (
+    _compositions,
+    _generating_strings,
+    _vertex_blocks,
+    _zero_classes,
+)
 
 
 @pytest.mark.parametrize(
@@ -136,6 +142,46 @@ def test_from_composition_validation(blocks, message):
 def test_composition_of_disconnected_raises():
     with pytest.raises(ValueError):
         to_composition(graph("1010"))
+
+
+def _per_graph_columns(graphs):
+    return [g.generating_string for g in graphs], [to_composition(g) for g in graphs]
+
+
+def test_census_columns_equal_the_per_graph_forms():
+    """The batch columns on every census with n <= 16, and on three with longer runs.
+
+    (60, 69) and (80, 85) have two-digit runs; the star on 10^6 vertices
+    has one run of 999,998.
+    """
+    cells = [(n, m) for n in range(1, 17) for m in range(comb(n, 2) + 1)]
+    for n, m in cells + [(60, 69), (80, 85), (10**6, 10**6 - 1)]:
+        census = enumerate_threshold_graphs(n, m)
+        columns = _generating_strings(census), _compositions(census)
+        assert columns == _per_graph_columns(census), (n, m)
+    assert _compositions(census) == ["G{1,999998,1}"]
+
+
+def test_census_columns_of_a_mixed_batch():
+    """Graphs of different n in one batch; the strings of disconnected graphs too."""
+    graphs = [g for n in (3, 1, 7, 2, 5) for g in all_graphs(n)]
+    assert _generating_strings(graphs) == [g.generating_string for g in graphs]
+    connected = [g for n in (9, 1, 4, 12) for g in connected_graphs(n)]
+    assert (_generating_strings(connected), _compositions(connected)) == _per_graph_columns(
+        connected
+    )
+    assert _generating_strings([]) == _compositions([]) == []
+
+
+def test_compositions_of_a_disconnected_graph_raise_like_to_composition():
+    graphs = [graph("10101"), graph("1010"), graph("11")]
+    with pytest.raises(ValueError) as batch:
+        _compositions(graphs)
+    with pytest.raises(ValueError) as single:
+        to_composition(graph("1010"))
+    assert str(batch.value) == str(single.value) == (
+        "composition notation requires a connected graph (last bit must be 1)"
+    )
 
 
 @pytest.mark.parametrize(
