@@ -37,15 +37,15 @@ root kernel's column core (``spectral._root_columns``, the core of
 :func:`~threshold_spectra.spectral.greatest_real_roots`), reads the
 value column and evaluates the bounds once per class.  The core has no option: a graph
 outside the standing assumptions gets no class.  :func:`bound_report`
-is the core run on a list of one graph; ``enumerate`` reads the core
-directly and writes each class's bounds once.  :func:`_sandwich` is the
+checks those assumptions and then runs the core on a list of one
+graph; ``enumerate`` reads the core directly and writes each class's
+bounds once.  :func:`_sandwich` is the
 one definition of ``sandwich_ok`` and the gaps, from rho and a class's
 values, and :data:`_GAP_NAMES` the one list of the five bound names.
 
 The bounds assume a connected graph with n >= 4, c >= 3 and z >= 1;
 outside that range :func:`bound_report` raises :class:`PreconditionError`
-naming the first assumption broken, or, built leniently, marks the
-report not applicable.  The size range
+naming the first assumption broken, before rho is taken.  The size range
 n - 1 < m < C(n, 2) follows: m = C(c, 2) + sum b with each b in
 [1, c - 1], so n <= m <= C(c, 2) + z (c - 1) < C(n, 2).
 """
@@ -76,16 +76,16 @@ class PreconditionError(ValueError):
 
 @dataclass(frozen=True)
 class BoundReport:
-    """All bounds for one graph, or rho alone when they do not apply."""
+    """rho and all bounds for one graph; ``applicable`` is always True."""
 
     rho: float
-    lower_cubic: float | None
-    lower_corollary: float | None
-    lower_quadratic: float | None
-    upper_cubic: float | None
-    inequality_root: float | None
-    sandwich_ok: bool | None
-    gaps: dict[str, float] | None
+    lower_cubic: float
+    lower_corollary: float
+    lower_quadratic: float
+    upper_cubic: float
+    inequality_root: float
+    sandwich_ok: bool
+    gaps: dict[str, float]
     applicable: bool
 
 
@@ -222,8 +222,13 @@ def _sandwich(rho: float, values: tuple[float, ...]) -> tuple[bool, tuple[float,
     return sandwich_ok, gaps
 
 
-def bound_report(g: ThresholdGraph, allow_inapplicable: bool = False) -> BoundReport:
+def bound_report(g: ThresholdGraph) -> BoundReport:
     """Compute rho, the four bounds, and the inequality root, with gaps.
+
+    The standing assumptions are checked first: a graph outside them
+    (disconnected, n < 4, c < 3 or z < 1) raises
+    :class:`PreconditionError` naming the first one broken, before rho
+    is taken.
 
     ``sandwich_ok`` asserts that every lower-side value (the three lower
     bounds and the inequality root) is at most rho and that rho is at
@@ -231,17 +236,8 @@ def bound_report(g: ThresholdGraph, allow_inapplicable: bool = False) -> BoundRe
     ``SANDWICH_TOL * max(1, rho)``: rho is proven within an ulp where its
     characteristic polynomial stays below 2^63, and a few ulps off from
     ``eigh`` beyond that.
-
-    With ``allow_inapplicable`` the report degrades gracefully for
-    graphs outside the standing assumptions (stars, complete graphs,
-    c < 3): rho is still reported and every bound is None.  Otherwise
-    such graphs raise :class:`PreconditionError`.
     """
+    _require_applicable(g)
     (rho,), (k,), values = _bound_classes([g])
-    if k is None:
-        if not allow_inapplicable:
-            _require_applicable(g)  # raises: g is outside the standing assumptions
-        # rho alone: the five bounds, sandwich_ok and gaps are None
-        return BoundReport(rho, *(None,) * 7, applicable=False)
     sandwich_ok, gaps = _sandwich(rho, values[k])
     return BoundReport(rho, *values[k], sandwich_ok, dict(zip(_GAP_NAMES, gaps)), applicable=True)

@@ -13,9 +13,8 @@ a property of the graph alone:
 * **The root route.**  One exact pass over the runs gives r
   (``graph_model._characteristic_polynomial`` with diagonal 0, the pass
   that gives the walk quotient's q with diagonal 1; r(y) = q(y + 1)).  From
-  :data:`_RADII_BATCH_MIN` graphs up the same pass runs in int64 numpy
-  over all graphs at once, and a graph that could overflow is redone
-  exactly.
+  :data:`_BATCH_MIN` graphs up the same pass runs in int64 numpy over all
+  graphs at once, and a graph that could overflow is redone exactly.
   Every graph whose pass stays below 2^63 takes this route: every
   graph measured with up to about 82 classes.  Newton starts one ulp
   above Hong's bound ``sqrt(2m - n + 1) >= rho`` (Hong, *A bound on
@@ -35,7 +34,9 @@ a property of the graph alone:
 
 A census runs as one batch, and :func:`spectral_radius` is that kernel
 run on a list of one graph: each route gives every graph the bits it
-gets alone.
+gets alone.  This kernel and the root kernel below switch from per-item
+Python to numpy at one batch size, :data:`_BATCH_MIN`, counted in graphs
+for rho and in polynomials for the roots.
 
 Every integer polynomial of the package, a bound polynomial, the walk
 quotient's q or r, is a tuple of integer coefficients in descending
@@ -99,18 +100,17 @@ _INT64_RISK = 2.0**62
 # exactly; it skips the int64 pass, whose arrays then have at most 40 rows per graph
 _INT64_RUNS = math.ceil(math.log(_INT64_RISK, 3))
 _MAX_NEWTON_STEPS = 100
-# greatest_real_roots steps Newton in lock-step and proves brackets in floats from this many
-# polynomials up: numpy's fixed cost makes that 0.3-0.6 ms for an analyze job's 3 polynomials,
-# against 0.04-0.06 ms one at a time.  On census (20, 127) classes the batch/per-polynomial time
-# is 1.06 at 35, 0.92-1.05 at 42, 0.85 at 48 and 0.74 at 60 polynomials (three runs, best of 15,
-# median over slices, 2-vCPU x86-64 host); analyze runs 3, a census job of the benchmark pools
-# 60 to 1,095, so any crossover in 35..60 times them alike.
-_BATCH_MIN = 42
-# spectral_radii runs its pass in int64 numpy and Newton in lock-step from this many graphs up:
-# on 400 census cells of 8 to 32 graphs with n = 14..20 the batch/per-graph time was 1.45 at
-# 12-15, 1.16 at 16-19, 0.97 at 20-23 and 0.81 at 24-27 graphs (medians, best of 5, 2-vCPU
-# x86-64 host), the per-graph path taking 26-28 us a graph
-_RADII_BATCH_MIN = 22
+# spectral_radii (graphs) and greatest_real_roots (polynomials) run in numpy from this many
+# items up: its fixed cost makes a batch 0.3-0.6 ms for an analyze job's 3 polynomials, against
+# 0.04-0.06 ms one at a time.  Measured apart, the batch/per-item time crossed 1 at 20-23 graphs
+# (1.16 at 16-19, 0.81 at 24-27; 400 census cells with n = 14..20, best of 5) and at 35-42
+# polynomials (1.06 at 35, 0.85 at 48; (20, 127) classes, best of 15).  Measured together, as
+# enumerate --json in-process on the 206 census cells of 8 to 80 graphs with n = 14..20, each
+# kernel forced to each route (best of 7, median of 3 rounds), 32 was the best single size in
+# each of five runs (406-465 ms as the host drifted): 27..38 within 0.7 %, 22 and 42 0.5-1.3 %
+# above, 64 8 % and neither batched 25-28 %; the split (22, 42) read -0.7..+0.1 % against 32
+# in the two runs that timed it (2-vCPU x86-64 host).
+_BATCH_MIN = 32
 # _proven works on this many rows at a time: its Taylor table and the table's absolute values
 # are (D + 1) x (D - 1) floats per row for padded degree D, 6.6 MB each for rho of the
 # 2,860-graph (20, 127) census at D = 17 if proven at once, which raised the peak resident
@@ -156,9 +156,9 @@ def spectral_radii(graphs) -> list[float]:
     before any pass runs.  Each graph whose characteristic pass stays
     below 2^63 (:func:`_adjacency_polynomials`) gets the greatest root
     of r, stepped by Newton down from ``nextafter(sqrt(2m - n + 1),
-    inf)`` per graph below :data:`_RADII_BATCH_MIN` graphs and in
-    lock-step from there, and proven as :func:`greatest_real_roots`
-    proves a root.  Every other graph gets the top eigenvalue of its
+    inf)`` per graph below :data:`_BATCH_MIN` graphs and in lock-step
+    from there, and proven as :func:`greatest_real_roots` proves a
+    root.  Every other graph gets the top eigenvalue of its
     quotient (:func:`_dense_radii`).  A graph without a
     certified bracket, or with a quotient residual above its bound, raises
     :class:`ConvergenceError` naming ``spectral_radius`` and the
@@ -174,7 +174,7 @@ def spectral_radii(graphs) -> list[float]:
                 f"spectral_radius: {k} twin classes exceed the dense-quotient limit "
                 f"of {MAX_QUOTIENT_CLASSES}"
             )
-    if len(graphs) < _RADII_BATCH_MIN:
+    if len(graphs) < _BATCH_MIN:
         polynomials = [_characteristic_polynomial(g.runs, 0) for g in graphs]
         rooted = [i for i, r in enumerate(polynomials) if r is not None]
         starts = [_hong_start(2 * graphs[i].m - graphs[i].n + 1) for i in rooted]

@@ -25,7 +25,7 @@ from threshold_spectra.identities import (
 from threshold_spectra.bounds import _GAP_NAMES, SANDWICH_TOL, _bound_classes, _bound_inputs
 from threshold_spectra.cli import parse_graph_spec
 from threshold_spectra.graph_model import _zero_classes
-from threshold_spectra import spectral
+from threshold_spectra import bounds, spectral
 from conftest import (
     bisection_root,
     class_reports,
@@ -343,26 +343,26 @@ def test_applicable_graphs_lie_strictly_between_a_tree_and_a_complete_graph():
 )
 def test_preconditions_rejected(bits, fragment):
     g = graph(bits)
-    # bound_report reads rho first, and a disconnected graph has none
+    # bound_report checks the standing assumptions before it takes rho, so a disconnected
+    # graph is refused as the bounds refuse it, not by spectral_radius
     with pytest.raises(PreconditionError, match=fragment):
         lower_cubic_polynomial(g)
-    if g.is_connected:
-        with pytest.raises(PreconditionError, match=fragment):
-            bound_report(g)
+    with pytest.raises(PreconditionError, match=fragment):
+        bound_report(g)
 
 
-def test_lenient_report_for_inapplicable_graph():
+def test_inapplicable_graph_is_refused_before_rho(monkeypatch):
     star = graph("10001")
-    report = bound_report(star, allow_inapplicable=True)
-    assert report.applicable is False
-    assert report.rho == pytest.approx(2.0, abs=1e-10)
-    assert report.lower_cubic is None
-    assert report.lower_corollary is None
-    assert report.lower_quadratic is None
-    assert report.upper_cubic is None
-    assert report.inequality_root is None
-    assert report.sandwich_ok is None
-    assert report.gaps is None
+    # the class core gives the star rho and no class
+    (rho,), (k,), values = _bound_classes([star])
+    assert rho == pytest.approx(2.0, abs=1e-10) and k is None and values == []
+
+    def no_radii(graphs):
+        raise AssertionError("spectral_radii called")
+
+    monkeypatch.setattr(bounds, "spectral_radii", no_radii)
+    with pytest.raises(PreconditionError, match="c >= 3"):
+        bound_report(star)
 
 
 def test_bound_report_encodes_the_graph_once(monkeypatch):
@@ -401,14 +401,14 @@ def test_batched_reports_equal_single_graph_reports():
     """Floats compare exactly: a batch row gives each graph the report it gets alone."""
     everything = []
     for census in censuses(10):
-        single = [bound_report(g, allow_inapplicable=True) for g in census]
+        single = [class_reports(_bound_classes([g]))[0] for g in census]
         assert class_reports(_bound_classes(census)) == single
         everything += census
     # several n, m and k, applicable or not, in one call take the same path
     mixed = class_reports(_bound_classes(everything))
-    assert mixed == [bound_report(g, allow_inapplicable=True) for g in everything]
+    assert mixed == [class_reports(_bound_classes([g]))[0] for g in everything]
     assert {r.applicable for r in mixed} == {True, False}
-    # a strict report raises exactly where the lenient one has no bounds, and says which
+    # bound_report raises exactly where the class core gives no class, and says which
     # standing assumption the graph breaks, as the bound inputs do
     assert [_strict_outcome(bound_report, g) for g in everything] == [
         report if report.applicable else _strict_outcome(_bound_inputs, g)
@@ -476,7 +476,7 @@ def large_compositions(draw):
 @given(large_compositions())
 @example([1, 4820, 991628, 3550, 1])
 def test_bound_report_values_and_gaps_are_finite_at_scale(blocks):
-    report = bound_report(from_composition(blocks), allow_inapplicable=True)
+    report = class_reports(_bound_classes([from_composition(blocks)]))[0]
     assume(report.applicable)
     values = [getattr(report, name) for name in _GAP_NAMES]
     assert all(map(math.isfinite, [report.rho, *values, *report.gaps.values()]))

@@ -29,6 +29,7 @@ from threshold_spectra import (
     to_composition,
     to_fop,
 )
+from threshold_spectra.bounds import _bound_classes
 from threshold_spectra.cli import _json_text, _Rows, _Text, parse_graph_spec, run
 from threshold_spectra.extremal import TIE_TOL
 from threshold_spectra.graph_model import _zero_classes
@@ -355,6 +356,13 @@ def test_analyze_inapplicable_graph_fails_closed(capsys):
     # silently degraded row
     assert run(["analyze", "gen:10001"]) == 1
     assert "c >= 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["gen:10", "gen:10100"])
+def test_analyze_disconnected_graph_names_the_bounds_assumption(spec, capsys):
+    # bound_report checks connectivity before rho is taken
+    assert run(["analyze", spec]) == 1
+    assert capsys.readouterr() == ("", "error: bounds require a connected graph\n")
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +715,7 @@ def test_enumerate_json_is_json_dumps_of_the_row_dicts(tie_tol, capsys):
             if not census:
                 continue
             assert run(["enumerate", "--n", str(n), "--m", str(m), "--json"]) == 0
-            reports = [bound_report(g, allow_inapplicable=True) for g in census]
+            reports = [class_reports(_bound_classes([g]))[0] for g in census]
             payload = _census_payload(n, m, tie_tol, census, reports)
             assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
             cells += 1
@@ -787,7 +795,7 @@ def test_enumerate_csv_and_human_equal_per_report_rendering(tie_tol, form, capsy
                 continue
             argv = ["enumerate", "--n", str(n), "--m", str(m)]
             text = _stdout(argv + (["--csv"] if form == "csv" else []), capsys)
-            reports = [bound_report(g, allow_inapplicable=True) for g in census]
+            reports = [class_reports(_bound_classes([g]))[0] for g in census]
             assert text == _census_text(n, m, tie_tol, census, reports, form)
             cells += 1
     assert cells == 130

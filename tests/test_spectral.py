@@ -123,9 +123,15 @@ def test_batched_radii_equal_single_graph_radii():
     mixed = enumerate_threshold_graphs(12, 30)
     for i, g in enumerate(dense):
         mixed.insert(7 * i % len(mixed), g)
-    assert len(mixed) > spectral._RADII_BATCH_MIN
+    assert len(mixed) > spectral._BATCH_MIN
     for batch in (dense, mixed, mixed[:5] + dense[:5]):
         assert spectral_radii(batch) == [spectral_radius(g) for g in batch]
+    # one graph either side of the batch size, and at it
+    census = enumerate_threshold_graphs(20, 127)
+    for size in (spectral._BATCH_MIN - 1, spectral._BATCH_MIN, spectral._BATCH_MIN + 1):
+        for batch in (census[:size], census[-size:]):
+            single = [spectral_radius(g).hex() for g in batch]
+            assert [rho.hex() for rho in spectral_radii(batch)] == single
 
 
 def test_batch_names_its_first_failing_graph(monkeypatch):
@@ -235,7 +241,7 @@ def test_certified_bracket_holds_rho_and_the_dense_eigvalsh():
 
 def _radii_forced(graphs, batch_min):
     with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
-        patch.setattr(spectral, "_RADII_BATCH_MIN", batch_min)
+        patch.setattr(spectral, "_BATCH_MIN", batch_min)
         warnings.simplefilter("error")  # no numpy warning may reach stderr
         return [rho.hex() for rho in spectral_radii(graphs)]
 
@@ -343,7 +349,7 @@ def _failing_certificates(monkeypatch, graphs):
 
 @pytest.mark.parametrize("batch_min", [1, 10**9])
 def test_a_failed_certificate_names_the_first_failing_graph(monkeypatch, batch_min):
-    monkeypatch.setattr(spectral, "_RADII_BATCH_MIN", batch_min)
+    monkeypatch.setattr(spectral, "_BATCH_MIN", batch_min)
     first, second = graph("1110000011111001111"), graph("1101")
     _failing_certificates(monkeypatch, [first, second])
     message = r"^spectral_radius: no certified bracket within 2\^16 ulps .*comp:G\{3,5,5,2,4\}"
