@@ -10,10 +10,9 @@ Linux one argv string holds at most 128 KiB (``MAX_ARG_STRLEN``), so a
 ``gen:`` string longer than about 131,000 bits cannot be passed on a
 command line; larger graphs need ``comp:`` or ``bzp:`` (or ``run`` in
 process).  ``walks`` refuses a ``--kmax`` whose LW column would pass
-``MAX_WALK_BITS``, or whose table would take longer than
-``MAX_WALK_WORK`` allows for the graph's K twin classes, and a
-``--pmax`` whose F_pmax could pass ``MAX_FP_BITS`` bits or whose F_p
-steps over the K classes would pass the same ``MAX_WALK_WORK``.
+``MAX_WALK_BITS``, a ``--pmax`` whose F_pmax could pass ``MAX_FP_BITS``
+bits, and a table whose LW and F_p steps over the graph's K twin
+classes together would take longer than ``MAX_WALK_WORK`` allows.
 Output is a human table by default, or ``--json`` / ``--csv``
 (``verify`` has no CSV form); identical invocations produce identical
 bytes.
@@ -29,8 +28,9 @@ and each census hands it the filled rows as one ``_Rows`` list.
 class), not a report per graph.  A row without bounds fills the null
 template.  A class fills the other with its c, z, m and bounds once, at
 its first graph, and each graph of the class then fills only its own
-fields; CSV and human rows read the same class values.  The two text
-columns are built once per census as well, in
+fields.  The human and CSV forms likewise spell each class's bounds
+once per census, and each row writes its own cells around them.  The
+two text columns are built once per census as well, in
 :mod:`threshold_spectra.graph_model`: ``_generating_strings`` cuts every
 generating string from one byte buffer, and ``_compositions`` spells
 each distinct run length once.  All three forms read the string column;
@@ -81,11 +81,12 @@ MAX_VERTICES = 10**6
 # under 14,200 bits, so it prints within CPython's 4,300-digit int-to-str limit
 MAX_WALK_BITS = 10**7
 
-# a class step of LW costs about 3.5 K operations on integers of up to about
-# kmax * log2(n + 1) bits, so a table's time grows with K * kmax^2 * ceil(log2(n + 1)) for
-# K twin classes; at this cap the LW columns take at most about 2 s on a 2-vCPU host
-# (10^6 one-vertex classes at kmax 7, lw_recurrence with pmax 0; 2001 classes at kmax 213
-# take 0.2 s), and the walks benchmark pool peaks at 45 * 220^2 * 6, about 1.3 * 10^7
+# a class step of LW costs about 3.5 K operations on integers of up to about kmax * log2(n + 1)
+# bits, and an F_p step about K on up to fp_bits bits (the quantity MAX_FP_BITS caps), so
+# a table's time grows with K * (kmax^2 * ceil(log2(n + 1)) + pmax * fp_bits) for K twin
+# classes; at this one budget the whole table takes at most about 2 s on a 2-vCPU host
+# (10^6 one-vertex classes at kmax 7 and pmax 0, or at kmax 0 and pmax 4), and the walks
+# benchmark pool peaks at 45 * (220^2 * 6 + 10 * 116), about 1.3 * 10^7
 MAX_WALK_WORK = 10**9
 
 # walks prints F_0 .. F_pmax, and F_p <= c * (sum b)^p, so bit_length(c) + pmax *
@@ -178,8 +179,6 @@ def _check_order(n: int, pos: int) -> None:
 
 
 def _csv_cell(x) -> str:
-    if x is None:
-        return ""
     if isinstance(x, bool):
         return _BOOL_WORDS[x]
     if isinstance(x, float):
@@ -398,17 +397,11 @@ def _cmd_analyze(args) -> str:
 
 def _cmd_walks(args) -> str:
     g = parse_graph_spec(args.graph)
-    table_bits = args.kmax**2 * g.n.bit_length()  # bit_length(n) = ceil(log2(n + 1))
-    if table_bits > MAX_WALK_BITS:
+    lw_bits = args.kmax**2 * g.n.bit_length()  # bit_length(n) = ceil(log2(n + 1))
+    if lw_bits > MAX_WALK_BITS:
         raise _UsageError(
-            f"--kmax {args.kmax}: kmax^2 * ceil(log2(n + 1)) = {table_bits} exceeds the walk-table "
+            f"--kmax {args.kmax}: kmax^2 * ceil(log2(n + 1)) = {lw_bits} exceeds the walk-table "
             f"limit {MAX_WALK_BITS}"
-        )
-    classes = len(g.runs)
-    if classes * table_bits > MAX_WALK_WORK:
-        raise _UsageError(
-            f"--kmax {args.kmax}: K * kmax^2 * ceil(log2(n + 1)) = {classes * table_bits} for "
-            f"K = {classes} twin classes exceeds the walk-time limit {MAX_WALK_WORK}"
         )
     sb = g.m - comb(g.c, 2)  # every edge but the C(c, 2) among the ones has one type-0 end
     fp_bits = g.c.bit_length() + args.pmax * max(1, sb.bit_length())
@@ -417,12 +410,12 @@ def _cmd_walks(args) -> str:
             f"--pmax {args.pmax}: bit_length(c) + pmax * max(1, bit_length(sum b)) = {fp_bits} "
             f"exceeds the F_p limit {MAX_FP_BITS}"
         )
-    if classes * args.pmax * fp_bits > MAX_WALK_WORK:
-        # F_p takes pmax steps over the K classes on integers of up to fp_bits bits
+    work = len(g.runs) * (lw_bits + args.pmax * fp_bits)
+    if work > MAX_WALK_WORK:
         raise _UsageError(
-            f"--pmax {args.pmax}: K * pmax * (bit_length(c) + pmax * max(1, bit_length(sum b)))"
-            f" = {classes * args.pmax * fp_bits} for K = {classes} twin classes exceeds the "
-            f"walk-time limit {MAX_WALK_WORK}"
+            f"--kmax {args.kmax} --pmax {args.pmax}: K * (kmax^2 * ceil(log2(n + 1)) + pmax * "
+            f"(bit_length(c) + pmax * max(1, bit_length(sum b)))) = {work} for K = "
+            f"{len(g.runs)} twin classes exceeds the walk-time limit {MAX_WALK_WORK}"
         )
     table = lw_recurrence(g, args.kmax, pmax=args.pmax)
     if args.json:
@@ -463,10 +456,11 @@ def _cmd_enumerate(args) -> str:
     strings = _generating_strings(census)
     rows = zip(census, strings, classes.radii, classes.members, flags)
     if args.csv:
+        bounds = [_csv_line(values) for values in classes.values]  # once per (c, F_1) class
         lines = [_csv_line(["generating", "c", "z", "m", *_BOUND_COLUMNS, "is_max"])]
         for g, text, rho, k, is_max in rows:
-            bounds = (None,) * 5 if k is None else classes.values[k]
-            lines.append(_csv_line([text, g.c, g.z, g.m, rho, *bounds, is_max]))
+            cells = ",,,," if k is None else bounds[k]  # five empty cells without bounds
+            lines.append(f"{text},{g.c},{g.z},{g.m},{rho:.17g},{cells},{_BOOL_WORDS[is_max]}")
         return "\n".join(lines) + "\n"
     compositions = _compositions(census)
     maximizers = [text for text, is_max in zip(compositions, flags) if is_max]
@@ -593,13 +587,17 @@ def build_parser() -> argparse.ArgumentParser:
         type=_int_at_least(0),
         default=50,
         help="longest walk length (default 50), with kmax^2 * ceil(log2(n+1)) at most "
-        f"{MAX_WALK_BITS} and K times that at most {MAX_WALK_WORK}; a step costs about "
-        "3.5*K big-integer operations for K twin classes, and about K small-by-big "
-        "products once kmax >= 3*K and the class quotient's characteristic polynomial "
-        "has coefficients below 2^63 (so K below about 80); LW_k has about "
-        "k*log2(1+rho) bits, 973 at k = 200 on the 45-vertex alternating graph",
+        f"{MAX_WALK_BITS}, and K * (that + pmax * F_p bits) at most {MAX_WALK_WORK} for K "
+        "twin classes",
     )
-    p_walks.add_argument("--pmax", type=_int_at_least(0), default=10)
+    p_walks.add_argument(
+        "--pmax",
+        type=_int_at_least(0),
+        default=10,
+        help="largest p of F_p (default 10), with F_p bits = bit_length(c) + pmax * "
+        f"max(1, bit_length(sum b)) at most {MAX_FP_BITS}; pmax * F_p bits counts in the "
+        f"time limit {MAX_WALK_WORK} of --kmax",
+    )
     _add_format_flags(p_walks)
     p_walks.set_defaults(handler=_cmd_walks)
 

@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import string
@@ -401,6 +402,10 @@ def test_walks_rejects_disconnected(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def _unreachable(*args, **kwargs):
+    raise AssertionError("the walk table is built after the limit checks")
+
+
 # kmax^2 * ceil(log2(n + 1)) is at most MAX_WALK_BITS = 10**7: n = 1, n = 3 (2 bits) and
 # n = 10^6 (20 bits)
 @pytest.mark.parametrize(
@@ -420,10 +425,7 @@ def test_walks_kmax_at_the_limit_and_one_past(spec, kmax, last, capsys, monkeypa
     bits = math.ceil(math.log2(parse_graph_spec(spec).n + 1))
     assert kmax**2 * bits <= cli.MAX_WALK_BITS < (kmax + 1) ** 2 * bits
 
-    def unreachable(*args, **kwargs):
-        raise AssertionError("the walk table is built after the limit check")
-
-    monkeypatch.setattr(cli, "lw_recurrence", unreachable)
+    monkeypatch.setattr(cli, "lw_recurrence", _unreachable)
     assert run(["walks", spec, "--kmax", str(kmax + 1), "--json"]) == 2
     out = capsys.readouterr()
     assert out.out == ""
@@ -435,7 +437,11 @@ def test_walks_kmax_at_the_limit_and_one_past(spec, kmax, last, capsys, monkeypa
 
 @pytest.mark.parametrize("k", [2001, 100_001], ids=["alternating-2001", "alternating-100001"])
 def test_walks_time_limit_at_the_limit_and_one_past(k, capsys, monkeypatch):
-    """K * kmax^2 * ceil(log2(n + 1)) is at most MAX_WALK_WORK = 10**9 for K twin classes."""
+    """K * kmax^2 * ceil(log2(n + 1)) is at most MAX_WALK_WORK = 10**9 for K twin classes.
+
+    At pmax 0 that is the whole time budget; one past it, at the default
+    pmax 10, the refusal counts the F_p steps in the same budget.
+    """
     assert cli.MAX_WALK_WORK == 10**9
     spec = "gen:" + "10" * (k // 2) + "1"  # k one-vertex classes, n = k
     bits = math.ceil(math.log2(k + 1))
@@ -445,17 +451,17 @@ def test_walks_time_limit_at_the_limit_and_one_past(k, capsys, monkeypatch):
     argv = ["walks", spec, "--kmax", str(kmax), "--pmax", "0", "--json"]
     assert len(json.loads(_stdout(argv, capsys))["lw"]) == kmax + 1
 
-    def unreachable(*args, **kwargs):
-        raise AssertionError("the walk table is built after the limit check")
-
-    monkeypatch.setattr(cli, "lw_recurrence", unreachable)
+    monkeypatch.setattr(cli, "lw_recurrence", _unreachable)
     assert run(["walks", spec, "--kmax", str(kmax + 1), "--json"]) == 2
     out = capsys.readouterr()
     assert out.out == ""
+    g = parse_graph_spec(spec)
+    fp_bits = g.c.bit_length() + 10 * (g.m - math.comb(g.c, 2)).bit_length()  # default pmax 10
     assert out.err == (
-        f"error: --kmax {kmax + 1}: K * kmax^2 * ceil(log2(n + 1)) = "
-        f"{k * (kmax + 1) ** 2 * bits} for K = {k} twin classes exceeds the walk-time limit "
-        "1000000000\n"
+        f"error: --kmax {kmax + 1} --pmax 10: K * (kmax^2 * ceil(log2(n + 1)) + pmax * "
+        "(bit_length(c) + pmax * max(1, bit_length(sum b)))) = "
+        f"{k * ((kmax + 1) ** 2 * bits + 10 * fp_bits)} for K = {k} twin classes exceeds the "
+        "walk-time limit 1000000000\n"
     )
 
 
@@ -479,10 +485,7 @@ def test_walks_pmax_at_the_limit_and_one_past(spec, pmax, digits, capsys, monkey
     assert int(p) == pmax and len(fp) == digits  # within int's 4,300 digits
     assert int(fp) == lw_recurrence(g, 0, pmax=pmax).fp[-1] <= g.c * sb**pmax
 
-    def unreachable(*args, **kwargs):
-        raise AssertionError("the walk table is built after the limit check")
-
-    monkeypatch.setattr(cli, "lw_recurrence", unreachable)
+    monkeypatch.setattr(cli, "lw_recurrence", _unreachable)
     assert run(["walks", spec, "--kmax", "1", "--pmax", str(pmax + 1), "--json"]) == 2
     out = capsys.readouterr()
     assert out.out == ""
@@ -493,32 +496,53 @@ def test_walks_pmax_at_the_limit_and_one_past(spec, pmax, digits, capsys, monkey
 
 
 def test_walks_fp_time_limit_at_the_limit_and_one_past(capsys, monkeypatch):
-    """K * pmax * fp_bits is at most MAX_WALK_WORK for K twin classes.
+    """K * (kmax^2 * ceil(log2(n + 1)) + pmax * fp_bits) is at most MAX_WALK_WORK.
 
     fp_bits is the quantity --pmax's bit limit checks.  The 100,001-class
-    alternating graph has c = 50,001 (16 bits) and sum b = 1,250,025,000
-    (31 bits): pmax 17 gives 100,001 * 17 * 543.
+    alternating graph has n = 100,001 (17 bits), c = 50,001 (16 bits) and
+    sum b = 1,250,025,000 (31 bits).  Each pair is (kmax, pmax) at the
+    limit and one past it: pmax 17 gives 100,001 * 17 * 543 for F_p alone,
+    and kmax 7 adds 100,001 * 49 * 17 for LW, which took the sum past the
+    budget while each share was checked on its own.
     """
     spec = "gen:" + "10" * 50_000 + "1"
     g = parse_graph_spec(spec)
     sb = g.m - math.comb(g.c, 2)
     assert (len(g.runs), g.c, sb) == (100_001, 50_001, 1_250_025_000)
-    work = [len(g.runs) * p * (g.c.bit_length() + p * sb.bit_length()) for p in (17, 18)]
-    assert work == [923_109_231, 1_033_210_332]
-    assert work[0] <= cli.MAX_WALK_WORK < work[1]
-    payload = json.loads(_stdout(["walks", spec, "--kmax", "0", "--pmax", "17", "--json"], capsys))
-    assert len(payload["fp"]) == 18
 
-    def unreachable(*args, **kwargs):
-        raise AssertionError("the walk table is built after the limit check")
+    def work(kmax, pmax):
+        return len(g.runs) * (kmax**2 * 17 + pmax * (g.c.bit_length() + pmax * sb.bit_length()))
 
-    monkeypatch.setattr(cli, "lw_recurrence", unreachable)
-    assert run(["walks", spec, "--kmax", "0", "--pmax", "18", "--json"]) == 2
+    pairs = [((0, 17), (0, 18), 1_033_210_332), ((6, 17), (7, 17), 1_006_410_064)]
+    for (kmax, pmax), (past_kmax, past_pmax), past_work in pairs:
+        assert work(kmax, pmax) <= cli.MAX_WALK_WORK < work(past_kmax, past_pmax) == past_work
+        argv = ["walks", spec, "--kmax", str(kmax), "--pmax", str(pmax), "--json"]
+        payload = json.loads(_stdout(argv, capsys))
+        assert (len(payload["lw"]), len(payload["fp"])) == (kmax + 1, pmax + 1)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "lw_recurrence", _unreachable)
+            argv = ["walks", spec, "--kmax", str(past_kmax), "--pmax", str(past_pmax), "--json"]
+            assert run(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (
+            f"error: --kmax {past_kmax} --pmax {past_pmax}: K * (kmax^2 * ceil(log2(n + 1)) + "
+            "pmax * (bit_length(c) + pmax * max(1, bit_length(sum b)))) = "
+            f"{past_work} for K = 100001 twin classes exceeds the walk-time limit 1000000000\n"
+        )
+
+
+def test_walks_fp_bit_limit_is_checked_before_the_time_budget(capsys, monkeypatch):
+    """A call over both the kmax share of the time budget and the F_p bit limit names the latter."""
+    spec = "gen:" + "10" * 50_000 + "1"
+    monkeypatch.setattr(cli, "lw_recurrence", _unreachable)
+    assert run(["walks", spec, "--kmax", "100", "--pmax", "1000"]) == 2
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == (
-        "error: --pmax 18: K * pmax * (bit_length(c) + pmax * max(1, bit_length(sum b))) = "
-        "1033210332 for K = 100001 twin classes exceeds the walk-time limit 1000000000\n"
+        "error: --pmax 1000: bit_length(c) + pmax * max(1, bit_length(sum b)) = 31016 "
+        "exceeds the F_p limit 14000\n"
     )
 
 
@@ -531,6 +555,39 @@ def test_walks_fp_bits_stay_within_the_bound(middle, pmax):
     for p, value in enumerate(lw_recurrence(g, 0, pmax=pmax).fp):
         assert value <= g.c * sb**p
         assert value.bit_length() <= g.c.bit_length() + p * max(1, sb.bit_length())
+
+
+def test_walks_bytes_are_pinned():
+    """sha256 of (argv, exit code, stdout, stderr) of walks in all three forms.
+
+    Every connected graph with n <= 8 at kmax 12 and pmax 4, where K <= 4
+    classes take q's recurrence past 3K terms and K >= 5 step the classes;
+    and the four walk tables of the CI entry-point check: comp:G{3,5,5,2,4},
+    the 45-class alternating graph past 3K, the 9-block composition whose
+    coefficients pass 2^63, and the 201-class alternating graph at 3K.
+    """
+    specs = ["gen:1"] + [
+        "gen:1" + "".join(middle) + "1"
+        for n in range(2, 9)
+        for middle in itertools.product("01", repeat=n - 2)
+    ]
+    calls = [["walks", spec, "--kmax", "12", "--pmax", "4"] for spec in specs]
+    calls += [
+        ["walks", "comp:G{3,5,5,2,4}", "--kmax", "200"],
+        ["walks", "gen:" + "10" * 22 + "1", "--kmax", "220"],
+        ["walks", "comp:G{1000,999,1001,998,1002,997,1003,996,1004}", "--kmax", "200"],
+        ["walks", "gen:" + "10" * 100 + "1", "--kmax", "603"],
+    ]
+    digest = hashlib.sha256()
+    for argv in calls:
+        for form in ([], ["--csv"], ["--json"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(argv + form)
+            digest.update(repr((argv + form, code, out.getvalue(), err.getvalue())).encode())
+    assert digest.hexdigest() == (
+        "46811f0ccd5759b06d3fea77e859683143c50be1abb6d77f3822c33f43450d30"
+    )
 
 
 # ---------------------------------------------------------------------------
